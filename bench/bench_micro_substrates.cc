@@ -42,9 +42,10 @@ MicroState& State() {
         core::CnProbaseBuilder::Build(s->world->output->dump,
                                       s->world->world->lexicon(),
                                       s->world->corpus_words, config, &report));
-    s->api = std::make_unique<taxonomy::ApiService>(s->taxonomy.get());
-    core::CnProbaseBuilder::RegisterMentions(s->world->output->dump,
-                                             *s->taxonomy, s->api.get());
+    s->api = std::make_unique<taxonomy::ApiService>(
+        util::UnownedSnapshot(s->taxonomy.get()),
+        core::CnProbaseBuilder::BuildMentionIndex(s->world->output->dump,
+                                                  *s->taxonomy));
     for (const auto& page : s->world->output->dump.pages()) {
       if (!page.abstract.empty()) s->abstracts.push_back(page.abstract);
       if (!page.bracket.empty()) s->brackets.push_back(page.bracket);
@@ -128,7 +129,8 @@ void BM_ApiMen2Ent(benchmark::State& bm) {
   MicroState& s = State();
   size_t i = 0;
   for (auto _ : bm) {
-    benchmark::DoNotOptimize(s.api->Men2Ent(s.mentions[i++ % s.mentions.size()]));
+    benchmark::DoNotOptimize(
+        s.api->TryMen2EntResolved(s.mentions[i++ % s.mentions.size()]));
   }
 }
 BENCHMARK(BM_ApiMen2Ent);
@@ -138,7 +140,7 @@ void BM_ApiGetEntity(benchmark::State& bm) {
   size_t i = 0;
   for (auto _ : bm) {
     benchmark::DoNotOptimize(
-        s.api->GetEntity(s.concepts[i++ % s.concepts.size()]));
+        s.api->TryGetEntityResolved(s.concepts[i++ % s.concepts.size()]));
   }
 }
 BENCHMARK(BM_ApiGetEntity);

@@ -43,6 +43,19 @@ std::string Fingerprint(const taxonomy::Taxonomy& taxonomy) {
   return out;
 }
 
+// Call `i` of the Table II-ish (men2ent-heavy) mix every sweep here drives:
+// men2ent on even calls, getConcept and getEntity on the odd ones.
+void MixedQuery(const taxonomy::ApiService& api, const std::string& term,
+                size_t i) {
+  if (i % 2 == 0) {
+    (void)api.TryMen2EntResolved(term);
+  } else if (i % 4 == 1) {
+    (void)api.TryGetConceptResolved(term);
+  } else {
+    (void)api.TryGetEntityResolved(term, 20);
+  }
+}
+
 void RunDumpSizeSweep() {
   std::printf("\n-- construction cost vs dump size --\n");
   std::printf("\n%10s %8s %10s %10s %10s %10s %10s\n", "entities", "pages",
@@ -108,9 +121,9 @@ void RunApiQpsSweep() {
   const auto taxonomy = core::CnProbaseBuilder::Build(
       world->output->dump, world->world->lexicon(), world->corpus_words,
       bench::DefaultBuilderConfig(), &report);
-  taxonomy::ApiService api(&taxonomy);
-  core::CnProbaseBuilder::RegisterMentions(world->output->dump, taxonomy,
-                                           &api);
+  taxonomy::ApiService api(
+      util::UnownedSnapshot(&taxonomy),
+      core::CnProbaseBuilder::BuildMentionIndex(world->output->dump, taxonomy));
 
   std::vector<std::string> mentions;
   for (const auto& page : world->output->dump.pages()) {
@@ -132,13 +145,7 @@ void RunApiQpsSweep() {
           const std::string& mention =
               mentions[(i * 37 + static_cast<size_t>(c) * 1009) %
                        mentions.size()];
-          if (i % 2 == 0) {
-            api.Men2Ent(mention);
-          } else if (i % 4 == 1) {
-            api.GetConcept(mention);
-          } else {
-            api.GetEntity(mention, 20);
-          }
+          MixedQuery(api, mention, i);
         }
       });
     }
@@ -220,13 +227,7 @@ void RunServeWhileUpdateSweep() {
           const std::string& mention =
               mentions[(i * 37 + static_cast<size_t>(c) * 1009) %
                        mentions.size()];
-          if (i % 2 == 0) {
-            api.Men2Ent(mention);
-          } else if (i % 4 == 1) {
-            api.GetConcept(mention);
-          } else {
-            api.GetEntity(mention, 20);
-          }
+          MixedQuery(api, mention, i);
         }
       });
     }
@@ -319,13 +320,7 @@ bool RunColdStartSweep() {
     for (size_t i = 0; i < calls; ++i) {
       const std::string& mention = mentions[(i * 37) % mentions.size()];
       util::WallTimer timer;
-      if (i % 2 == 0) {
-        api.Men2Ent(mention);
-      } else if (i % 4 == 1) {
-        api.GetConcept(mention);
-      } else {
-        api.GetEntity(mention, 20);
-      }
+      MixedQuery(api, mention, i);
       hist->Add(timer.ElapsedSeconds());
     }
   };
@@ -373,9 +368,9 @@ void RunMetricsOverheadCheck() {
   const auto taxonomy = core::CnProbaseBuilder::Build(
       world->output->dump, world->world->lexicon(), world->corpus_words,
       bench::DefaultBuilderConfig(), &report);
-  taxonomy::ApiService api(&taxonomy);
-  core::CnProbaseBuilder::RegisterMentions(world->output->dump, taxonomy,
-                                           &api);
+  taxonomy::ApiService api(
+      util::UnownedSnapshot(&taxonomy),
+      core::CnProbaseBuilder::BuildMentionIndex(world->output->dump, taxonomy));
   std::vector<std::string> mentions;
   for (const auto& page : world->output->dump.pages()) {
     mentions.push_back(page.mention);
@@ -390,13 +385,7 @@ void RunMetricsOverheadCheck() {
     util::WallTimer timer;
     for (size_t i = 0; i < kCalls; ++i) {
       const std::string& mention = mentions[(i * 37) % mentions.size()];
-      if (i % 2 == 0) {
-        api.Men2Ent(mention);
-      } else if (i % 4 == 1) {
-        api.GetConcept(mention);
-      } else {
-        api.GetEntity(mention, 20);
-      }
+      MixedQuery(api, mention, i);
     }
     return timer.ElapsedSeconds();
   };

@@ -41,7 +41,8 @@
 // Phase 7 (multi-collection tenancy): two collections in one
 // CollectionManager behind one server. A bare-path window (routed to the
 // default collection, byte-compatible with single-tenant serving) measures
-// the routing-layer overhead against the phase-1 platform-poller number;
+// the routing-layer overhead against a single-tenant window run just
+// before it over the same view (both uncached, no background publisher);
 // a prefixed window splits /v1/c/<name>/ traffic across both collections
 // with 1-in-4 requests hitting the /isa reasoning endpoint. Acceptance:
 // both windows serve 200s with zero 5xx.
@@ -342,7 +343,7 @@ void Run(const Options& options) {
   const uint64_t version_before = api.version();
 
   // Query universe, drawn from what the base taxonomy can answer.
-  const auto snapshot = api.CurrentTaxonomy();
+  const auto snapshot = updater.snapshot();  // the taxonomy just published
   std::vector<std::string> mentions;
   std::vector<std::string> entities;
   for (const auto& page : world->output->dump.pages()) {
@@ -823,8 +824,11 @@ void Run(const Options& options) {
   // a test concern — tests/collections_test.cc; here the question is what
   // the tenancy routing layer costs and what the reasoning endpoints do to
   // the tail). The bare window is byte-compatible single-tenant traffic
-  // through the manager's default-collection route, so the delta against
-  // the phase-1 platform-poller window is pure routing overhead.
+  // through the manager's default-collection route. Its baseline is a
+  // single-tenant window over the same view with the same settings (no
+  // cache, no background publisher), run right before it, so the delta
+  // between the two is the routing layer alone. (Phase 1's window had a
+  // publisher applying a batch mid-run and is not comparable.)
   const double coll_seconds = std::max(0.8, options.seconds / 2.0);
   std::printf("\nphase 7: multi-collection tenancy, 2 collections, "
               "%.1fs per window\n", coll_seconds);
@@ -839,6 +843,25 @@ void Run(const Options& options) {
                    status.ToString().c_str());
       std::exit(1);
     }
+  }
+  Window single_tenant;
+  {
+    taxonomy::ApiService single_api(tenancy_view);
+    server::ApiEndpoints single_endpoints(&single_api);
+    server::HttpServer::Config single_config;
+    single_config.num_threads = options.threads;
+    server::HttpServer single_httpd(single_config,
+                                    single_endpoints.AsHandler());
+    if (const util::Status status = single_httpd.Start(); !status.ok()) {
+      std::fprintf(stderr, "single-tenant server start failed: %s\n",
+                   status.ToString().c_str());
+      std::exit(1);
+    }
+    single_tenant = RunWindow(single_httpd.port(), target_sets,
+                              options.connections, coll_seconds);
+    PrintWindow("single", single_tenant);
+    single_httpd.Stop();
+    single_httpd.Wait();
   }
   Window coll_bare;
   Window coll_prefixed;
@@ -892,8 +915,8 @@ void Run(const Options& options) {
     coll_httpd.Wait();
   }
   const double tenancy_overhead_pct =
-      epoll_window.qps > 0
-          ? 100.0 * (epoll_window.qps - coll_bare.qps) / epoll_window.qps
+      single_tenant.qps > 0
+          ? 100.0 * (single_tenant.qps - coll_bare.qps) / single_tenant.qps
           : 0.0;
   const bool collections_ok = coll_bare.total.ok > 0 &&
                               coll_prefixed.total.ok > 0 &&
@@ -901,7 +924,7 @@ void Run(const Options& options) {
                               coll_prefixed.total.server_error == 0;
   std::printf("  routing     bare %.0f req/s vs single-tenant %.0f req/s "
               "(%.1f%% overhead)\n",
-              coll_bare.qps, epoll_window.qps, tenancy_overhead_pct);
+              coll_bare.qps, single_tenant.qps, tenancy_overhead_pct);
   std::printf("  acceptance  %s (both collections served, zero 5xx; "
               "1-in-4 prefixed requests are depth-4 isA closures)\n",
               collections_ok ? "PASS" : "FAIL");
@@ -961,6 +984,7 @@ void Run(const Options& options) {
             ", \"batches_refused\": " + std::to_string(batch_refused.load()) +
             "},\n";
     json += "  \"collections\": {\"count\": 2"
+            ", \"single_tenant_qps\": " + std::to_string(single_tenant.qps) +
             ", \"bare_qps\": " + std::to_string(coll_bare.qps) +
             ", \"bare_p99_ms\": " + std::to_string(coll_bare.p99) +
             ", \"prefixed_qps\": " + std::to_string(coll_prefixed.qps) +

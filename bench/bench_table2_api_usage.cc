@@ -104,22 +104,17 @@ void RunInProcess(taxonomy::ApiService* api, const QueryUniverse& universe) {
   for (size_t i = 0; i < total_calls; ++i) {
     const double u = rng.UniformDouble();
     if (u < kPMen2Ent) {
-      hits += api->Men2Ent(universe.mentions[mention_zipf.Sample(rng)])
-                      .empty()
-                  ? 0
-                  : 1;
+      const auto r = api->TryMen2EntResolved(
+          universe.mentions[mention_zipf.Sample(rng)]);
+      hits += r.ok() && !r->entities.empty() ? 1 : 0;
     } else if (u < kPMen2Ent + kPGetConcept) {
-      hits += api->GetConcept(
-                      universe.entity_names[entity_zipf.Sample(rng)])
-                      .empty()
-                  ? 0
-                  : 1;
+      const auto r = api->TryGetConceptResolved(
+          universe.entity_names[entity_zipf.Sample(rng)]);
+      hits += r.ok() && !r->names.empty() ? 1 : 0;
     } else {
-      hits += api->GetEntity(
-                      universe.concept_names[concept_zipf.Sample(rng)])
-                      .empty()
-                  ? 0
-                  : 1;
+      const auto r = api->TryGetEntityResolved(
+          universe.concept_names[concept_zipf.Sample(rng)]);
+      hits += r.ok() && !r->names.empty() ? 1 : 0;
     }
   }
   PrintUsageTable(*api, timer.ElapsedSeconds(), total_calls, hits);
@@ -315,7 +310,8 @@ bool RunReasoning(taxonomy::ApiService* api, const QueryUniverse& universe,
     const std::string& entity =
         universe.entity_names[entity_zipf.Sample(rng)];
     const auto start = now();
-    base_hits += api->GetConcept(entity).empty() ? 0 : 1;
+    const auto r = api->TryGetConceptResolved(entity);
+    base_hits += r.ok() && !r->names.empty() ? 1 : 0;
     base_us.Add(micros(start, now()));
   }
 
@@ -417,8 +413,9 @@ int Run(bool live, size_t live_calls, size_t batch, bool reasoning,
   const auto taxonomy = core::CnProbaseBuilder::Build(
       world->output->dump, world->world->lexicon(), world->corpus_words,
       bench::DefaultBuilderConfig(), &report);
-  taxonomy::ApiService api(&taxonomy);
-  core::CnProbaseBuilder::RegisterMentions(world->output->dump, taxonomy, &api);
+  taxonomy::ApiService api(
+      util::UnownedSnapshot(&taxonomy),
+      core::CnProbaseBuilder::BuildMentionIndex(world->output->dump, taxonomy));
 
   const QueryUniverse universe = MakeUniverse(*world, taxonomy);
   if (reasoning) {

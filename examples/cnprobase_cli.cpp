@@ -121,9 +121,9 @@ void ServeMetricsWorkload(const kb::EncyclopediaDump& dump,
     for (size_t pass = 0; pass < passes; ++pass) {
       size_t i = 0;
       for (const kb::EncyclopediaPage& page : dump.pages()) {
-        api.Men2Ent(page.mention);
-        if (i % 2 == 0) api.GetConcept(page.name);
-        if (i % 4 == 0) api.GetEntity(page.name, 20);
+        (void)api.TryMen2EntResolved(page.mention);
+        if (i % 2 == 0) (void)api.TryGetConceptResolved(page.name);
+        if (i % 4 == 0) (void)api.TryGetEntityResolved(page.name, 20);
         ++i;
       }
     }

@@ -278,11 +278,11 @@ int main(int argc, char** argv) {
                             const taxonomy::NodeId* ids, size_t num_ids) {
       if (num_ids == 0) return true;
       const std::string entity(view->Name(ids[0]));
-      const auto concepts = sampler.GetConcept(entity);
-      if (concepts.empty()) return true;
+      const auto concepts = sampler.TryGetConceptResolved(entity);
+      if (!concepts.ok() || concepts->names.empty()) return true;
       std::printf("sample_mention=%s\nsample_entity=%s\nsample_concept=%s\n",
                   std::string(mention).c_str(), entity.c_str(),
-                  concepts.front().c_str());
+                  concepts->names.front().c_str());
       return false;
     });
   }

@@ -43,8 +43,9 @@ int main(int argc, char** argv) {
   core::CnProbaseBuilder::Report report;
   const auto taxonomy = core::CnProbaseBuilder::Build(
       output.dump, world.lexicon(), corpus_words, config, &report);
-  taxonomy::ApiService api(&taxonomy);
-  core::CnProbaseBuilder::RegisterMentions(output.dump, taxonomy, &api);
+  taxonomy::ApiService api(
+      util::UnownedSnapshot(&taxonomy),
+      core::CnProbaseBuilder::BuildMentionIndex(output.dump, taxonomy));
 
   // Mention detector over the taxonomy's surface forms.
   text::TrieMatcher matcher;
@@ -65,18 +66,21 @@ int main(int argc, char** argv) {
     std::printf("text:      %s\n", question.text.c_str());
     for (const auto& match : matches) {
       const std::string mention(match.text);
-      const auto entities = api.Men2Ent(mention);
-      if (entities.empty()) continue;
+      const auto entities = api.TryMen2EntResolved(mention);
+      if (!entities.ok() || entities->entities.empty()) continue;
       std::printf("  mention \"%s\"", mention.c_str());
-      if (entities.size() > 1) {
+      if (entities->entities.size() > 1) {
         std::printf(" (ambiguous: %zu readings, top by popularity)",
-                    entities.size());
+                    entities->entities.size());
       }
       std::printf("\n");
-      const auto concepts = api.GetConcept(taxonomy.Name(entities[0]));
-      std::printf("    -> %s isA { ", taxonomy.Name(entities[0]).c_str());
-      for (const auto& concept_name : concepts) {
-        std::printf("%s ", concept_name.c_str());
+      const std::string& top = entities->entities[0].name;
+      const auto concepts = api.TryGetConceptResolved(top);
+      std::printf("    -> %s isA { ", top.c_str());
+      if (concepts.ok()) {
+        for (const auto& concept_name : concepts->names) {
+          std::printf("%s ", concept_name.c_str());
+        }
       }
       std::printf("}\n");
     }

@@ -68,22 +68,25 @@ int main(int argc, char** argv) {
               taxonomy.num_edges(), report.verification.rejected_total());
 
   // 4. The three public APIs.
-  taxonomy::ApiService api(&taxonomy);
-  core::CnProbaseBuilder::RegisterMentions(output.dump, taxonomy, &api);
+  taxonomy::ApiService api(
+      util::UnownedSnapshot(&taxonomy),
+      core::CnProbaseBuilder::BuildMentionIndex(output.dump, taxonomy));
   for (const kb::EncyclopediaPage& page : output.dump.pages()) {
-    const auto entities = api.Men2Ent(page.mention);
-    if (entities.empty()) continue;
-    const std::string& name = taxonomy.Name(entities[0]);
-    const auto concepts = api.GetConcept(name);
-    if (concepts.size() < 2) continue;
+    const auto entities = api.TryMen2EntResolved(page.mention);
+    if (!entities.ok() || entities->entities.empty()) continue;
+    const std::string& name = entities->entities[0].name;
+    const auto concepts = api.TryGetConceptResolved(name);
+    if (!concepts.ok() || concepts->names.size() < 2) continue;
     std::printf("men2ent(\"%s\")    -> %s\n", page.mention.c_str(),
                 name.c_str());
     std::printf("getConcept(\"%s\") -> ", name.c_str());
-    for (const auto& c : concepts) std::printf("%s ", c.c_str());
+    for (const auto& c : concepts->names) std::printf("%s ", c.c_str());
     std::printf("\n");
-    const auto hyponyms = api.GetEntity(concepts[0], 5);
-    std::printf("getEntity(\"%s\", 5) -> ", concepts[0].c_str());
-    for (const auto& h : hyponyms) std::printf("%s ", h.c_str());
+    const auto hyponyms = api.TryGetEntityResolved(concepts->names[0], 5);
+    std::printf("getEntity(\"%s\", 5) -> ", concepts->names[0].c_str());
+    if (hyponyms.ok()) {
+      for (const auto& h : hyponyms->names) std::printf("%s ", h.c_str());
+    }
     std::printf("\n");
     break;
   }

@@ -241,20 +241,6 @@ taxonomy::Taxonomy CnProbaseBuilder::Build(
   return Materialise(BuildCandidates(dump, lexicon, corpus, config, report));
 }
 
-void CnProbaseBuilder::RegisterMentions(const kb::EncyclopediaDump& dump,
-                                        const taxonomy::Taxonomy& taxonomy,
-                                        taxonomy::ApiService* service) {
-  for (const kb::EncyclopediaPage& page : dump.pages()) {
-    const taxonomy::NodeId id = taxonomy.Find(page.name);
-    if (id != taxonomy::kInvalidNode) {
-      service->RegisterMention(page.mention, id);
-      for (const std::string& alias : page.aliases) {
-        service->RegisterMention(alias, id);
-      }
-    }
-  }
-}
-
 taxonomy::ApiService::MentionIndex CnProbaseBuilder::BuildMentionIndex(
     const kb::EncyclopediaDump& dump, const taxonomy::Taxonomy& taxonomy) {
   taxonomy::ApiService::MentionIndex index;

@@ -73,11 +73,6 @@ class CnProbaseBuilder {
   static taxonomy::Taxonomy Materialise(
       const generation::CandidateList& candidates);
 
-  // Wires an ApiService mention index from the dump's pages.
-  static void RegisterMentions(const kb::EncyclopediaDump& dump,
-                               const taxonomy::Taxonomy& taxonomy,
-                               taxonomy::ApiService* service);
-
   // Builds the mention index (surface mention + aliases -> entity node) for
   // `taxonomy` from the dump's pages, for publishing alongside it as one
   // immutable version (ApiService::Publish).

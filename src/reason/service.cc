@@ -13,8 +13,8 @@ using taxonomy::NodeId;
 using taxonomy::ServingView;
 using taxonomy::kInvalidNode;
 
-// Same 1-in-64 per-thread latency sample as the ApiService query path, for
-// the same reason: two steady_clock reads per call would be measurable.
+// Per-thread 1-in-64 latency sample (ApiService samples 1-in-256), for the
+// same reason: two steady_clock reads per call would be measurable.
 bool SampleLatency() {
   thread_local uint32_t tick = 0;
   return (++tick & 63u) == 0;

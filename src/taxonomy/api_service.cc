@@ -90,11 +90,9 @@ class QueryGuard {
   bool armed_deadline_ = false;
 };
 
-ApiService::ApiService(const Taxonomy* taxonomy) {
-  CNPB_CHECK(taxonomy != nullptr);
-  Publish(std::make_shared<HeapServingView>(util::UnownedSnapshot(taxonomy),
-                                            MentionIndex()));
-}
+ApiService::Meter::Meter(const char* calls_name, const char* latency_name)
+    : counter(obs::MetricsRegistry::Global().counter(calls_name)),
+      latency(obs::MetricsRegistry::Global().histogram(latency_name)) {}
 
 ApiService::ApiService(std::shared_ptr<const Taxonomy> taxonomy,
                        MentionIndex mentions) {
@@ -175,7 +173,7 @@ ApiService::ServingLimits ApiService::serving_limits() const {
 
 uint64_t ApiService::PublishInternal(std::shared_ptr<const ServingView> view) {
   // The publish-swap latency covers the whole critical path a reader could
-  // be affected by: version assembly, overlay clear, and the pointer swap.
+  // be affected by: version assembly and the pointer swap.
   obs::ScopedTimer publish_timer(publish_latency_);
   publishes_->Increment();
   // Build the whole version entry off to the side; readers keep serving the
@@ -199,112 +197,53 @@ uint64_t ApiService::PublishInternal(std::shared_ptr<const ServingView> view) {
   record.queries = next->queries;
   record.published_at = now;
   history_.push_back(std::move(record));
-  {
-    // The rebuilt index supersedes the live overlay. Clearing before the
-    // swap keeps every interleaving coherent: readers see either (old
-    // version, overlay or empty) or (new version, empty) — never new-version
-    // results mixed with old-version overlay ids.
-    std::unique_lock<std::shared_mutex> overlay_lock(overlay_mu_);
-    overlay_.clear();
-  }
   const uint64_t version = next->version;
   snapshot_.Publish(std::move(next));
   return version;
 }
 
-std::shared_ptr<const ApiService::Version> ApiService::PinForQuery() const {
-  std::shared_ptr<const Version> snap = snapshot_.Acquire();
-  snap->queries->fetch_add(1, std::memory_order_relaxed);
-  return snap;
-}
-
-void ApiService::RegisterMention(std::string_view mention, NodeId entity) {
-  std::unique_lock<std::shared_mutex> lock(overlay_mu_);
-  auto& candidates = overlay_[std::string(mention)];
-  if (std::find(candidates.begin(), candidates.end(), entity) ==
-      candidates.end()) {
-    candidates.push_back(entity);
+template <typename Body>
+util::Status ApiService::Serve(const char* api, Meter* meter, size_t items,
+                               Body&& body) const {
+  if (meter != nullptr) {
+    meter->calls.fetch_add(items, std::memory_order_relaxed);
   }
-}
-
-std::vector<NodeId> ApiService::LookupMention(const Version& snap,
-                                              std::string_view mention) const {
-  std::vector<NodeId> out = snap.view->MentionCandidates(mention);
-  {
-    std::shared_lock<std::shared_mutex> lock(overlay_mu_);
-    auto it = overlay_.find(std::string(mention));
-    if (it != overlay_.end()) {
-      for (const NodeId id : it->second) {
-        if (std::find(out.begin(), out.end(), id) == out.end()) {
-          out.push_back(id);
-        }
-      }
-    }
-  }
-  if (!out.empty()) {
-    // Ranking reads only the pinned snapshot (ids unknown to it rank last
-    // with zero hypernyms), outside any lock.
-    const ServingView& view = *snap.view;
-    std::stable_sort(out.begin(), out.end(), [&](NodeId a, NodeId b) {
-      return view.NumHypernyms(a) > view.NumHypernyms(b);
-    });
-  }
-  return out;
-}
-
-util::Result<std::vector<NodeId>> ApiService::TryMen2Ent(
-    std::string_view mention) const {
-  men2ent_calls_.fetch_add(1, std::memory_order_relaxed);
-  obs::ScopedTimer latency(SampleQueryLatency() ? latency_men2ent_ : nullptr);
+  obs::ScopedTimer latency(meter != nullptr && SampleQueryLatency()
+                               ? meter->latency
+                               : nullptr);
   QueryGuard guard(*this);
-  CNPB_RETURN_IF_ERROR(guard.Admission("men2ent"));
+  CNPB_RETURN_IF_ERROR(guard.Admission(api));
   CNPB_RETURN_IF_ERROR(util::CheckFault("api.query"));
-  const std::shared_ptr<const Version> snap = PinForQuery();
-  std::vector<NodeId> out = LookupMention(*snap, mention);
-  CNPB_RETURN_IF_ERROR(guard.Deadline("men2ent"));
-  return out;
-}
-
-util::Result<ApiService::Men2EntResolved> ApiService::TryMen2EntResolved(
-    std::string_view mention) const {
-  men2ent_calls_.fetch_add(1, std::memory_order_relaxed);
-  obs::ScopedTimer latency(SampleQueryLatency() ? latency_men2ent_ : nullptr);
-  QueryGuard guard(*this);
-  CNPB_RETURN_IF_ERROR(guard.Admission("men2ent"));
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.query"));
-  const std::shared_ptr<const Version> snap = PinForQuery();
+  const std::shared_ptr<const Version> snap = snapshot_.Acquire();
+  // Charged at pin time so per-version QPS counts every logical lookup,
+  // including queries that later fail their deadline.
+  snap->queries->fetch_add(items, std::memory_order_relaxed);
   // Fires between pinning the snapshot and resolving against it — a delay
   // fault here holds the pin across concurrent publishes, which is how the
   // version-stamp coherence regression test widens the race window.
   CNPB_RETURN_IF_ERROR(util::CheckFault("api.resolve"));
-  Men2EntResolved out;
-  out.version = snap->version;
-  out.entities = ResolveMention(*snap, mention);
-  CNPB_RETURN_IF_ERROR(guard.Deadline("men2ent"));
-  return out;
+  CNPB_RETURN_IF_ERROR(body(*snap, guard));
+  return guard.Deadline(api);
 }
 
 util::Status ApiService::TryQuery(
     const char* api,
     const std::function<util::Status(const ServingView&, uint64_t)>& fn)
     const {
-  QueryGuard guard(*this);
-  CNPB_RETURN_IF_ERROR(guard.Admission(api));
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.query"));
-  const std::shared_ptr<const Version> snap = PinForQuery();
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.resolve"));
-  CNPB_RETURN_IF_ERROR(fn(*snap->view, snap->version));
-  return guard.Deadline(api);
+  return Serve(api, nullptr, 1, [&](const Version& snap, const QueryGuard&) {
+    return fn(*snap.view, snap.version);
+  });
 }
 
 std::vector<ApiService::ResolvedEntity> ApiService::ResolveMention(
-    const Version& snap, std::string_view mention) const {
-  const ServingView& view = *snap.view;
+    const ServingView& view, std::string_view mention) {
+  const std::vector<NodeId> candidates = view.MentionCandidates(mention);
   std::vector<ResolvedEntity> out;
-  for (const NodeId id : LookupMention(snap, mention)) {
-    // Overlay entries registered against a later live taxonomy can carry
-    // ids this snapshot does not know; they have no name here and are
-    // dropped rather than returned half-resolved.
+  out.reserve(candidates.size());
+  for (const NodeId id : candidates) {
+    // A caller-supplied MentionIndex can carry ids this view does not know;
+    // they have no name here and are dropped rather than returned
+    // half-resolved.
     if (id >= view.num_nodes()) continue;
     ResolvedEntity entity;
     entity.id = id;
@@ -312,30 +251,10 @@ std::vector<ApiService::ResolvedEntity> ApiService::ResolveMention(
     entity.num_hypernyms = view.NumHypernyms(id);
     out.push_back(std::move(entity));
   }
-  return out;
-}
-
-std::vector<NodeId> ApiService::Men2Ent(std::string_view mention) const {
-  auto result = TryMen2Ent(mention);
-  if (!result.ok()) {
-    degraded_->Increment();
-    return {};
-  }
-  return *std::move(result);
-}
-
-util::Result<std::vector<std::string>> ApiService::TryGetConcept(
-    std::string_view entity_name, bool transitive) const {
-  get_concept_calls_.fetch_add(1, std::memory_order_relaxed);
-  obs::ScopedTimer latency(SampleQueryLatency() ? latency_get_concept_
-                                                : nullptr);
-  QueryGuard guard(*this);
-  CNPB_RETURN_IF_ERROR(guard.Admission("get_concept"));
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.query"));
-  const std::shared_ptr<const Version> snap = PinForQuery();
-  std::vector<std::string> out = ConceptNames(*snap->view, entity_name,
-                                              transitive);
-  CNPB_RETURN_IF_ERROR(guard.Deadline("get_concept"));
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ResolvedEntity& a, const ResolvedEntity& b) {
+                     return a.num_hypernyms > b.num_hypernyms;
+                   });
   return out;
 }
 
@@ -372,30 +291,6 @@ std::vector<std::string> ApiService::ConceptNames(const ServingView& view,
   return out;
 }
 
-std::vector<std::string> ApiService::GetConcept(std::string_view entity_name,
-                                                bool transitive) const {
-  auto result = TryGetConcept(entity_name, transitive);
-  if (!result.ok()) {
-    degraded_->Increment();
-    return {};
-  }
-  return *std::move(result);
-}
-
-util::Result<std::vector<std::string>> ApiService::TryGetEntity(
-    std::string_view concept_name, size_t limit) const {
-  get_entity_calls_.fetch_add(1, std::memory_order_relaxed);
-  obs::ScopedTimer latency(SampleQueryLatency() ? latency_get_entity_
-                                                : nullptr);
-  QueryGuard guard(*this);
-  CNPB_RETURN_IF_ERROR(guard.Admission("get_entity"));
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.query"));
-  const std::shared_ptr<const Version> snap = PinForQuery();
-  std::vector<std::string> out = EntityNames(*snap->view, concept_name, limit);
-  CNPB_RETURN_IF_ERROR(guard.Deadline("get_entity"));
-  return out;
-}
-
 std::vector<std::string> ApiService::EntityNames(const ServingView& view,
                                                  std::string_view concept_name,
                                                  size_t limit) {
@@ -411,129 +306,100 @@ std::vector<std::string> ApiService::EntityNames(const ServingView& view,
   return out;
 }
 
+util::Result<ApiService::Men2EntResolved> ApiService::TryMen2EntResolved(
+    std::string_view mention) const {
+  Men2EntResolved out;
+  CNPB_RETURN_IF_ERROR(Serve(
+      "men2ent", &men2ent_, 1, [&](const Version& snap, const QueryGuard&) {
+        out.version = snap.version;
+        out.entities = ResolveMention(*snap.view, mention);
+        return util::Status::Ok();
+      }));
+  return out;
+}
+
 util::Result<ApiService::NamesResolved> ApiService::TryGetConceptResolved(
     std::string_view entity_name, bool transitive) const {
-  get_concept_calls_.fetch_add(1, std::memory_order_relaxed);
-  obs::ScopedTimer latency(SampleQueryLatency() ? latency_get_concept_
-                                                : nullptr);
-  QueryGuard guard(*this);
-  CNPB_RETURN_IF_ERROR(guard.Admission("get_concept"));
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.query"));
-  const std::shared_ptr<const Version> snap = PinForQuery();
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.resolve"));
   NamesResolved out;
-  out.version = snap->version;
-  out.names = ConceptNames(*snap->view, entity_name, transitive);
-  CNPB_RETURN_IF_ERROR(guard.Deadline("get_concept"));
+  CNPB_RETURN_IF_ERROR(Serve(
+      "get_concept", &get_concept_, 1,
+      [&](const Version& snap, const QueryGuard&) {
+        out.version = snap.version;
+        out.names = ConceptNames(*snap.view, entity_name, transitive);
+        return util::Status::Ok();
+      }));
   return out;
 }
 
 util::Result<ApiService::NamesResolved> ApiService::TryGetEntityResolved(
     std::string_view concept_name, size_t limit) const {
-  get_entity_calls_.fetch_add(1, std::memory_order_relaxed);
-  obs::ScopedTimer latency(SampleQueryLatency() ? latency_get_entity_
-                                                : nullptr);
-  QueryGuard guard(*this);
-  CNPB_RETURN_IF_ERROR(guard.Admission("get_entity"));
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.query"));
-  const std::shared_ptr<const Version> snap = PinForQuery();
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.resolve"));
   NamesResolved out;
-  out.version = snap->version;
-  out.names = EntityNames(*snap->view, concept_name, limit);
-  CNPB_RETURN_IF_ERROR(guard.Deadline("get_entity"));
+  CNPB_RETURN_IF_ERROR(Serve(
+      "get_entity", &get_entity_, 1,
+      [&](const Version& snap, const QueryGuard&) {
+        out.version = snap.version;
+        out.names = EntityNames(*snap.view, concept_name, limit);
+        return util::Status::Ok();
+      }));
   return out;
 }
 
 util::Result<ApiService::Men2EntBatchResolved>
 ApiService::TryMen2EntBatchResolved(
     const std::vector<std::string>& mentions) const {
-  men2ent_calls_.fetch_add(mentions.size(), std::memory_order_relaxed);
-  obs::ScopedTimer latency(SampleQueryLatency() ? latency_men2ent_ : nullptr);
-  QueryGuard guard(*this);
-  CNPB_RETURN_IF_ERROR(guard.Admission("men2ent_batch"));
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.query"));
-  const std::shared_ptr<const Version> snap = PinForQuery();
-  if (mentions.size() > 1) {
-    // PinForQuery charged one query; attribute the rest of the batch too so
-    // per-version QPS keeps counting logical lookups.
-    snap->queries->fetch_add(mentions.size() - 1, std::memory_order_relaxed);
-  }
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.resolve"));
   Men2EntBatchResolved out;
-  out.version = snap->version;
-  out.results.reserve(mentions.size());
-  for (const std::string& mention : mentions) {
-    out.results.push_back(ResolveMention(*snap, mention));
-    CNPB_RETURN_IF_ERROR(guard.Deadline("men2ent_batch"));
-  }
+  CNPB_RETURN_IF_ERROR(Serve(
+      "men2ent_batch", &men2ent_, mentions.size(),
+      [&](const Version& snap, const QueryGuard& guard) {
+        out.version = snap.version;
+        out.results.reserve(mentions.size());
+        for (const std::string& mention : mentions) {
+          out.results.push_back(ResolveMention(*snap.view, mention));
+          CNPB_RETURN_IF_ERROR(guard.Deadline("men2ent_batch"));
+        }
+        return util::Status::Ok();
+      }));
   return out;
 }
 
 util::Result<ApiService::NamesBatchResolved>
 ApiService::TryGetConceptBatchResolved(const std::vector<std::string>& entities,
                                        bool transitive) const {
-  get_concept_calls_.fetch_add(entities.size(), std::memory_order_relaxed);
-  obs::ScopedTimer latency(SampleQueryLatency() ? latency_get_concept_
-                                                : nullptr);
-  QueryGuard guard(*this);
-  CNPB_RETURN_IF_ERROR(guard.Admission("get_concept_batch"));
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.query"));
-  const std::shared_ptr<const Version> snap = PinForQuery();
-  if (entities.size() > 1) {
-    snap->queries->fetch_add(entities.size() - 1, std::memory_order_relaxed);
-  }
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.resolve"));
   NamesBatchResolved out;
-  out.version = snap->version;
-  out.results.reserve(entities.size());
-  for (const std::string& entity : entities) {
-    out.results.push_back(ConceptNames(*snap->view, entity, transitive));
-    CNPB_RETURN_IF_ERROR(guard.Deadline("get_concept_batch"));
-  }
+  CNPB_RETURN_IF_ERROR(Serve(
+      "get_concept_batch", &get_concept_, entities.size(),
+      [&](const Version& snap, const QueryGuard& guard) {
+        out.version = snap.version;
+        out.results.reserve(entities.size());
+        for (const std::string& entity : entities) {
+          out.results.push_back(ConceptNames(*snap.view, entity, transitive));
+          CNPB_RETURN_IF_ERROR(guard.Deadline("get_concept_batch"));
+        }
+        return util::Status::Ok();
+      }));
   return out;
 }
 
 util::Result<ApiService::NamesBatchResolved>
 ApiService::TryGetEntityBatchResolved(const std::vector<std::string>& concepts,
                                       size_t limit) const {
-  get_entity_calls_.fetch_add(concepts.size(), std::memory_order_relaxed);
-  obs::ScopedTimer latency(SampleQueryLatency() ? latency_get_entity_
-                                                : nullptr);
-  QueryGuard guard(*this);
-  CNPB_RETURN_IF_ERROR(guard.Admission("get_entity_batch"));
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.query"));
-  const std::shared_ptr<const Version> snap = PinForQuery();
-  if (concepts.size() > 1) {
-    snap->queries->fetch_add(concepts.size() - 1, std::memory_order_relaxed);
-  }
-  CNPB_RETURN_IF_ERROR(util::CheckFault("api.resolve"));
   NamesBatchResolved out;
-  out.version = snap->version;
-  out.results.reserve(concepts.size());
-  for (const std::string& concept_name : concepts) {
-    out.results.push_back(EntityNames(*snap->view, concept_name, limit));
-    CNPB_RETURN_IF_ERROR(guard.Deadline("get_entity_batch"));
-  }
+  CNPB_RETURN_IF_ERROR(Serve(
+      "get_entity_batch", &get_entity_, concepts.size(),
+      [&](const Version& snap, const QueryGuard& guard) {
+        out.version = snap.version;
+        out.results.reserve(concepts.size());
+        for (const std::string& concept_name : concepts) {
+          out.results.push_back(EntityNames(*snap.view, concept_name, limit));
+          CNPB_RETURN_IF_ERROR(guard.Deadline("get_entity_batch"));
+        }
+        return util::Status::Ok();
+      }));
   return out;
-}
-
-std::vector<std::string> ApiService::GetEntity(std::string_view concept_name,
-                                               size_t limit) const {
-  auto result = TryGetEntity(concept_name, limit);
-  if (!result.ok()) {
-    degraded_->Increment();
-    return {};
-  }
-  return *std::move(result);
 }
 
 std::shared_ptr<const ServingView> ApiService::CurrentView() const {
   return snapshot_.Acquire()->view;
-}
-
-std::shared_ptr<const Taxonomy> ApiService::CurrentTaxonomy() const {
-  return snapshot_.Acquire()->view->AsTaxonomy();
 }
 
 uint64_t ApiService::version() const { return snapshot_.Acquire()->version; }
@@ -562,18 +428,12 @@ void ApiService::ExportMetrics(obs::MetricsRegistry* registry) const {
   // since the last export. Doing it here rather than per call keeps the
   // query paths at one relaxed fetch_add; several services sharing a
   // process simply sum into the same counters.
-  const UsageStats current = usage();
-  const auto sync = [](obs::Counter* counter, uint64_t total,
-                       std::atomic<uint64_t>& exported) {
+  for (Meter* meter : {&men2ent_, &get_concept_, &get_entity_}) {
+    const uint64_t total = meter->calls.load(std::memory_order_relaxed);
     const uint64_t previous =
-        exported.exchange(total, std::memory_order_relaxed);
-    if (total > previous) counter->Increment(total - previous);
-  };
-  sync(calls_men2ent_, current.men2ent_calls, exported_men2ent_calls_);
-  sync(calls_get_concept_, current.get_concept_calls,
-       exported_get_concept_calls_);
-  sync(calls_get_entity_, current.get_entity_calls,
-       exported_get_entity_calls_);
+        meter->exported.exchange(total, std::memory_order_relaxed);
+    if (total > previous) meter->counter->Increment(total - previous);
+  }
   // Pin the snapshot before taking publish_mu_; SnapshotHolder never takes
   // the publish lock, but keeping the two acquisitions unnested is simpler
   // to reason about.
@@ -596,16 +456,16 @@ void ApiService::ExportMetrics(obs::MetricsRegistry* registry) const {
 
 ApiService::UsageStats ApiService::usage() const {
   UsageStats stats;
-  stats.men2ent_calls = men2ent_calls_.load(std::memory_order_relaxed);
-  stats.get_concept_calls = get_concept_calls_.load(std::memory_order_relaxed);
-  stats.get_entity_calls = get_entity_calls_.load(std::memory_order_relaxed);
+  stats.men2ent_calls = men2ent_.calls.load(std::memory_order_relaxed);
+  stats.get_concept_calls = get_concept_.calls.load(std::memory_order_relaxed);
+  stats.get_entity_calls = get_entity_.calls.load(std::memory_order_relaxed);
   return stats;
 }
 
 void ApiService::ResetUsage() {
-  men2ent_calls_.store(0, std::memory_order_relaxed);
-  get_concept_calls_.store(0, std::memory_order_relaxed);
-  get_entity_calls_.store(0, std::memory_order_relaxed);
+  for (Meter* meter : {&men2ent_, &get_concept_, &get_entity_}) {
+    meter->calls.store(0, std::memory_order_relaxed);
+  }
   std::lock_guard<std::mutex> lock(publish_mu_);
   for (const VersionRecord& record : history_) {
     record.queries->store(0, std::memory_order_relaxed);
@@ -613,13 +473,7 @@ void ApiService::ResetUsage() {
 }
 
 size_t ApiService::num_mentions() const {
-  const std::shared_ptr<const Version> snap = snapshot_.Acquire();
-  std::shared_lock<std::shared_mutex> lock(overlay_mu_);
-  size_t count = snap->view->num_mentions();
-  for (const auto& [mention, ids] : overlay_) {
-    if (!snap->view->HasMention(mention)) ++count;
-  }
-  return count;
+  return snapshot_.Acquire()->view->num_mentions();
 }
 
 }  // namespace cnpb::taxonomy

@@ -7,10 +7,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -38,21 +36,21 @@ namespace cnpb::taxonomy {
 // releases them.
 //
 // Thread safety: the query APIs may be called concurrently from any number
-// of threads, including while RegisterMention or Publish runs.
-// RegisterMention writes a live overlay on top of the current version
-// (guarded by a shared_mutex: queries take the shared side, registration the
-// exclusive side); Publish supersedes and clears the overlay, since a
-// published mention index is rebuilt for its taxonomy version. Call
-// counters are relaxed atomics, so usage().total() is exact once all
-// callers have joined.
+// of threads, including while Publish runs. Call counters are relaxed
+// atomics, so usage().total() is exact once all callers have joined.
+//
+// One query path per API: men2ent, getConcept and getEntity each have a
+// single-item Try*Resolved call and a Try*BatchResolved form. Both run
+// through one serving skeleton (call count, latency sample, admission, the
+// api.query / api.resolve fault points, the version pin, the deadline), so
+// a single-item call and a batch of one answer, stamp and count alike.
 //
 // Graceful degradation (DESIGN.md §8): SetServingLimits arms an in-flight
-// concurrency cap and a per-query deadline. The Try* variants report
+// concurrency cap and a per-query deadline. Queries report
 // ResourceExhausted when admission sheds the call and DeadlineExceeded when
 // the budget elapses mid-query — fail fast rather than queue unboundedly.
-// The legacy vector APIs degrade to an empty result on those errors (and
-// count them in api.degraded), so existing callers keep working. With no
-// limits configured both checks cost one relaxed load each.
+// With no limits configured both checks cost one relaxed load each.
+//
 // Serving backends: each published version wraps one immutable ServingView
 // (see view.h) — either a HeapServingView (frozen Taxonomy + mention index)
 // or an mmap-backed Snapshot (snapshot.h). All query paths read only the
@@ -96,12 +94,9 @@ class ApiService {
     std::chrono::microseconds deadline{0};
   };
 
-  // Non-owning: `taxonomy` must outlive the service. Published as version 1
-  // with an empty mention index (fill it via RegisterMention / Publish).
-  explicit ApiService(const Taxonomy* taxonomy);
-
-  // Owning: the service pins the snapshot; `mentions` must be the index
-  // built for exactly this taxonomy.
+  // Serves `taxonomy` as version 1; `mentions` must be the index built for
+  // exactly this taxonomy (core::CnProbaseBuilder::BuildMentionIndex). To
+  // serve a taxonomy the caller keeps alive, pass util::UnownedSnapshot(&t).
   explicit ApiService(std::shared_ptr<const Taxonomy> taxonomy,
                       MentionIndex mentions = MentionIndex());
 
@@ -112,10 +107,9 @@ class ApiService {
   // Atomically publishes a new serving version: builds the version entry
   // off to the side, then installs it with one release-ordered swap.
   // In-flight queries keep whichever they pinned; later queries observe the
-  // new one. The live RegisterMention overlay is cleared (the published
-  // view supersedes it). Returns the new version number (monotonically
-  // increasing from 1). Safe to call concurrently with queries; concurrent
-  // publishers are serialised.
+  // new one. Returns the new version number (monotonically increasing from
+  // 1). Safe to call concurrently with queries; concurrent publishers are
+  // serialised.
   uint64_t Publish(std::shared_ptr<const ServingView> view);
 
   // Convenience: wraps (taxonomy, mentions) in a HeapServingView.
@@ -134,22 +128,15 @@ class ApiService {
   void SetServingLimits(const ServingLimits& limits);
   ServingLimits serving_limits() const;
 
-  // Registers `mention` as a surface form of entity node `entity` in the
-  // live overlay on top of the current version. Visible to queries
-  // immediately; superseded by the next Publish. Exclusive writer: safe to
-  // call while queries are in flight.
-  void RegisterMention(std::string_view mention, NodeId entity);
-
-  // men2ent answer with entity names resolved against the same pinned
-  // snapshot that produced the ids — the wire-format variant. A remote
-  // client cannot pin our snapshot between two calls the way in-process
-  // callers use CurrentTaxonomy(), so ids, names, and the version stamp
-  // must come from one coherent version (the serve-while-update chaos test
+  // men2ent answer: candidate entities with names resolved against the same
+  // pinned snapshot that produced the ids. A remote client cannot pin our
+  // snapshot between two calls, so ids, names, and the version stamp must
+  // come from one coherent version (the serve-while-update chaos test
   // relies on this).
   struct ResolvedEntity {
     NodeId id = kInvalidNode;
     std::string name;
-    // Ranking key (see Men2Ent): hypernym count as a popularity proxy.
+    // Ranking key: hypernym count as a popularity proxy.
     size_t num_hypernyms = 0;
   };
   struct Men2EntResolved {
@@ -158,10 +145,10 @@ class ApiService {
   };
 
   // getConcept / getEntity answers carrying the version of the snapshot the
-  // names were resolved against — the wire-format variants. The HTTP layer
-  // must stamp the version the data actually came from; reading version()
-  // after the query returns races a concurrent publish and can stamp a
-  // version the data was never resolved against.
+  // names were resolved against. The HTTP layer must stamp the version the
+  // data actually came from; reading version() after the query returns
+  // races a concurrent publish and can stamp a version the data was never
+  // resolved against.
   struct NamesResolved {
     uint64_t version = 0;  // the version every name was resolved against
     std::vector<std::string> names;
@@ -178,19 +165,21 @@ class ApiService {
     std::vector<std::vector<std::string>> results;  // one per input
   };
 
-  // Fallible query variants — the overload-aware API. Errors:
+  // The three Table II queries. Errors:
   //   ResourceExhausted  shed by the in-flight cap
   //   DeadlineExceeded   per-query budget elapsed
   //   IoError            injected fault at api.query (chaos testing)
-  util::Result<std::vector<NodeId>> TryMen2Ent(std::string_view mention) const;
+  //
+  // men2ent: candidate entities for a mention, most-popular first
+  // (popularity = number of hypernyms, a proxy for page richness).
   util::Result<Men2EntResolved> TryMen2EntResolved(
       std::string_view mention) const;
-  util::Result<std::vector<std::string>> TryGetConcept(
-      std::string_view entity_name, bool transitive = false) const;
-  util::Result<std::vector<std::string>> TryGetEntity(
-      std::string_view concept_name, size_t limit = 100) const;
+  // getConcept: hypernym names of an entity (or concept) name, ranked by
+  // edge confidence. With `transitive`, inherited hypernyms (ancestors of
+  // the direct ones) are appended after the direct list.
   util::Result<NamesResolved> TryGetConceptResolved(
       std::string_view entity_name, bool transitive = false) const;
+  // getEntity: direct hyponym names of a concept, capped at `limit`.
   util::Result<NamesResolved> TryGetEntityResolved(
       std::string_view concept_name, size_t limit = 100) const;
 
@@ -220,28 +209,9 @@ class ApiService {
   util::Result<NamesBatchResolved> TryGetEntityBatchResolved(
       const std::vector<std::string>& concepts, size_t limit = 100) const;
 
-  // men2ent: candidate entities for a mention, most-popular first
-  // (popularity = number of hypernyms, a proxy for page richness). Node ids
-  // are relative to the version pinned by this call (see CurrentTaxonomy).
-  std::vector<NodeId> Men2Ent(std::string_view mention) const;
-
-  // getConcept: hypernym names of an entity (or concept) name, ranked by
-  // edge confidence. With `transitive`, inherited hypernyms (ancestors of
-  // the direct ones) are appended after the direct list.
-  std::vector<std::string> GetConcept(std::string_view entity_name,
-                                      bool transitive = false) const;
-
-  // getEntity: direct hyponym names of a concept, capped at `limit`.
-  std::vector<std::string> GetEntity(std::string_view concept_name,
-                                     size_t limit = 100) const;
-
   // Pins and returns the currently served view (clients that need several
   // coherent lookups should query this snapshot directly).
   std::shared_ptr<const ServingView> CurrentView() const;
-
-  // Pins the current version and returns its heap Taxonomy — null when the
-  // served backend is an mmap snapshot (use CurrentView there).
-  std::shared_ptr<const Taxonomy> CurrentTaxonomy() const;
 
   // Version number of the currently served snapshot.
   uint64_t version() const;
@@ -256,8 +226,7 @@ class ApiService {
   UsageStats usage() const;
   void ResetUsage();  // also zeroes the per-version query counters
 
-  // Mentions resolvable right now: the pinned version's index plus overlay
-  // entries not shadowed by it.
+  // Mentions resolvable in the currently served version.
   size_t num_mentions() const;
 
   // Writes the serving-side gauges that only make sense at export time into
@@ -290,18 +259,34 @@ class ApiService {
     bool retired = false;
   };
 
-  // Pins the current version (never null) and counts the query against it.
-  std::shared_ptr<const Version> PinForQuery() const;
+  // Per-API accounting. `calls` is a relaxed atomic bumped per logical call
+  // and folded into the registry `counter` as a delta by ExportMetrics
+  // (`exported` is the part already folded), so the query path pays one
+  // fetch_add. `latency` is fed by a 1-in-256 per-thread sample of queries
+  // (see DESIGN.md §7) so the two steady_clock reads stay off the common
+  // query path.
+  struct Meter {
+    Meter(const char* calls_name, const char* latency_name);
+    std::atomic<uint64_t> calls{0};
+    std::atomic<uint64_t> exported{0};
+    obs::Counter* const counter;
+    obs::BucketHistogram* const latency;
+  };
 
-  // Shared men2ent body: candidate ids from `snap`'s index plus the live
-  // overlay, ranked most-popular first. Ranking reads only `snap`.
-  std::vector<NodeId> LookupMention(const Version& snap,
-                                    std::string_view mention) const;
+  // The serving skeleton every query runs through: counts `items` calls on
+  // `meter` and samples latency (both skipped when `meter` is null), admits
+  // through QueryGuard, fires api.query, pins one version and charges it
+  // `items` queries, fires api.resolve, runs `body(pinned_version, guard)`,
+  // then checks the deadline. Batch bodies also check the deadline between
+  // items through the guard. `api` names the call in error messages.
+  template <typename Body>
+  util::Status Serve(const char* api, Meter* meter, size_t items,
+                     Body&& body) const;
 
-  // Single-item query bodies against an already-pinned snapshot; shared by
-  // the single-shot and batch Try* variants.
-  std::vector<ResolvedEntity> ResolveMention(const Version& snap,
-                                             std::string_view mention) const;
+  // Query bodies against an already-pinned view; shared by the single-shot
+  // and batch variants.
+  static std::vector<ResolvedEntity> ResolveMention(const ServingView& view,
+                                                    std::string_view mention);
   static std::vector<std::string> ConceptNames(const ServingView& view,
                                                std::string_view entity_name,
                                                bool transitive);
@@ -314,10 +299,6 @@ class ApiService {
 
   util::SnapshotHolder<Version> snapshot_;
 
-  // Live overlay of RegisterMention calls since the last publish.
-  mutable std::shared_mutex overlay_mu_;
-  MentionIndex overlay_;
-
   mutable std::mutex publish_mu_;  // serialises Publish; guards history_
   std::vector<VersionRecord> history_;
   uint64_t next_version_ = 1;
@@ -329,34 +310,12 @@ class ApiService {
   std::atomic<int64_t> deadline_ns_{0};
   mutable std::atomic<size_t> in_flight_{0};
 
-  mutable std::atomic<uint64_t> men2ent_calls_{0};
-  mutable std::atomic<uint64_t> get_concept_calls_{0};
-  mutable std::atomic<uint64_t> get_entity_calls_{0};
+  mutable Meter men2ent_{"api.calls.men2ent", "api.latency.men2ent_seconds"};
+  mutable Meter get_concept_{"api.calls.get_concept",
+                             "api.latency.get_concept_seconds"};
+  mutable Meter get_entity_{"api.calls.get_entity",
+                            "api.latency.get_entity_seconds"};
 
-  // Portion of the call atomics already folded into the registry counters
-  // by ExportMetrics (counters sync as deltas at export time, not per call).
-  mutable std::atomic<uint64_t> exported_men2ent_calls_{0};
-  mutable std::atomic<uint64_t> exported_get_concept_calls_{0};
-  mutable std::atomic<uint64_t> exported_get_entity_calls_{0};
-
-  // Registry instruments, resolved once per service. Call counters are
-  // synced from the atomics above at export time; latency histograms are
-  // fed by a 1-in-64 per-thread sample of queries (see DESIGN.md §7) so the
-  // two steady_clock reads stay off the common query path.
-  obs::Counter* const calls_men2ent_ =
-      obs::MetricsRegistry::Global().counter("api.calls.men2ent");
-  obs::Counter* const calls_get_concept_ =
-      obs::MetricsRegistry::Global().counter("api.calls.get_concept");
-  obs::Counter* const calls_get_entity_ =
-      obs::MetricsRegistry::Global().counter("api.calls.get_entity");
-  obs::BucketHistogram* const latency_men2ent_ =
-      obs::MetricsRegistry::Global().histogram("api.latency.men2ent_seconds");
-  obs::BucketHistogram* const latency_get_concept_ =
-      obs::MetricsRegistry::Global().histogram(
-          "api.latency.get_concept_seconds");
-  obs::BucketHistogram* const latency_get_entity_ =
-      obs::MetricsRegistry::Global().histogram(
-          "api.latency.get_entity_seconds");
   obs::BucketHistogram* const publish_latency_ =
       obs::MetricsRegistry::Global().histogram("api.publish.latency_seconds");
   obs::Counter* const publishes_ =
@@ -366,8 +325,6 @@ class ApiService {
       obs::MetricsRegistry::Global().counter("api.shed");
   obs::Counter* const deadline_exceeded_ =
       obs::MetricsRegistry::Global().counter("api.deadline_exceeded");
-  obs::Counter* const degraded_ =
-      obs::MetricsRegistry::Global().counter("api.degraded");
   obs::Counter* const publish_retries_ =
       obs::MetricsRegistry::Global().counter("api.publish.retries");
 };

@@ -55,8 +55,8 @@ class ServingView {
   virtual std::string_view Name(NodeId id) const = 0;
   virtual NodeKind Kind(NodeId id) const = 0;
 
-  // Out-of-range ids (e.g. stale overlay entries registered against a newer
-  // live taxonomy) report zero edges rather than failing.
+  // Out-of-range ids (e.g. from a caller-supplied MentionIndex built for a
+  // different taxonomy) report zero edges rather than failing.
   virtual size_t NumHypernyms(NodeId id) const = 0;
   virtual size_t NumHyponyms(NodeId id) const = 0;
   // Visits edges adjacent to `id` in canonical order; `fn` returns false to
@@ -82,12 +82,6 @@ class ServingView {
   // Taxonomy::TransitiveHypernyms).
   std::vector<NodeId> TransitiveHypernyms(NodeId id,
                                           size_t limit = 10000) const;
-
-  // Heap-backed views expose their underlying Taxonomy for in-process
-  // callers (ApiService::CurrentTaxonomy); mmap-backed views return null.
-  virtual std::shared_ptr<const Taxonomy> AsTaxonomy() const {
-    return nullptr;
-  }
 };
 
 // The classic serving backend: a frozen Taxonomy plus its rebuilt mention
@@ -126,10 +120,6 @@ class HeapServingView final : public ServingView {
   void VisitMentions(
       const std::function<bool(std::string_view, const NodeId*, size_t)>& fn)
       const override;
-
-  std::shared_ptr<const Taxonomy> AsTaxonomy() const override {
-    return taxonomy_;
-  }
 
  private:
   std::shared_ptr<const Taxonomy> taxonomy_;

@@ -70,17 +70,19 @@ TEST_F(AliasTest, Men2EntResolvesAliases) {
   core::CnProbaseBuilder::Report report;
   const auto taxonomy = core::CnProbaseBuilder::Build(
       output_->dump, world_->lexicon(), corpus_words, config, &report);
-  taxonomy::ApiService api(&taxonomy);
-  core::CnProbaseBuilder::RegisterMentions(output_->dump, taxonomy, &api);
+  taxonomy::ApiService api(
+      util::UnownedSnapshot(&taxonomy),
+      core::CnProbaseBuilder::BuildMentionIndex(output_->dump, taxonomy));
 
   size_t resolved = 0, with_alias = 0;
   for (const auto& page : output_->dump.pages()) {
     if (page.aliases.empty()) continue;
     if (taxonomy.Find(page.name) == taxonomy::kInvalidNode) continue;
     ++with_alias;
-    const auto entities = api.Men2Ent(page.aliases[0]);
-    for (const taxonomy::NodeId id : entities) {
-      if (taxonomy.Name(id) == page.name) {
+    const auto entities = api.TryMen2EntResolved(page.aliases[0]);
+    ASSERT_TRUE(entities.ok());
+    for (const auto& entity : entities->entities) {
+      if (entity.name == page.name) {
         ++resolved;
         break;
       }

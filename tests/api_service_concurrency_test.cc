@@ -1,14 +1,12 @@
 // Concurrency contract of taxonomy::ApiService: N reader threads hammer
-// Men2Ent/GetConcept/GetEntity while mentions register concurrently, and
-// every issued call must be counted exactly once (the seed implementation
-// lost updates on its plain uint64 counters and raced readers against
-// RegisterMention's rehashing inserts — run under -fsanitize=thread to
-// prove the fix).
+// men2ent/getConcept/getEntity, and every issued call must be counted
+// exactly once (the seed implementation lost updates on its plain uint64
+// counters — run under -fsanitize=thread to prove the fix).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "taxonomy/api_service.h"
@@ -18,7 +16,7 @@ namespace cnpb::taxonomy {
 namespace {
 
 // A small star-shaped taxonomy: kNumEntities entities under a handful of
-// concepts, entity i named "e<i>", registered under mention "m<i%kMentions>"
+// concepts, entity i named "e<i>", indexed under mention "m<i%kMentions>"
 // so several entities share each surface form.
 constexpr size_t kNumEntities = 64;
 constexpr size_t kNumMentions = 16;
@@ -38,11 +36,12 @@ Taxonomy MakeTaxonomy() {
 
 TEST(ApiServiceConcurrencyTest, CountersAreExactUnderContention) {
   const Taxonomy taxonomy = MakeTaxonomy();
-  ApiService api(&taxonomy);
+  ApiService::MentionIndex index;
   for (size_t i = 0; i < kNumEntities; ++i) {
-    api.RegisterMention("m" + std::to_string(i % kNumMentions),
-                        taxonomy.Find("e" + std::to_string(i)));
+    index["m" + std::to_string(i % kNumMentions)].push_back(
+        taxonomy.Find("e" + std::to_string(i)));
   }
+  ApiService api(util::UnownedSnapshot(&taxonomy), std::move(index));
 
   constexpr int kThreads = 8;
   constexpr size_t kCallsPerKind = 400;  // per thread, per API
@@ -56,9 +55,9 @@ TEST(ApiServiceConcurrencyTest, CountersAreExactUnderContention) {
         const std::string entity =
             "e" + std::to_string((i * 7 + static_cast<size_t>(w)) %
                                  kNumEntities);
-        api.Men2Ent(mention);
-        api.GetConcept(entity);
-        api.GetEntity("concept" + std::to_string(i % 4), 10);
+        (void)api.TryMen2EntResolved(mention);
+        (void)api.TryGetConceptResolved(entity);
+        (void)api.TryGetEntityResolved("concept" + std::to_string(i % 4), 10);
       }
     });
   }
@@ -71,84 +70,6 @@ TEST(ApiServiceConcurrencyTest, CountersAreExactUnderContention) {
   EXPECT_EQ(usage.get_concept_calls, kThreads * kCallsPerKind);
   EXPECT_EQ(usage.get_entity_calls, kThreads * kCallsPerKind);
   EXPECT_EQ(usage.total(), 3u * kThreads * kCallsPerKind);
-}
-
-TEST(ApiServiceConcurrencyTest, QueriesRaceRegistrationSafely) {
-  const Taxonomy taxonomy = MakeTaxonomy();
-  ApiService api(&taxonomy);
-  // Seed half the mentions so readers always have something to find.
-  for (size_t i = 0; i < kNumEntities; i += 2) {
-    api.RegisterMention("m" + std::to_string(i % kNumMentions),
-                        taxonomy.Find("e" + std::to_string(i)));
-  }
-
-  constexpr int kReaders = 6;
-  constexpr size_t kReadsPerThread = 2000;
-  std::atomic<bool> writer_done{false};
-  std::atomic<uint64_t> issued{0};
-
-  std::thread writer([&]() {
-    // Register the remaining entities (plus brand-new surface forms, which
-    // force unordered_map rehashes under the readers' feet).
-    for (size_t i = 1; i < kNumEntities; i += 2) {
-      api.RegisterMention("m" + std::to_string(i % kNumMentions),
-                          taxonomy.Find("e" + std::to_string(i)));
-      api.RegisterMention("fresh" + std::to_string(i),
-                          taxonomy.Find("e" + std::to_string(i)));
-    }
-    writer_done.store(true, std::memory_order_release);
-  });
-
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r]() {
-      for (size_t i = 0; i < kReadsPerThread; ++i) {
-        const size_t k = (i + static_cast<size_t>(r) * 13) % kNumEntities;
-        api.Men2Ent("m" + std::to_string(k % kNumMentions));
-        api.Men2Ent("fresh" + std::to_string(k));
-        issued.fetch_add(2, std::memory_order_relaxed);
-      }
-    });
-  }
-  writer.join();
-  for (std::thread& reader : readers) reader.join();
-
-  EXPECT_TRUE(writer_done.load());
-  EXPECT_EQ(api.usage().men2ent_calls, issued.load());
-  // After the writer finishes, every registration is visible.
-  EXPECT_EQ(api.num_mentions(),
-            kNumMentions + kNumEntities / 2);  // m* + fresh{1,3,...}
-  for (size_t i = 1; i < kNumEntities; i += 2) {
-    EXPECT_FALSE(api.Men2Ent("fresh" + std::to_string(i)).empty());
-  }
-}
-
-TEST(ApiServiceConcurrencyTest, ConcurrentRegistrationIsLossless) {
-  const Taxonomy taxonomy = MakeTaxonomy();
-  ApiService api(&taxonomy);
-  constexpr int kWriters = 4;
-  constexpr size_t kPerWriter = 200;
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&api, &taxonomy, w]() {
-      for (size_t i = 0; i < kPerWriter; ++i) {
-        // Distinct mentions per writer, plus one shared mention everyone
-        // registers repeatedly (exercises the dedup path under contention).
-        api.RegisterMention(
-            "w" + std::to_string(w) + "_" + std::to_string(i),
-            taxonomy.Find("e" + std::to_string(i % kNumEntities)));
-        api.RegisterMention("shared",
-                            taxonomy.Find("e" + std::to_string(w)));
-      }
-    });
-  }
-  for (std::thread& writer : writers) writer.join();
-
-  EXPECT_EQ(api.num_mentions(), kWriters * kPerWriter + 1);
-  // The shared mention holds exactly one entry per writer (dedup survived).
-  EXPECT_EQ(api.Men2Ent("shared").size(), static_cast<size_t>(kWriters));
 }
 
 }  // namespace

@@ -128,11 +128,11 @@ TEST_P(ChaosSoakTest, SurvivesFaultScheduleCoherently) {
     readers.emplace_back([&] {
       int last_seen = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        auto concepts = api.TryGetConcept("marker");
+        auto concepts = api.TryGetConceptResolved("marker");
         if (concepts.ok()) {
-          ASSERT_EQ(concepts->size(), 1u)
+          ASSERT_EQ(concepts->names.size(), 1u)
               << "marker must resolve inside exactly one generation";
-          const int gen = ParseGeneration((*concepts)[0]);
+          const int gen = ParseGeneration(concepts->names[0]);
           ASSERT_GE(gen, 1);
           ASSERT_LE(gen, published_gen.load(std::memory_order_acquire));
           ASSERT_GE(gen, last_seen) << "served generation went backwards";
@@ -146,7 +146,7 @@ TEST_P(ChaosSoakTest, SurvivesFaultScheduleCoherently) {
               << "unexpected query failure: "
               << concepts.status().ToString();
         }
-        (void)api.TryGetEntity("concept", 10);
+        (void)api.TryGetEntityResolved("concept", 10);
       }
     });
   }

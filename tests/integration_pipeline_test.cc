@@ -194,16 +194,20 @@ TEST_F(PipelineTest, SampledPrecisionTracksExact) {
 }
 
 TEST_F(PipelineTest, ApiServiceAnswersOverBuiltTaxonomy) {
-  taxonomy::ApiService api(taxonomy_);
-  core::CnProbaseBuilder::RegisterMentions(output_->dump, *taxonomy_, &api);
+  taxonomy::ApiService api(
+      util::UnownedSnapshot(taxonomy_),
+      core::CnProbaseBuilder::BuildMentionIndex(output_->dump, *taxonomy_));
   EXPECT_GT(api.num_mentions(), 1000u);
   // Concepts of some entity resolve through men2ent + getConcept.
   bool found = false;
   for (const auto& page : output_->dump.pages()) {
-    const auto entities = api.Men2Ent(page.mention);
-    if (entities.empty()) continue;
-    const auto concepts = api.GetConcept(taxonomy_->Name(entities[0]));
-    if (!concepts.empty()) {
+    const auto entities = api.TryMen2EntResolved(page.mention);
+    ASSERT_TRUE(entities.ok());
+    if (entities->entities.empty()) continue;
+    const auto concepts =
+        api.TryGetConceptResolved(entities->entities[0].name);
+    ASSERT_TRUE(concepts.ok());
+    if (!concepts->names.empty()) {
       found = true;
       break;
     }

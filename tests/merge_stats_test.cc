@@ -161,8 +161,8 @@ TEST(ApiRankingTest, GetConceptOrdersByEdgeScore) {
   const auto strong = t.AddNode("强概念", taxonomy::NodeKind::kConcept);
   t.AddIsa(e, weak, taxonomy::Source::kAbstract, 0.85f);
   t.AddIsa(e, strong, taxonomy::Source::kBracket, 0.96f);
-  taxonomy::ApiService api(&t);
-  const auto concepts = api.GetConcept("某人");
+  taxonomy::ApiService api(util::UnownedSnapshot(&t));
+  const auto concepts = api.TryGetConceptResolved("某人")->names;
   ASSERT_EQ(concepts.size(), 2u);
   EXPECT_EQ(concepts[0], "强概念");
   EXPECT_EQ(concepts[1], "弱概念");

@@ -353,7 +353,7 @@ Taxonomy MakeServiceTaxonomy() {
 
 TEST(ReasonServiceTest, StampsPinnedVersionAndKnownFlags) {
   const Taxonomy taxonomy = MakeServiceTaxonomy();
-  taxonomy::ApiService api(&taxonomy);
+  taxonomy::ApiService api(util::UnownedSnapshot(&taxonomy));
   ReasonService service(&api);
 
   const auto isa = service.TryIsa("刘备", "人物", 4);
@@ -402,7 +402,7 @@ TEST(ReasonServiceTest, StampsPinnedVersionAndKnownFlags) {
 
 TEST(ReasonServiceTest, LimitsCapDepthAndK) {
   const Taxonomy taxonomy = MakeServiceTaxonomy();
-  taxonomy::ApiService api(&taxonomy);
+  taxonomy::ApiService api(util::UnownedSnapshot(&taxonomy));
   ReasonService::Limits limits;
   limits.max_depth_cap = 1;
   limits.max_k = 1;
@@ -421,7 +421,7 @@ TEST(ReasonServiceTest, LimitsCapDepthAndK) {
 
 TEST(ReasonServiceTest, TransientFaultsSurfaceAsErrors) {
   const Taxonomy taxonomy = MakeServiceTaxonomy();
-  taxonomy::ApiService api(&taxonomy);
+  taxonomy::ApiService api(util::UnownedSnapshot(&taxonomy));
   ReasonService service(&api);
   util::ScopedFaultInjection scoped("api.query=1", 11);
   const auto isa = service.TryIsa("刘备", "人物", 4);

@@ -195,8 +195,9 @@ class CachedServerTest : public ::testing::Test {
  protected:
   void StartServer() {
     taxonomy_ = std::make_unique<Taxonomy>(MakeTaxonomy());
-    api_ = std::make_unique<ApiService>(taxonomy_.get());
-    api_->RegisterMention("主公", taxonomy_->Find("刘备"));
+    api_ = std::make_unique<ApiService>(
+        util::UnownedSnapshot(taxonomy_.get()),
+        ApiService::MentionIndex{{"主公", {taxonomy_->Find("刘备")}}});
     endpoints_ =
         std::make_unique<ApiEndpoints>(api_.get(), ResultCache::Config{});
     HttpServer::Config config;
@@ -344,9 +345,13 @@ TEST_F(CachedServerTest, BatchSharesPerItemEntriesWithSingleShot) {
 // Wire-level churn (the tsan-relevant half of the coherence story): clients
 // hammer a cached endpoint while a publisher bumps versions. Hits may serve
 // a stamp one publish behind, but the stamp must always name the snapshot
-// that produced the body — version V answers always say "genV".
+// that produced the body — version V answers always say "genV". Each
+// publish waits until the clients have completed two requests stamped with
+// the live version, so every version is asked for repeatedly and the cache
+// is exercised rather than outrun by the publisher.
 TEST(CachedServerChurnTest, CacheNeverServesIncoherentStamps) {
   constexpr uint64_t kPublishes = 120;
+  constexpr int kClients = 2;
   const auto make_version = [](uint64_t v) {
     Taxonomy t;
     t.AddIsa("e", "gen" + std::to_string(v), taxonomy::Source::kTag, 0.9f);
@@ -360,32 +365,43 @@ TEST(CachedServerChurnTest, CacheNeverServesIncoherentStamps) {
   ASSERT_TRUE(server.Start().ok());
 
   std::atomic<bool> done{false};
+  std::atomic<int> active_clients{kClients};
+  // served[v]: completed requests whose answer was stamped version v.
+  std::vector<std::atomic<int>> served(kPublishes + 1);
   std::thread publisher([&] {
     for (uint64_t v = 2; v <= kPublishes; ++v) {
+      // A client that failed an assertion has exited; stop waiting on it.
+      while (served[v - 1].load() < 2 && active_clients.load() > 0) {
+        std::this_thread::yield();
+      }
       api.Publish(make_version(v), {});
-      std::this_thread::yield();
     }
     done.store(true);
   });
 
+  const auto run_client = [&] {
+    HttpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    while (!done.load()) {
+      auto response = client.Get("/v1/getConcept?entity=e");
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_EQ(response->status, 200);
+      const size_t at = response->body.find("\"version\":");
+      ASSERT_NE(at, std::string::npos);
+      const uint64_t stamped =
+          std::strtoull(response->body.c_str() + at + 10, nullptr, 10);
+      const std::string expected =
+          "\"gen" + std::to_string(stamped) + "\"";
+      ASSERT_NE(response->body.find(expected), std::string::npos)
+          << "stamped " << stamped << " but: " << response->body;
+      if (stamped < served.size()) served[stamped].fetch_add(1);
+    }
+  };
   std::vector<std::thread> clients;
-  for (int c = 0; c < 2; ++c) {
+  for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
-      HttpClient client;
-      ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-      while (!done.load()) {
-        auto response = client.Get("/v1/getConcept?entity=e");
-        ASSERT_TRUE(response.ok()) << response.status().ToString();
-        ASSERT_EQ(response->status, 200);
-        const size_t at = response->body.find("\"version\":");
-        ASSERT_NE(at, std::string::npos);
-        const uint64_t stamped =
-            std::strtoull(response->body.c_str() + at + 10, nullptr, 10);
-        const std::string expected =
-            "\"gen" + std::to_string(stamped) + "\"";
-        ASSERT_NE(response->body.find(expected), std::string::npos)
-            << "stamped " << stamped << " but: " << response->body;
-      }
+      run_client();
+      active_clients.fetch_sub(1);
     });
   }
   publisher.join();

@@ -264,9 +264,10 @@ struct Backend {
 std::unique_ptr<Backend> StartBackend() {
   auto b = std::make_unique<Backend>();
   b->taxonomy = std::make_unique<Taxonomy>(MakeTaxonomy());
-  b->api = std::make_unique<ApiService>(b->taxonomy.get());
-  b->api->RegisterMention("主公", b->taxonomy->Find("刘备"));
-  b->api->RegisterMention("孟德", b->taxonomy->Find("曹操"));
+  b->api = std::make_unique<ApiService>(
+      util::UnownedSnapshot(b->taxonomy.get()),
+      ApiService::MentionIndex{{"主公", {b->taxonomy->Find("刘备")}},
+                               {"孟德", {b->taxonomy->Find("曹操")}}});
   b->endpoints = std::make_unique<ApiEndpoints>(b->api.get());
   HttpServer::Config config;
   config.num_threads = 2;

@@ -97,7 +97,8 @@ TEST(ServeWhileUpdateTest, QueriesObserveExactlyOneCoherentVersion) {
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&]() {
       while (!stop.load(std::memory_order_acquire)) {
-        const std::vector<std::string> out = api.GetConcept("probe");
+        const std::vector<std::string> out =
+            api.TryGetConceptResolved("probe")->names;
         // Coherent iff out == {c0 .. c(n-1)} in insertion order for some n.
         bool ok = true;
         for (size_t i = 0; i < out.size(); ++i) {
@@ -146,13 +147,17 @@ TEST(ServeWhileUpdateTest, ReadersObserveCoherentVersionsWhileUpdaterPublishes) 
                                      TinyConfig());
     taxonomy::ApiService api(updater.snapshot());
     uint64_t version = updater.Publish(&api);
-    expected_entities[version] = api.GetEntity("anchor", 1000);
-    expected_probe_concepts[version] = api.GetConcept("b0_0");
+    expected_entities[version] =
+        api.TryGetEntityResolved("anchor", 1000)->names;
+    expected_probe_concepts[version] =
+        api.TryGetConceptResolved("b0_0")->names;
     for (const auto& batch : world->batches) {
       updater.ApplyBatch(batch);
       version = updater.Publish(&api);
-      expected_entities[version] = api.GetEntity("anchor", 1000);
-      expected_probe_concepts[version] = api.GetConcept("b0_0");
+      expected_entities[version] =
+          api.TryGetEntityResolved("anchor", 1000)->names;
+      expected_probe_concepts[version] =
+          api.TryGetConceptResolved("b0_0")->names;
     }
     ASSERT_GE(expected_entities.size(), 4u);  // base + 3 batches
     // Every batch grows the anchor concept, so versions are distinguishable.
@@ -179,10 +184,12 @@ TEST(ServeWhileUpdateTest, ReadersObserveCoherentVersionsWhileUpdaterPublishes) 
         // If no publish interleaved (version stable across the call), the
         // result must match that version's expected answer exactly.
         const uint64_t v1 = api.version();
-        const std::vector<std::string> entities = api.GetEntity("anchor", 1000);
-        const std::vector<std::string> concepts = api.GetConcept("b0_0");
+        const std::vector<std::string> entities =
+            api.TryGetEntityResolved("anchor", 1000)->names;
+        const std::vector<std::string> concepts =
+            api.TryGetConceptResolved("b0_0")->names;
         const uint64_t v2 = api.version();
-        api.Men2Ent("base0");  // load on the mention path as well
+        (void)api.TryMen2EntResolved("base0");  // load the mention path too
         if (v1 == v2) {
           const auto want_entities = expected_entities.find(v1);
           const auto want_concepts = expected_probe_concepts.find(v1);

@@ -52,9 +52,10 @@ class ServerTest : public ::testing::Test {
  protected:
   void StartServer(HttpServer::Config config = {}) {
     taxonomy_ = std::make_unique<Taxonomy>(MakeTaxonomy());
-    api_ = std::make_unique<ApiService>(taxonomy_.get());
-    api_->RegisterMention("主公", taxonomy_->Find("刘备"));
-    api_->RegisterMention("孟德", taxonomy_->Find("曹操"));
+    api_ = std::make_unique<ApiService>(
+        util::UnownedSnapshot(taxonomy_.get()),
+        ApiService::MentionIndex{{"主公", {taxonomy_->Find("刘备")}},
+                                 {"孟德", {taxonomy_->Find("曹操")}}});
     endpoints_ = std::make_unique<ApiEndpoints>(api_.get());
     config.num_threads = 2;
     server_ = std::make_unique<HttpServer>(config, endpoints_->AsHandler());
@@ -261,7 +262,7 @@ TEST_F(ServerTest, LoadShedIs429WithRetryAfter) {
   std::atomic<bool> stop{false};
   std::thread hog([&] {
     while (!stop.load()) {
-      (void)api_->TryGetEntity("concept");
+      (void)api_->TryGetEntityResolved("concept");
     }
   });
 

@@ -150,7 +150,7 @@ void ExpectServicesAnswerIdentically(const taxonomy::ApiService& tsv,
   view.VisitMentions([&](std::string_view mention, const taxonomy::NodeId*,
                          size_t) -> bool {
     const std::string m(mention);
-    EXPECT_EQ(tsv.Men2Ent(m), snap.Men2Ent(m)) << "men2ent(" << m << ")";
+    SCOPED_TRACE("men2ent(" + m + ")");
     auto tsv_resolved = tsv.TryMen2EntResolved(m);
     auto snap_resolved = snap.TryMen2EntResolved(m);
     EXPECT_TRUE(tsv_resolved.ok());
@@ -171,12 +171,14 @@ void ExpectServicesAnswerIdentically(const taxonomy::ApiService& tsv,
   // Every node name: getConcept (direct and transitive) and getEntity.
   for (taxonomy::NodeId id = 0; id < view.num_nodes(); ++id) {
     const std::string name(view.Name(id));
-    EXPECT_EQ(tsv.GetConcept(name), snap.GetConcept(name))
+    EXPECT_EQ(tsv.TryGetConceptResolved(name)->names,
+              snap.TryGetConceptResolved(name)->names)
         << "getConcept(" << name << ")";
-    EXPECT_EQ(tsv.GetConcept(name, /*transitive=*/true),
-              snap.GetConcept(name, /*transitive=*/true))
+    EXPECT_EQ(tsv.TryGetConceptResolved(name, /*transitive=*/true)->names,
+              snap.TryGetConceptResolved(name, /*transitive=*/true)->names)
         << "getConcept+transitive(" << name << ")";
-    EXPECT_EQ(tsv.GetEntity(name, 50), snap.GetEntity(name, 50))
+    EXPECT_EQ(tsv.TryGetEntityResolved(name, 50)->names,
+              snap.TryGetEntityResolved(name, 50)->names)
         << "getEntity(" << name << ")";
   }
 }

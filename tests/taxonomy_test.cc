@@ -131,22 +131,25 @@ TEST(ApiServiceTest, Men2EntRankingAndCounts) {
   t.AddIsa("刘德华（演员）", "演员", Source::kTag);
   t.AddIsa("刘德华（演员）", "歌手", Source::kTag);
   t.AddIsa("刘德华（作家）", "作家", Source::kTag);
-  ApiService api(&t);
-  api.RegisterMention("刘德华", t.Find("刘德华（演员）"));
-  api.RegisterMention("刘德华", t.Find("刘德华（作家）"));
-  api.RegisterMention("刘德华", t.Find("刘德华（演员）"));  // dedup
+  // Index order puts the poorer page first; ranking must reorder it.
+  const ApiService::MentionIndex index = {
+      {"刘德华", {t.Find("刘德华（作家）"), t.Find("刘德华（演员）")}}};
+  ApiService api(util::UnownedSnapshot(&t), index);
 
-  const auto entities = api.Men2Ent("刘德华");
-  ASSERT_EQ(entities.size(), 2u);
+  const auto entities = api.TryMen2EntResolved("刘德华");
+  ASSERT_TRUE(entities.ok());
+  ASSERT_EQ(entities->entities.size(), 2u);
   // The richer page (2 hypernyms) ranks first.
-  EXPECT_EQ(t.Name(entities[0]), "刘德华（演员）");
-  EXPECT_TRUE(api.Men2Ent("无名氏").empty());
+  EXPECT_EQ(entities->entities[0].name, "刘德华（演员）");
+  EXPECT_EQ(entities->entities[0].id, t.Find("刘德华（演员）"));
+  EXPECT_EQ(entities->entities[0].num_hypernyms, 2u);
+  EXPECT_TRUE(api.TryMen2EntResolved("无名氏")->entities.empty());
 
-  const auto concepts = api.GetConcept("刘德华（演员）");
-  EXPECT_EQ(concepts.size(), 2u);
-  const auto hyponyms = api.GetEntity("演员");
-  ASSERT_EQ(hyponyms.size(), 1u);
-  EXPECT_EQ(hyponyms[0], "刘德华（演员）");
+  const auto concepts = api.TryGetConceptResolved("刘德华（演员）");
+  EXPECT_EQ(concepts->names.size(), 2u);
+  const auto hyponyms = api.TryGetEntityResolved("演员");
+  ASSERT_EQ(hyponyms->names.size(), 1u);
+  EXPECT_EQ(hyponyms->names[0], "刘德华（演员）");
 
   EXPECT_EQ(api.usage().men2ent_calls, 2u);
   EXPECT_EQ(api.usage().get_concept_calls, 1u);
@@ -159,10 +162,11 @@ TEST(ApiServiceTest, GetConceptTransitiveAppendsAncestors) {
   t.AddIsa("刘德华", "男演员", Source::kBracket, 0.96f);
   t.AddIsa("男演员", "演员", Source::kTag, 0.9f, NodeKind::kConcept);
   t.AddIsa("演员", "人物", Source::kTag, 0.9f, NodeKind::kConcept);
-  ApiService api(&t);
-  const auto direct = api.GetConcept("刘德华");
+  ApiService api(util::UnownedSnapshot(&t));
+  const auto direct = api.TryGetConceptResolved("刘德华")->names;
   EXPECT_EQ(direct, (std::vector<std::string>{"男演员"}));
-  const auto all = api.GetConcept("刘德华", /*transitive=*/true);
+  const auto all =
+      api.TryGetConceptResolved("刘德华", /*transitive=*/true)->names;
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0], "男演员");
   // Ancestors follow, each exactly once.
@@ -175,9 +179,9 @@ TEST(ApiServiceTest, GetEntityHonoursLimit) {
   for (int i = 0; i < 20; ++i) {
     t.AddIsa("e" + std::to_string(i), "c", Source::kTag);
   }
-  ApiService api(&t);
-  EXPECT_EQ(api.GetEntity("c", 5).size(), 5u);
-  EXPECT_EQ(api.GetEntity("c", 100).size(), 20u);
+  ApiService api(util::UnownedSnapshot(&t));
+  EXPECT_EQ(api.TryGetEntityResolved("c", 5)->names.size(), 5u);
+  EXPECT_EQ(api.TryGetEntityResolved("c", 100)->names.size(), 20u);
 }
 
 }  // namespace
