@@ -246,12 +246,13 @@ void RunServeWhileUpdateSweep() {
   }
 }
 
-// Cold start: parse the TSV taxonomy + rebuild the mention index (the
-// pre-snapshot serving path) vs one mmap + validation pass over the binary
-// snapshot (DESIGN.md §10). Also compares query latency percentiles across
-// the two backends, since the zero-copy layout must not trade cold-start
-// speed for serving speed. Returns false when the snapshot load fails to
-// beat the TSV path at all (the --coldstart-strict CI gate).
+// Cold start: parse the TSV taxonomy + rebuild the mention index + encode
+// the served view (what serving from a TSV file costs) vs one mmap +
+// validation pass over the binary snapshot (DESIGN.md §10). Also compares
+// query latency percentiles across the two served views, since the mmap'd
+// pages must not serve slower than the freshly encoded buffer. Returns
+// false when the snapshot load fails to beat the TSV path at all (the
+// --coldstart-strict CI gate).
 bool RunColdStartSweep() {
   std::printf("\n-- cold start: TSV parse vs zero-copy mmap snapshot --\n");
   const size_t scale = bench::BenchScale(8000);
@@ -270,16 +271,16 @@ bool RunColdStartSweep() {
   const auto tsv_content = util::ReadFileToString(tsv_path);
   const size_t tsv_bytes = tsv_content.ok() ? tsv_content->size() : 0;
   CNPB_CHECK(taxonomy::WriteSnapshot(
-                 built,
-                 core::CnProbaseBuilder::BuildMentionIndex(
-                     world->output->dump, built),
+                 *taxonomy::ServingView::Encode(
+                     built, core::CnProbaseBuilder::BuildMentionIndex(
+                                world->output->dump, built)),
                  snap_path)
                  .ok());
 
   // Best-of-5 so page-cache and allocator warmup noise hits neither side.
-  // The TSV side must also rebuild the mention index: that is what serving
-  // actually needs before it can answer men2ent, and what the snapshot
-  // carries pre-built.
+  // The TSV side must also rebuild the mention index and encode the view:
+  // that is what serving actually needs before it can answer, and what the
+  // snapshot carries pre-built.
   constexpr int kReps = 5;
   double tsv_seconds = std::numeric_limits<double>::infinity();
   double snap_seconds = std::numeric_limits<double>::infinity();
@@ -289,26 +290,24 @@ bool RunColdStartSweep() {
     util::WallTimer timer;
     auto loaded = taxonomy::LoadTaxonomy(tsv_path);
     CNPB_CHECK(loaded.ok()) << loaded.status().ToString();
-    auto frozen = taxonomy::Taxonomy::Freeze(std::move(*loaded));
-    auto index = core::CnProbaseBuilder::BuildMentionIndex(
-        world->output->dump, *frozen);
+    const auto index = core::CnProbaseBuilder::BuildMentionIndex(
+        world->output->dump, *loaded);
+    auto view = taxonomy::ServingView::Encode(*loaded, index);
     tsv_seconds = std::min(tsv_seconds, timer.ElapsedSeconds());
-    tsv_view = std::make_shared<taxonomy::HeapServingView>(std::move(frozen),
-                                                           std::move(index));
+    tsv_view = std::move(view);
   }
   for (int rep = 0; rep < kReps; ++rep) {
     util::WallTimer timer;
-    auto snap = taxonomy::Snapshot::Load(snap_path);
+    auto snap = taxonomy::ServingView::Load(snap_path);
     CNPB_CHECK(snap.ok()) << snap.status().ToString();
     snap_seconds = std::min(snap_seconds, timer.ElapsedSeconds());
     snap_view = *std::move(snap);
   }
   const double speedup = tsv_seconds / snap_seconds;
-  const size_t snap_bytes =
-      static_cast<const taxonomy::Snapshot&>(*snap_view).file_bytes();
+  const size_t snap_bytes = snap_view->bytes().size();
 
-  // Query latency percentiles on both backends (Table II-ish mix), one
-  // timed call at a time through the full ApiService path.
+  // Query latency percentiles on both views (Table II-ish mix), one timed
+  // call at a time through the full ApiService path.
   const auto measure = [&](std::shared_ptr<const taxonomy::ServingView> view,
                            util::Histogram* hist) {
     taxonomy::ApiService api(std::move(view));
@@ -329,7 +328,7 @@ bool RunColdStartSweep() {
   measure(tsv_view, &tsv_latency);
   measure(snap_view, &snap_latency);
 
-  std::printf("\n%10s %12s %12s %12s %12s\n", "backend", "load (ms)",
+  std::printf("\n%10s %12s %12s %12s %12s\n", "source", "load (ms)",
               "p50 (us)", "p99 (us)", "bytes");
   std::printf("%10s %12.2f %12.2f %12.2f %12zu\n", "tsv",
               tsv_seconds * 1e3, tsv_latency.Percentile(50) * 1e6,

@@ -188,8 +188,9 @@ int Build(const std::string& dir, const std::string& metrics_out,
       report.verification.rejected_total(), TaxonomyPath(dir).c_str());
   if (!snapshot_out.empty()) {
     if (util::Status s = taxonomy::WriteSnapshot(
-            taxonomy,
-            core::CnProbaseBuilder::BuildMentionIndex(*dump, taxonomy),
+            *taxonomy::ServingView::Encode(
+                taxonomy,
+                core::CnProbaseBuilder::BuildMentionIndex(*dump, taxonomy)),
             snapshot_out);
         !s.ok()) {
       return Fail("write snapshot", s);
@@ -204,7 +205,7 @@ int Build(const std::string& dir, const std::string& metrics_out,
 
 int Stats(const std::string& dir, const std::string& snapshot_in) {
   if (!snapshot_in.empty()) {
-    auto snap = taxonomy::Snapshot::Load(snapshot_in);
+    auto snap = taxonomy::ServingView::Load(snapshot_in);
     if (!snap.ok()) return Fail("load snapshot", snap.status());
     // The stats pass wants the full mutable structure; materialising from
     // the view is the snapshot-era equivalent of the TSV parse.
@@ -226,19 +227,17 @@ int Stats(const std::string& dir, const std::string& snapshot_in) {
 
 int Query(const std::string& dir, const std::string& snapshot_in, int argc,
           char** argv, int first) {
-  // Both persistence formats serve the same ServingView interface; the
-  // query loop below cannot tell which one answered.
+  // A binary snapshot is mmap'd as is; a TSV taxonomy is encoded into the
+  // same format, so the query loop below cannot tell which one answered.
   std::shared_ptr<const taxonomy::ServingView> view;
   if (!snapshot_in.empty()) {
-    auto snap = taxonomy::Snapshot::Load(snapshot_in);
+    auto snap = taxonomy::ServingView::Load(snapshot_in);
     if (!snap.ok()) return Fail("load snapshot", snap.status());
     view = *std::move(snap);
   } else {
     auto loaded = taxonomy::LoadTaxonomyWithFallback(TaxonomyPath(dir));
     if (!loaded.ok()) return Fail("load taxonomy", loaded.status());
-    view = std::make_shared<taxonomy::HeapServingView>(
-        taxonomy::Taxonomy::Freeze(std::move(*loaded)),
-        taxonomy::MentionIndex());
+    view = taxonomy::ServingView::Encode(*loaded, taxonomy::MentionIndex());
   }
   for (int i = first; i < argc; ++i) {
     const taxonomy::NodeId id = view->Find(argv[i]);

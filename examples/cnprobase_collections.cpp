@@ -191,9 +191,9 @@ int main(int argc, char** argv) {
   builder_config.neural.max_train_samples = 1000;
   taxonomy::Taxonomy taxonomy_a = core::CnProbaseBuilder::Build(
       sites[0], world.lexicon(), corpus_words, builder_config, nullptr);
-  auto frozen_a = taxonomy::Taxonomy::Freeze(std::move(taxonomy_a));
-  auto view_a = std::make_shared<taxonomy::HeapServingView>(
-      frozen_a, core::CnProbaseBuilder::BuildMentionIndex(sites[0], *frozen_a));
+  auto view_a = taxonomy::ServingView::Encode(
+      taxonomy_a,
+      core::CnProbaseBuilder::BuildMentionIndex(sites[0], taxonomy_a));
   if (const util::Status status = manager.AddCollection("site_a", view_a);
       !status.ok()) {
     std::fprintf(stderr, "add site_a failed: %s\n",

@@ -69,7 +69,7 @@ int Usage(const char* argv0) {
 // announce the port, drain on SIGTERM. One per fork/exec.
 int RunBackend(const std::string& snapshot_path, int announce_fd,
                const std::string& host) {
-  auto snap = taxonomy::Snapshot::Load(snapshot_path);
+  auto snap = taxonomy::ServingView::Load(snapshot_path);
   if (!snap.ok()) {
     std::fprintf(stderr, "backend: load %s failed: %s\n",
                  snapshot_path.c_str(), snap.status().ToString().c_str());
@@ -188,11 +188,10 @@ int main(int argc, char** argv) {
   core::CnProbaseBuilder::Report report;
   taxonomy::Taxonomy taxonomy = core::CnProbaseBuilder::Build(
       output.dump, world.lexicon(), corpus_words, builder_config, &report);
-  auto frozen = taxonomy::Taxonomy::Freeze(std::move(taxonomy));
-  std::shared_ptr<const taxonomy::ServingView> view =
-      std::make_shared<taxonomy::HeapServingView>(
-          frozen,
-          core::CnProbaseBuilder::BuildMentionIndex(output.dump, *frozen));
+  const std::shared_ptr<const taxonomy::ServingView> view =
+      taxonomy::ServingView::Encode(
+          taxonomy,
+          core::CnProbaseBuilder::BuildMentionIndex(output.dump, taxonomy));
 
   const bool temp_snapshot = snapshot_path.empty();
   if (temp_snapshot) {

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Resolve the serving backend: mmap a binary snapshot when one is given
+  // Resolve the served view: mmap a binary snapshot when one is given
   // (zero-copy cold start), otherwise build from the synthetic world — same
   // substrate as the benches; a deployment would load its build pipeline's
   // output either way.
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
   if (!snapshot_in.empty()) {
     std::printf("loading snapshot %s...\n", snapshot_in.c_str());
     std::fflush(stdout);
-    auto snap = taxonomy::Snapshot::Load(snapshot_in);
+    auto snap = taxonomy::ServingView::Load(snapshot_in);
     if (!snap.ok()) {
       std::fprintf(stderr, "load snapshot failed: %s\n",
                    snap.status().ToString().c_str());
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
     std::printf("mmap-loaded %zu nodes, %zu edges, %zu mentions "
                 "(%zu bytes)\n",
                 (*snap)->num_nodes(), (*snap)->num_edges(),
-                (*snap)->num_mentions(), (*snap)->file_bytes());
+                (*snap)->num_mentions(), (*snap)->bytes().size());
     view = *std::move(snap);
   } else {
     std::printf("building taxonomy (%zu entities)...\n", entities);
@@ -187,10 +187,9 @@ int main(int argc, char** argv) {
     core::CnProbaseBuilder::Report report;
     taxonomy::Taxonomy taxonomy = core::CnProbaseBuilder::Build(
         output.dump, world.lexicon(), corpus_words, builder_config, &report);
-    auto frozen = taxonomy::Taxonomy::Freeze(std::move(taxonomy));
-    view = std::make_shared<taxonomy::HeapServingView>(
-        frozen,
-        core::CnProbaseBuilder::BuildMentionIndex(output.dump, *frozen));
+    view = taxonomy::ServingView::Encode(
+        taxonomy,
+        core::CnProbaseBuilder::BuildMentionIndex(output.dump, taxonomy));
   }
   if (!snapshot_out.empty()) {
     if (const util::Status status =

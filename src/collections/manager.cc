@@ -125,7 +125,6 @@ util::Status CollectionManager::AddCollection(
         taxonomy::WriteSnapshot(*view, dir + "/" + kSnapshotFile));
   }
   std::shared_ptr<Collection> collection = MakeCollection(name, quotas);
-  collection->keepalive = view;
   collection->service = std::make_unique<taxonomy::ApiService>(view);
   collection->service->SetServingLimits(
       {quotas.max_in_flight, quotas.deadline});
@@ -275,14 +274,13 @@ util::Status CollectionManager::Open() {
     }
     const std::string snapshot_path =
         CollectionDir(options_.root_dir, fields[0]) + "/" + kSnapshotFile;
-    util::Result<std::shared_ptr<const taxonomy::Snapshot>> snapshot =
-        taxonomy::Snapshot::Load(snapshot_path);
+    util::Result<std::shared_ptr<const taxonomy::ServingView>> snapshot =
+        taxonomy::ServingView::Load(snapshot_path);
     CNPB_RETURN_IF_ERROR(snapshot.status());
     std::shared_ptr<Collection> collection =
         MakeCollection(fields[0], quotas);
-    collection->keepalive = *snapshot;
     collection->service =
-        std::make_unique<taxonomy::ApiService>(collection->keepalive);
+        std::make_unique<taxonomy::ApiService>(*std::move(snapshot));
     collection->service->SetServingLimits(
         {quotas.max_in_flight, quotas.deadline});
     collection->endpoints =

@@ -146,9 +146,6 @@ class CollectionManager {
     std::string name;
     bool ingest = false;
     Quotas quotas;
-    // Restored mmap views are owned here; the ApiService pins what it
-    // serves, but the initial shared_ptr must live somewhere.
-    std::shared_ptr<const taxonomy::ServingView> keepalive;
     std::unique_ptr<taxonomy::ApiService> service;
     std::unique_ptr<server::ApiEndpoints> endpoints;
     std::unique_ptr<ingest::IngestDaemon> daemon;

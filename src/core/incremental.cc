@@ -255,11 +255,11 @@ util::Status IncrementalUpdater::SaveSnapshot(
 util::Status IncrementalUpdater::SaveBinarySnapshot(
     const std::string& path, uint64_t* persisted_generation) const {
   const uint64_t generation = generation_;
+  const auto view = taxonomy::ServingView::Encode(
+      *taxonomy_, CnProbaseBuilder::BuildMentionIndex(dump_, *taxonomy_));
   const util::RetryResult result =
       util::RetryWithBackoff(util::RetryOptions{}, [&] {
-        return taxonomy::WriteSnapshot(
-            *taxonomy_,
-            CnProbaseBuilder::BuildMentionIndex(dump_, *taxonomy_), path);
+        return taxonomy::WriteSnapshot(*view, path);
       });
   if (result.attempts > 1) {
     obs::MetricsRegistry::Global()

@@ -15,8 +15,7 @@ using taxonomy::ServingView;
 using taxonomy::kInvalidNode;
 
 // Sorts by (score desc, tie desc, id asc) and keeps the top k. The id leg
-// makes the order total, which the cross-backend equivalence contract
-// requires.
+// makes the order total, which the determinism contract requires.
 void RankTopK(std::vector<Scored>* scored, size_t k) {
   std::sort(scored->begin(), scored->end(),
             [](const Scored& a, const Scored& b) {
@@ -47,7 +46,7 @@ void SweepUp(const ServingView& view, NodeId start, size_t max_depth,
     for (const NodeId u : cur) {
       view.VisitHypernyms(u, [&](const HalfEdge& edge) {
         const NodeId v = edge.node;
-        if (v >= n || !depth.emplace(v, d).second) return true;
+        if (!depth.emplace(v, d).second) return true;
         if (!fn(v, d)) {
           stopped = true;
           return false;
@@ -86,7 +85,7 @@ IsaResult IsaClosure(const ServingView& view, NodeId entity_id,
       bool found = false;
       view.VisitHypernyms(u, [&](const HalfEdge& edge) {
         const NodeId v = edge.node;
-        if (v >= n || !parent.emplace(v, u).second) return true;
+        if (!parent.emplace(v, u).second) return true;
         if (v == concept_id) {
           found = true;
           return false;
@@ -163,7 +162,7 @@ std::vector<Scored> SimilarEntities(const ServingView& view, NodeId id,
   std::vector<NodeId> hypers;
   std::unordered_set<NodeId> hyper_set;
   view.VisitHypernyms(id, [&](const HalfEdge& edge) {
-    if (edge.node < n && hyper_set.insert(edge.node).second) {
+    if (hyper_set.insert(edge.node).second) {
       hypers.push_back(edge.node);
     }
     return true;
@@ -171,8 +170,8 @@ std::vector<Scored> SimilarEntities(const ServingView& view, NodeId id,
   if (hypers.empty()) return scored;
   // Candidates in canonical discovery order: hyponyms of each direct
   // hypernym, first shared parent first. The cap bounds the scan, not the
-  // result quality past it — discovery order is deterministic, so both
-  // backends truncate identically.
+  // result quality past it — discovery order is deterministic, so every
+  // copy of a version truncates identically.
   std::vector<NodeId> candidates;
   std::unordered_set<NodeId> cand_seen;
   for (const NodeId h : hypers) {
@@ -180,7 +179,7 @@ std::vector<Scored> SimilarEntities(const ServingView& view, NodeId id,
     view.VisitHyponyms(h, [&](const HalfEdge& edge) {
       if (candidates.size() >= max_candidates) return false;
       const NodeId c = edge.node;
-      if (c < n && c != id && cand_seen.insert(c).second) {
+      if (c != id && cand_seen.insert(c).second) {
         candidates.push_back(c);
       }
       return true;
@@ -192,7 +191,7 @@ std::vector<Scored> SimilarEntities(const ServingView& view, NodeId id,
     float tie = 0.0f;
     std::unordered_set<NodeId> seen;
     view.VisitHypernyms(c, [&](const HalfEdge& edge) {
-      if (edge.node >= n || !seen.insert(edge.node).second) return true;
+      if (!seen.insert(edge.node).second) return true;
       ++total;
       if (hyper_set.count(edge.node) > 0) {
         ++shared;
@@ -217,8 +216,7 @@ std::vector<Scored> ExpandConcept(const ServingView& view, NodeId id,
   std::vector<NodeId> children;
   std::unordered_set<NodeId> child_set;
   view.VisitHyponyms(id, [&](const HalfEdge& edge) {
-    if (edge.node < n && edge.node != id &&
-        child_set.insert(edge.node).second) {
+    if (edge.node != id && child_set.insert(edge.node).second) {
       children.push_back(edge.node);
     }
     return true;
@@ -233,7 +231,7 @@ std::vector<Scored> ExpandConcept(const ServingView& view, NodeId id,
     for (const NodeId c : children) {
       view.VisitHypernyms(c, [&](const HalfEdge& edge) {
         const NodeId h = edge.node;
-        if (h >= n || h == id) return true;
+        if (h == id) return true;
         const auto [it, inserted] = profile.emplace(h, 0.0);
         if (inserted) profile_order.push_back(h);
         it->second += 1.0;
@@ -245,7 +243,7 @@ std::vector<Scored> ExpandConcept(const ServingView& view, NodeId id,
     }
   } else {
     view.VisitHypernyms(id, [&](const HalfEdge& edge) {
-      if (edge.node < n && profile.emplace(edge.node, 1.0).second) {
+      if (profile.emplace(edge.node, 1.0).second) {
         profile_order.push_back(edge.node);
       }
       return true;
@@ -259,7 +257,7 @@ std::vector<Scored> ExpandConcept(const ServingView& view, NodeId id,
     view.VisitHyponyms(h, [&](const HalfEdge& edge) {
       if (candidates.size() >= max_candidates) return false;
       const NodeId c = edge.node;
-      if (c < n && c != id && child_set.count(c) == 0 &&
+      if (c != id && child_set.count(c) == 0 &&
           cand_seen.insert(c).second) {
         candidates.push_back(c);
       }
@@ -274,7 +272,7 @@ std::vector<Scored> ExpandConcept(const ServingView& view, NodeId id,
     std::unordered_set<NodeId> seen;
     view.VisitHypernyms(c, [&](const HalfEdge& edge) {
       const NodeId h = edge.node;
-      if (h >= n || h == id || !seen.insert(h).second) return true;
+      if (h == id || !seen.insert(h).second) return true;
       ++total;
       const auto it = profile.find(h);
       if (it != profile.end()) {

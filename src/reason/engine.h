@@ -24,11 +24,12 @@ namespace cnpb::reason {
 //
 // Determinism contract: discovery follows the view's canonical edge order
 // (see view.h) and every ranking is totally ordered — score, then
-// tie-break score, then node id — so heap- and mmap-backed views return
-// bit-identical results (tests/reason_equivalence_test.cc holds both
-// backends to this). Node ids are identical across backends by the
-// snapshot round-trip contract, which is what makes id a valid final
-// tie-break.
+// tie-break score, then node id — so a version answers bit-identically
+// whether it was published in memory or mmap'd from its written file, and
+// a ranking is fixed by its scoring formula alone
+// (tests/reason_equivalence_test.cc checks both against the source
+// Taxonomy). Edge targets are always < num_nodes() in a served view
+// (view.h); only caller-supplied ids are range-checked here.
 
 struct IsaResult {
   bool reached = false;

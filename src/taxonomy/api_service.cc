@@ -1,6 +1,7 @@
 #include "taxonomy/api_service.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -133,8 +134,7 @@ uint64_t ApiService::Publish(std::shared_ptr<const ServingView> view) {
 uint64_t ApiService::Publish(std::shared_ptr<const Taxonomy> taxonomy,
                              MentionIndex mentions) {
   CNPB_CHECK(taxonomy != nullptr);
-  return Publish(std::make_shared<HeapServingView>(std::move(taxonomy),
-                                                   std::move(mentions)));
+  return Publish(ServingView::Encode(*taxonomy, mentions));
 }
 
 util::Result<uint64_t> ApiService::TryPublish(
@@ -151,8 +151,7 @@ util::Result<uint64_t> ApiService::TryPublish(
 util::Result<uint64_t> ApiService::TryPublish(
     std::shared_ptr<const Taxonomy> taxonomy, MentionIndex mentions) {
   CNPB_CHECK(taxonomy != nullptr);
-  return TryPublish(std::make_shared<HeapServingView>(std::move(taxonomy),
-                                                      std::move(mentions)));
+  return TryPublish(ServingView::Encode(*taxonomy, mentions));
 }
 
 void ApiService::SetServingLimits(const ServingLimits& limits) {
@@ -237,14 +236,10 @@ util::Status ApiService::TryQuery(
 
 std::vector<ApiService::ResolvedEntity> ApiService::ResolveMention(
     const ServingView& view, std::string_view mention) {
-  const std::vector<NodeId> candidates = view.MentionCandidates(mention);
+  const std::span<const NodeId> candidates = view.MentionCandidates(mention);
   std::vector<ResolvedEntity> out;
   out.reserve(candidates.size());
   for (const NodeId id : candidates) {
-    // A caller-supplied MentionIndex can carry ids this view does not know;
-    // they have no name here and are dropped rather than returned
-    // half-resolved.
-    if (id >= view.num_nodes()) continue;
     ResolvedEntity entity;
     entity.id = id;
     entity.name = std::string(view.Name(id));

@@ -51,10 +51,11 @@ namespace cnpb::taxonomy {
 // the budget elapses mid-query — fail fast rather than queue unboundedly.
 // With no limits configured both checks cost one relaxed load each.
 //
-// Serving backends: each published version wraps one immutable ServingView
-// (see view.h) — either a HeapServingView (frozen Taxonomy + mention index)
-// or an mmap-backed Snapshot (snapshot.h). All query paths read only the
-// view interface, so the two backends answer identically.
+// Serving representation: each published version wraps one immutable
+// ServingView (see view.h) over CNPBSNP bytes — encoded at publish time
+// from a (Taxonomy, MentionIndex) pair, or mmap'd from a snapshot file by
+// ServingView::Load. Both are the same bytes, so a version answers the same
+// whichever way it arrived.
 class ApiService {
  public:
   // mention -> candidate entity nodes, as built for one taxonomy version.
@@ -94,14 +95,15 @@ class ApiService {
     std::chrono::microseconds deadline{0};
   };
 
-  // Serves `taxonomy` as version 1; `mentions` must be the index built for
-  // exactly this taxonomy (core::CnProbaseBuilder::BuildMentionIndex). To
-  // serve a taxonomy the caller keeps alive, pass util::UnownedSnapshot(&t).
+  // Serves `taxonomy` as version 1, encoded with `mentions` (the index
+  // core::CnProbaseBuilder::BuildMentionIndex built for it; candidate ids
+  // outside the taxonomy are dropped). The taxonomy is only read during
+  // the call, so util::UnownedSnapshot(&t) serves a caller-owned one.
   explicit ApiService(std::shared_ptr<const Taxonomy> taxonomy,
                       MentionIndex mentions = MentionIndex());
 
-  // Serves directly from any backend — typically a Snapshot freshly
-  // mmap-loaded from disk (zero-copy cold start), or a HeapServingView.
+  // Serves `view` as version 1 — typically one freshly mmap-loaded from
+  // disk by ServingView::Load (zero-copy cold start).
   explicit ApiService(std::shared_ptr<const ServingView> view);
 
   // Atomically publishes a new serving version: builds the version entry
@@ -112,13 +114,15 @@ class ApiService {
   // serialised.
   uint64_t Publish(std::shared_ptr<const ServingView> view);
 
-  // Convenience: wraps (taxonomy, mentions) in a HeapServingView.
+  // Encodes (taxonomy, mentions) with ServingView::Encode, then publishes
+  // the result. Encoding happens before admission, off to the side.
   uint64_t Publish(std::shared_ptr<const Taxonomy> taxonomy,
                    MentionIndex mentions);
 
   // Fallible publish: fails with ResourceExhausted under (injected)
   // contention on the `api.publish` fault point. Publish() wraps this in a
   // util::Retry exponential backoff, which is what callers normally want.
+  // The (taxonomy, mentions) form encodes first, as Publish does.
   util::Result<uint64_t> TryPublish(std::shared_ptr<const ServingView> view);
   util::Result<uint64_t> TryPublish(std::shared_ptr<const Taxonomy> taxonomy,
                                     MentionIndex mentions);

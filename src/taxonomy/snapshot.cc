@@ -4,15 +4,15 @@
 #include <array>
 #include <cstring>
 #include <functional>
-#include <numeric>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
 #include "util/fault_injection.h"
+#include "util/hash.h"
 #include "util/logging.h"
+#include "util/mmap_file.h"
 #include "util/parallel.h"
-#include "util/snapshot.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -35,7 +35,7 @@ enum SectionId : uint32_t {
   kKinds = 0,
   kNameOffsets,
   kNameBytes,
-  kNameSorted,
+  kNameHash,
   kHyperRows,
   kHyperTargets,
   kHyperSources,
@@ -48,18 +48,36 @@ enum SectionId : uint32_t {
   kMentionBytes,
   kMentionRows,
   kMentionIds,
+  kMentionHash,
 };
+
+using SectionSizes = std::array<uint64_t, kSnapshotSectionCount>;
 
 constexpr size_t Align8(size_t x) { return (x + 7) & ~size_t{7}; }
 
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+// The size of every section, given the counts and the three arena sizes.
+// The writer lays sections out with it and the loader requires it.
+SectionSizes ExpectedSectionSizes(uint64_t n, uint64_t e, uint64_t m,
+                                  uint64_t name_bytes, uint64_t mention_bytes,
+                                  uint64_t candidates) {
+  return {
+      n,                             // kinds
+      8 * (n + 1),                   // name offsets
+      name_bytes,                    // name arena
+      4 * SnapshotHashSlots(n),      // name hash
+      8 * (n + 1), 4 * e, e, 4 * e,  // hyper rows/targets/sources/scores
+      8 * (n + 1), 4 * e, e, 4 * e,  // hypo rows/targets/sources/scores
+      8 * (m + 1),                   // mention offsets
+      mention_bytes,                 // mention arena
+      8 * (m + 1),                   // mention rows
+      4 * candidates,                // mention ids
+      4 * SnapshotHashSlots(m),      // mention hash
+  };
 }
 
 template <typename T>
-void PutPod(std::string* out, size_t offset, T value) {
-  std::memcpy(out->data() + offset, &value, sizeof(T));
+void PutPod(void* p, T value) {
+  std::memcpy(p, &value, sizeof(T));
 }
 
 template <typename T>
@@ -69,158 +87,200 @@ T GetPod(const uint8_t* p) {
   return value;
 }
 
-// The one mutable edge representation the writer needs: the canonical global
-// sequence (hypernym rows in node-id order), from which both CSRs derive.
-struct FlatEdge {
-  NodeId hypo = kInvalidNode;
-  NodeId hyper = kInvalidNode;
-  uint8_t source = 0;
-  float score = 1.0f;
-};
+// Fills a hash section: keys 0..num_keys-1 inserted in index order by
+// linear probing from their FNV-1a home slot.
+template <typename KeyAt>
+void FillHashSection(uint32_t* slots, uint64_t num_slots, uint64_t num_keys,
+                     const KeyAt& key_at) {
+  std::fill(slots, slots + num_slots, kInvalidNode);
+  const uint64_t mask = num_slots - 1;
+  for (uint64_t i = 0; i < num_keys; ++i) {
+    uint64_t slot = util::Fnv1a64(key_at(i)) & mask;
+    while (slots[slot] != kInvalidNode) slot = (slot + 1) & mask;
+    slots[slot] = static_cast<uint32_t>(i);
+  }
+}
+
+// Header CRC over the prelude with the CRC field taken as zero.
+uint32_t PreludeCrc(const uint8_t* base) {
+  std::array<char, SnapshotPreludeSize()> prelude;
+  std::memcpy(prelude.data(), base, prelude.size());
+  PutPod<uint32_t>(prelude.data() + kOffHeaderCrc, 0);
+  return util::Crc32c(std::string_view(prelude.data(), prelude.size()));
+}
 
 }  // namespace
 
-std::string SerializeSnapshot(const ServingView& view) {
-  const size_t n = view.num_nodes();
-  std::array<std::string, kSnapshotSectionCount> sections;
-
-  // Nodes: kinds, the name arena with its offset index, and the name-sorted
-  // id permutation that backs binary-search Find.
-  sections[kKinds].reserve(n);
-  sections[kNameOffsets].reserve((n + 1) * sizeof(uint64_t));
-  uint64_t name_offset = 0;
-  AppendPod<uint64_t>(&sections[kNameOffsets], 0);
-  for (NodeId id = 0; id < n; ++id) {
-    sections[kKinds].push_back(
-        static_cast<char>(static_cast<uint8_t>(view.Kind(id))));
-    const std::string_view name = view.Name(id);
-    sections[kNameBytes].append(name);
-    name_offset += name.size();
-    AppendPod<uint64_t>(&sections[kNameOffsets], name_offset);
+std::shared_ptr<const ServingView> ServingView::Encode(
+    const Taxonomy& taxonomy, const MentionIndex& mentions) {
+  const uint64_t n = taxonomy.num_nodes();
+  const uint64_t e = taxonomy.num_edges();
+  CNPB_CHECK(n < kInvalidNode) << "taxonomy too large to encode";
+  // Mentions in byte order: the arena order VisitMentions promises. Each
+  // entry carries its first 8 bytes as a big-endian integer, so most
+  // comparisons settle without touching the scattered key strings (this
+  // sort was the largest part of a publish).
+  struct MentionEntry {
+    uint64_t prefix = 0;
+    std::string_view mention;
+    const std::vector<NodeId>* ids = nullptr;
+  };
+  std::vector<MentionEntry> sorted;
+  sorted.reserve(mentions.size());
+  for (const auto& [mention, ids] : mentions) {
+    MentionEntry entry{0, mention, &ids};
+    for (size_t i = 0; i < 8; ++i) {
+      entry.prefix = entry.prefix << 8 |
+                     (i < mention.size()
+                          ? static_cast<unsigned char>(mention[i])
+                          : 0u);
+    }
+    sorted.push_back(entry);
   }
-  std::vector<NodeId> sorted(n);
-  std::iota(sorted.begin(), sorted.end(), NodeId{0});
-  std::sort(sorted.begin(), sorted.end(), [&](NodeId a, NodeId b) {
-    return view.Name(a) < view.Name(b);
-  });
-  for (const NodeId id : sorted) AppendPod<uint32_t>(&sections[kNameSorted], id);
-
-  // Canonical edge sequence (see header comment): the hypernym CSR is the
-  // sequence itself, the hyponym CSR replays it bucketed by hypernym. Both
-  // are derived here — never from VisitHyponyms — so a freshly built
-  // taxonomy and a TSV-reloaded one serialize to identical bytes.
-  std::vector<FlatEdge> edges;
-  edges.reserve(view.num_edges());
-  AppendPod<uint64_t>(&sections[kHyperRows], 0);
-  for (NodeId id = 0; id < n; ++id) {
-    view.VisitHypernyms(id, [&](const HalfEdge& edge) {
-      edges.push_back(FlatEdge{static_cast<NodeId>(id), edge.node,
-                               static_cast<uint8_t>(edge.source), edge.score});
-      return true;
-    });
-    AppendPod<uint64_t>(&sections[kHyperRows],
-                        static_cast<uint64_t>(edges.size()));
+  std::sort(sorted.begin(), sorted.end(),
+            [](const MentionEntry& a, const MentionEntry& b) {
+              return a.prefix != b.prefix ? a.prefix < b.prefix
+                                          : a.mention < b.mention;
+            });
+  const uint64_t m = sorted.size();
+  CNPB_CHECK(m < kInvalidNode) << "mention index too large to encode";
+  uint64_t name_bytes = 0;
+  for (NodeId id = 0; id < n; ++id) name_bytes += taxonomy.Name(id).size();
+  uint64_t mention_bytes = 0;
+  uint64_t candidates = 0;
+  for (const MentionEntry& entry : sorted) {
+    mention_bytes += entry.mention.size();
+    for (const NodeId id : *entry.ids) candidates += id < n ? 1 : 0;
   }
-  const uint64_t num_edges = edges.size();
-  for (const FlatEdge& edge : edges) {
-    AppendPod<uint32_t>(&sections[kHyperTargets], edge.hyper);
-    sections[kHyperSources].push_back(static_cast<char>(edge.source));
-    AppendPod<float>(&sections[kHyperScores], edge.score);
-  }
-  std::vector<uint64_t> hypo_rows(n + 1, 0);
-  for (const FlatEdge& edge : edges) ++hypo_rows[edge.hyper + 1];
-  for (size_t i = 1; i <= n; ++i) hypo_rows[i] += hypo_rows[i - 1];
-  std::vector<NodeId> hypo_targets(edges.size());
-  std::string hypo_sources(edges.size(), '\0');
-  std::vector<float> hypo_scores(edges.size());
-  std::vector<uint64_t> cursor(hypo_rows.begin(), hypo_rows.end());
-  for (const FlatEdge& edge : edges) {
-    const uint64_t pos = cursor[edge.hyper]++;
-    hypo_targets[pos] = edge.hypo;
-    hypo_sources[pos] = static_cast<char>(edge.source);
-    hypo_scores[pos] = edge.score;
-  }
-  for (const uint64_t row : hypo_rows) AppendPod<uint64_t>(&sections[kHypoRows], row);
-  for (const NodeId id : hypo_targets) AppendPod<uint32_t>(&sections[kHypoTargets], id);
-  sections[kHypoSources] = std::move(hypo_sources);
-  for (const float score : hypo_scores) AppendPod<float>(&sections[kHypoScores], score);
 
-  // Mentions arrive in lexicographic order (the VisitMentions contract),
-  // which is exactly the order the loader's binary search requires.
-  uint64_t mention_offset = 0;
-  uint64_t mention_ids = 0;
-  uint64_t num_mentions = 0;
-  AppendPod<uint64_t>(&sections[kMentionOffsets], 0);
-  AppendPod<uint64_t>(&sections[kMentionRows], 0);
-  view.VisitMentions(
-      [&](std::string_view mention, const NodeId* ids, size_t num_ids) {
-        sections[kMentionBytes].append(mention);
-        mention_offset += mention.size();
-        AppendPod<uint64_t>(&sections[kMentionOffsets], mention_offset);
-        for (size_t i = 0; i < num_ids; ++i) {
-          AppendPod<uint32_t>(&sections[kMentionIds], ids[i]);
-        }
-        mention_ids += num_ids;
-        AppendPod<uint64_t>(&sections[kMentionRows], mention_ids);
-        ++num_mentions;
-        return true;
-      });
-
-  // Layout: sections at ascending 8-aligned offsets right after the prelude,
-  // zero padding in the gaps, no trailing padding.
-  std::array<uint64_t, kSnapshotSectionCount> offsets;
-  size_t pos = SnapshotPreludeSize();
+  const SectionSizes sizes =
+      ExpectedSectionSizes(n, e, m, name_bytes, mention_bytes, candidates);
+  SectionSizes offsets;
+  uint64_t total = SnapshotPreludeSize();
   for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
-    pos = Align8(pos);
-    offsets[i] = pos;
-    pos += sections[i].size();
+    total = Align8(total);
+    offsets[i] = total;
+    total += sizes[i];
   }
-  const size_t total_size = pos;
+  std::shared_ptr<ServingView> view(new ServingView());
+  // Value-initialised, so the padding between sections is zero.
+  view->owned_ = std::make_unique<unsigned char[]>(total);
+  uint8_t* const base = view->owned_.get();
+  CNPB_CHECK(reinterpret_cast<uintptr_t>(base) % 8 == 0);
+  const auto u64 = [&](SectionId id) {
+    return reinterpret_cast<uint64_t*>(base + offsets[id]);
+  };
+  const auto u32 = [&](SectionId id) {
+    return reinterpret_cast<uint32_t*>(base + offsets[id]);
+  };
+  const auto f32 = [&](SectionId id) {
+    return reinterpret_cast<float*>(base + offsets[id]);
+  };
+  const auto chars = [&](SectionId id) {
+    return reinterpret_cast<char*>(base + offsets[id]);
+  };
 
-  std::string out(total_size, '\0');
-  std::memcpy(out.data() + kOffMagic, kSnapshotMagic.data(),
-              kSnapshotMagic.size());
-  PutPod<uint32_t>(&out, kOffVersion, kSnapshotFormatVersion);
-  PutPod<uint32_t>(&out, kOffSectionCount, kSnapshotSectionCount);
-  PutPod<uint32_t>(&out, kOffNumNodes, static_cast<uint32_t>(n));
-  PutPod<uint32_t>(&out, kOffNumMentions, static_cast<uint32_t>(num_mentions));
-  PutPod<uint64_t>(&out, kOffNumEdges, num_edges);
-  PutPod<uint64_t>(&out, kOffTotalSize, static_cast<uint64_t>(total_size));
+  // Nodes: kinds, the name arena with its offset index, the name hash.
+  uint64_t* const name_offsets = u64(kNameOffsets);
+  uint64_t cursor = 0;
+  for (NodeId id = 0; id < n; ++id) {
+    base[offsets[kKinds] + id] = static_cast<uint8_t>(taxonomy.Kind(id));
+    const std::string& name = taxonomy.Name(id);
+    std::memcpy(chars(kNameBytes) + cursor, name.data(), name.size());
+    name_offsets[id] = cursor;
+    cursor += name.size();
+  }
+  name_offsets[n] = cursor;
+  FillHashSection(u32(kNameHash), sizes[kNameHash] / 4, n,
+                  [&](uint64_t id) -> std::string_view {
+                    return taxonomy.Name(static_cast<NodeId>(id));
+                  });
+
+  // Canonical edge sequence (see snapshot.h): the hypernym CSR is the
+  // sequence itself; the hyponym CSR replays it bucketed by hypernym.
+  uint64_t* const hyper_rows = u64(kHyperRows);
+  uint32_t* const hyper_targets = u32(kHyperTargets);
+  uint8_t* const hyper_sources = base + offsets[kHyperSources];
+  float* const hyper_scores = f32(kHyperScores);
+  uint64_t k = 0;
+  for (NodeId id = 0; id < n; ++id) {
+    for (const IsaEdge& edge : taxonomy.Hypernyms(id)) {
+      hyper_targets[k] = edge.hyper;
+      hyper_sources[k] = static_cast<uint8_t>(edge.source);
+      hyper_scores[k] = edge.score;
+      ++k;
+    }
+    hyper_rows[id + 1] = k;
+  }
+  CNPB_CHECK(k == e) << "taxonomy edge count disagrees with its rows";
+  uint64_t* const hypo_rows = u64(kHypoRows);
+  for (uint64_t i = 0; i < e; ++i) ++hypo_rows[hyper_targets[i] + 1];
+  for (uint64_t i = 1; i <= n; ++i) hypo_rows[i] += hypo_rows[i - 1];
+  std::vector<uint64_t> next(hypo_rows, hypo_rows + n);
+  uint32_t* const hypo_targets = u32(kHypoTargets);
+  uint8_t* const hypo_sources = base + offsets[kHypoSources];
+  float* const hypo_scores = f32(kHypoScores);
+  for (NodeId id = 0; id < n; ++id) {
+    for (uint64_t i = hyper_rows[id]; i < hyper_rows[id + 1]; ++i) {
+      const uint64_t pos = next[hyper_targets[i]]++;
+      hypo_targets[pos] = id;
+      hypo_sources[pos] = hyper_sources[i];
+      hypo_scores[pos] = hyper_scores[i];
+    }
+  }
+
+  // Mentions: sorted arena, candidate CSR without out-of-range ids, hash.
+  uint64_t* const mention_offsets = u64(kMentionOffsets);
+  uint64_t* const mention_rows = u64(kMentionRows);
+  uint32_t* const mention_ids = u32(kMentionIds);
+  cursor = 0;
+  uint64_t ids = 0;
+  for (uint64_t i = 0; i < m; ++i) {
+    const std::string_view mention = sorted[i].mention;
+    std::memcpy(chars(kMentionBytes) + cursor, mention.data(), mention.size());
+    cursor += mention.size();
+    mention_offsets[i + 1] = cursor;
+    for (const NodeId id : *sorted[i].ids) {
+      if (id < n) mention_ids[ids++] = id;
+    }
+    mention_rows[i + 1] = ids;
+  }
+  FillHashSection(u32(kMentionHash), sizes[kMentionHash] / 4, m,
+                  [&](uint64_t i) -> std::string_view {
+                    return sorted[i].mention;
+                  });
+
+  std::memcpy(base + kOffMagic, kSnapshotMagic.data(), kSnapshotMagic.size());
+  PutPod<uint32_t>(base + kOffVersion, kSnapshotFormatVersion);
+  PutPod<uint32_t>(base + kOffSectionCount, kSnapshotSectionCount);
+  PutPod<uint32_t>(base + kOffNumNodes, static_cast<uint32_t>(n));
+  PutPod<uint32_t>(base + kOffNumMentions, static_cast<uint32_t>(m));
+  PutPod<uint64_t>(base + kOffNumEdges, e);
+  PutPod<uint64_t>(base + kOffTotalSize, total);
   for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
-    std::memcpy(out.data() + offsets[i], sections[i].data(),
-                sections[i].size());
-    const size_t entry = kSnapshotHeaderSize + i * kSnapshotSectionEntrySize;
-    PutPod<uint32_t>(&out, entry, i);
-    PutPod<uint32_t>(&out, entry + 4, util::Crc32c(sections[i]));
-    PutPod<uint64_t>(&out, entry + 8, offsets[i]);
-    PutPod<uint64_t>(&out, entry + 16,
-                     static_cast<uint64_t>(sections[i].size()));
+    uint8_t* const entry =
+        base + kSnapshotHeaderSize + i * kSnapshotSectionEntrySize;
+    PutPod<uint32_t>(entry, i);
+    PutPod<uint32_t>(entry + 4,
+                     util::Crc32c(std::string_view(
+                         reinterpret_cast<const char*>(base + offsets[i]),
+                         sizes[i])));
+    PutPod<uint64_t>(entry + 8, offsets[i]);
+    PutPod<uint64_t>(entry + 16, sizes[i]);
   }
-  // The CRC field is still zero here, which is exactly the state the header
-  // CRC is defined over.
-  PutPod<uint32_t>(&out, kOffHeaderCrc,
-                   util::Crc32c(std::string_view(out.data(),
-                                                SnapshotPreludeSize())));
-  return out;
+  PutPod<uint32_t>(base + kOffHeaderCrc, PreludeCrc(base));
+
+  view->base_ = base;
+  view->size_ = total;
+  view->origin_ = "<encoded>";
+  // Validated inline: a publish shares the machine with the readers it
+  // serves, and at publish sizes fanning out onto their cores costs more
+  // than the checks.
+  CNPB_CHECK_OK(view->Init(/*parallel=*/false));
+  return view;
 }
 
-util::Status WriteSnapshot(const ServingView& view, const std::string& path) {
-  util::AtomicWriteOptions options;
-  options.checksum_footer = false;  // per-section CRCs supersede the footer
-  options.fault_prefix = "snapshot";
-  util::AtomicFileWriter writer(path, options);
-  writer.Append(SerializeSnapshot(view));
-  return writer.Commit();
-}
-
-util::Status WriteSnapshot(const Taxonomy& taxonomy, MentionIndex mentions,
-                           const std::string& path) {
-  const HeapServingView view(util::UnownedSnapshot(&taxonomy),
-                             std::move(mentions));
-  return WriteSnapshot(view, path);
-}
-
-util::Result<std::shared_ptr<const Snapshot>> Snapshot::Load(
+util::Result<std::shared_ptr<const ServingView>> ServingView::Load(
     const std::string& path) {
   auto& registry = obs::MetricsRegistry::Global();
   obs::ScopedTimer timer(registry.histogram("snapshot.load.seconds"));
@@ -235,48 +295,58 @@ util::Result<std::shared_ptr<const Snapshot>> Snapshot::Load(
   }
   util::Result<util::MmapFile> file = util::MmapFile::Open(path);
   if (!file.ok()) return fail(file.status());
-  std::shared_ptr<Snapshot> snapshot(new Snapshot());
-  snapshot->file_ = std::move(file).value();
-  if (util::Status status = snapshot->Init(); !status.ok()) {
+  std::shared_ptr<ServingView> view(new ServingView());
+  view->file_ = std::move(file).value();
+  view->base_ = view->file_.data();
+  view->size_ = view->file_.size();
+  view->origin_ = path;
+  if (util::Status status = view->Init(/*parallel=*/true); !status.ok()) {
     return fail(std::move(status));
   }
   registry.counter("snapshot.load.ok")->Increment();
-  return std::shared_ptr<const Snapshot>(std::move(snapshot));
+  return std::shared_ptr<const ServingView>(std::move(view));
 }
 
-util::Status Snapshot::Init() {
-  const uint8_t* base = file_.data();
-  const size_t file_size = file_.size();
+util::Status ServingView::Init(bool parallel) {
+  // The checks below are independent tasks that write their verdicts into
+  // their own slots; `parallel` fans them out over the process-wide pool.
+  const auto run = [parallel](size_t count,
+                              const std::function<void(size_t)>& task) {
+    if (parallel) {
+      util::ParallelFor(count, task);
+    } else {
+      for (size_t i = 0; i < count; ++i) task(i);
+    }
+  };
+  const uint8_t* base = base_;
+  const size_t file_size = size_;
+  const char* origin = origin_.c_str();
   if (file_size == 0) {
-    return util::InvalidArgumentError("empty snapshot file: " + path());
+    return util::InvalidArgumentError("empty snapshot file: " + origin_);
   }
   if (file_size < kSnapshotHeaderSize ||
       std::memcmp(base + kOffMagic, kSnapshotMagic.data(),
                   kSnapshotMagic.size()) != 0) {
     return util::InvalidArgumentError("not a snapshot file (bad magic): " +
-                                      path());
+                                      origin_);
   }
   const uint32_t version = GetPod<uint32_t>(base + kOffVersion);
   if (version != kSnapshotFormatVersion) {
-    return util::InvalidArgumentError(
-        util::StrFormat("unsupported snapshot format version %u: %s", version,
-                        path().c_str()));
+    return util::InvalidArgumentError(util::StrFormat(
+        "unsupported snapshot format version %u: %s", version, origin));
   }
   if (GetPod<uint32_t>(base + kOffSectionCount) != kSnapshotSectionCount) {
-    return util::InvalidArgumentError("bad snapshot section count: " + path());
+    return util::InvalidArgumentError("bad snapshot section count: " +
+                                      origin_);
   }
   if (file_size < SnapshotPreludeSize()) {
     return util::DataLossError("snapshot truncated inside section table: " +
-                               path());
+                               origin_);
   }
   // The header CRC seals the counts and the whole section table, so every
   // offset/size/section-CRC used below is integrity-checked before use.
-  std::string prelude(reinterpret_cast<const char*>(base),
-                      SnapshotPreludeSize());
-  const uint32_t stored_header_crc = GetPod<uint32_t>(base + kOffHeaderCrc);
-  PutPod<uint32_t>(&prelude, kOffHeaderCrc, 0);
-  if (util::Crc32c(prelude) != stored_header_crc) {
-    return util::DataLossError("snapshot header crc mismatch: " + path());
+  if (PreludeCrc(base) != GetPod<uint32_t>(base + kOffHeaderCrc)) {
+    return util::DataLossError("snapshot header crc mismatch: " + origin_);
   }
   num_nodes_ = GetPod<uint32_t>(base + kOffNumNodes);
   num_mentions_ = GetPod<uint32_t>(base + kOffNumMentions);
@@ -287,7 +357,7 @@ util::Status Snapshot::Init() {
         util::StrFormat("snapshot size mismatch (header says %llu, file has "
                         "%zu bytes): %s",
                         static_cast<unsigned long long>(stated_size),
-                        file_size, path().c_str()));
+                        file_size, origin));
   }
   // Bound the counts before using them in size arithmetic: every node needs
   // a kind byte and every edge a source byte, so anything larger than the
@@ -298,7 +368,7 @@ util::Status Snapshot::Init() {
   const uint64_t e = num_edges_;
   if (n > file_size || e > file_size || m > file_size) {
     return util::InvalidArgumentError("snapshot counts exceed file size: " +
-                                      path());
+                                      origin_);
   }
 
   std::array<SnapshotSectionInfo, kSnapshotSectionCount> table;
@@ -311,64 +381,48 @@ util::Status Snapshot::Init() {
     table[i].offset = GetPod<uint64_t>(entry + 8);
     table[i].size = GetPod<uint64_t>(entry + 16);
     if (table[i].id != i) {
-      return util::InvalidArgumentError(
-          util::StrFormat("snapshot section %u out of order: %s", i,
-                          path().c_str()));
+      return util::InvalidArgumentError(util::StrFormat(
+          "snapshot section %u out of order: %s", i, origin));
     }
     // Overflow-safe bounds: offset and size are each checked against what
     // remains, never summed first.
     if (table[i].offset % 8 != 0 || table[i].offset < prev_end ||
         table[i].offset > file_size ||
         table[i].size > file_size - table[i].offset) {
-      return util::InvalidArgumentError(
-          util::StrFormat("snapshot section %u out of bounds: %s", i,
-                          path().c_str()));
+      return util::InvalidArgumentError(util::StrFormat(
+          "snapshot section %u out of bounds: %s", i, origin));
     }
     prev_end = table[i].offset + table[i].size;
   }
-  const std::array<uint64_t, kSnapshotSectionCount> expected_sizes = {
-      n,                // kinds
-      8 * (n + 1),      // name offsets
-      table[kNameBytes].size,
-      4 * n,            // name-sorted ids
-      8 * (n + 1),      // hyper rows
-      4 * e, e, 4 * e,  // hyper targets/sources/scores
-      8 * (n + 1),      // hypo rows
-      4 * e, e, 4 * e,  // hypo targets/sources/scores
-      8 * (m + 1),      // mention offsets
-      table[kMentionBytes].size,
-      8 * (m + 1),      // mention rows
-      table[kMentionIds].size,
-  };
+  if (table[kMentionIds].size % 4 != 0) {
+    return util::InvalidArgumentError(
+        "snapshot mention-id section misaligned: " + origin_);
+  }
+  const uint64_t candidates = table[kMentionIds].size / 4;
+  const SectionSizes expected_sizes =
+      ExpectedSectionSizes(n, e, m, table[kNameBytes].size,
+                           table[kMentionBytes].size, candidates);
   for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
     if (table[i].size != expected_sizes[i]) {
-      return util::InvalidArgumentError(
-          util::StrFormat("snapshot section %u has size %llu, expected %llu: "
-                          "%s",
-                          i, static_cast<unsigned long long>(table[i].size),
-                          static_cast<unsigned long long>(expected_sizes[i]),
-                          path().c_str()));
+      return util::InvalidArgumentError(util::StrFormat(
+          "snapshot section %u has size %llu, expected %llu: %s", i,
+          static_cast<unsigned long long>(table[i].size),
+          static_cast<unsigned long long>(expected_sizes[i]), origin));
     }
   }
-  if (table[kMentionIds].size % 4 != 0) {
-    return util::InvalidArgumentError("snapshot mention-id section misaligned: " +
-                                      path());
-  }
-  num_mention_ids_ = table[kMentionIds].size / 4;
-  // Section CRCs are independent, so they run on the process-wide pool.
-  // Each check writes its verdict into its own slot and the first failure
-  // in slot order wins, making the outcome (and its message) identical for
-  // every CNPB_THREADS value.
+  // Section CRCs are independent tasks. Each writes its verdict into its
+  // own slot and the first failure in slot order wins, making the outcome
+  // (and its message) identical for every CNPB_THREADS value.
   {
     std::array<util::Status, kSnapshotSectionCount> crc_status;
-    util::ParallelFor(kSnapshotSectionCount, [&](size_t i) {
+    run(kSnapshotSectionCount, [&](size_t i) {
       const std::string_view payload(
           reinterpret_cast<const char*>(base + table[i].offset),
           table[i].size);
       if (util::Crc32c(payload) != table[i].crc) {
-        crc_status[i] = util::DataLossError(
-            util::StrFormat("snapshot section %u crc mismatch: %s",
-                            static_cast<uint32_t>(i), path().c_str()));
+        crc_status[i] = util::DataLossError(util::StrFormat(
+            "snapshot section %u crc mismatch: %s", static_cast<uint32_t>(i),
+            origin));
       }
     });
     for (const util::Status& status : crc_status) {
@@ -377,7 +431,8 @@ util::Status Snapshot::Init() {
   }
 
   // All bytes verified; resolve typed pointers (sections are 8-aligned and
-  // mmap bases are page-aligned, so the casts are alignment-safe).
+  // both the owned buffer and mmap bases are 8-aligned, so the casts are
+  // alignment-safe).
   const auto u64_at = [&](SectionId id) {
     return reinterpret_cast<const uint64_t*>(base + table[id].offset);
   };
@@ -387,7 +442,8 @@ util::Status Snapshot::Init() {
   kinds_ = base + table[kKinds].offset;
   name_offsets_ = u64_at(kNameOffsets);
   name_bytes_ = reinterpret_cast<const char*>(base + table[kNameBytes].offset);
-  name_sorted_ = u32_at(kNameSorted);
+  name_slots_ = u32_at(kNameHash);
+  name_mask_ = SnapshotHashSlots(n) - 1;
   hyper_ = {u64_at(kHyperRows), u32_at(kHyperTargets),
             base + table[kHyperSources].offset,
             reinterpret_cast<const float*>(base + table[kHyperScores].offset)};
@@ -399,6 +455,8 @@ util::Status Snapshot::Init() {
       reinterpret_cast<const char*>(base + table[kMentionBytes].offset);
   mention_rows_ = u64_at(kMentionRows);
   mention_ids_ = u32_at(kMentionIds);
+  mention_slots_ = u32_at(kMentionHash);
+  mention_mask_ = SnapshotHashSlots(m) - 1;
 
   // Structural validation: every index the query paths will ever follow is
   // checked once here, so serving needs no per-query bounds checks beyond
@@ -407,9 +465,8 @@ util::Status Snapshot::Init() {
       [&](const uint64_t* offsets, uint64_t count, uint64_t arena_size,
           const char* what) -> util::Status {
     if (offsets[0] != 0) {
-      return util::InvalidArgumentError(
-          util::StrFormat("snapshot %s offsets do not start at 0: %s", what,
-                          path().c_str()));
+      return util::InvalidArgumentError(util::StrFormat(
+          "snapshot %s offsets do not start at 0: %s", what, origin));
     }
     // Branchless accumulation: these whole-array scans are the hot part of
     // a load, and without the early exit the compiler vectorizes them.
@@ -418,14 +475,12 @@ util::Status Snapshot::Init() {
       non_monotonic |= offsets[i + 1] < offsets[i];
     }
     if (non_monotonic) {
-      return util::InvalidArgumentError(
-          util::StrFormat("snapshot %s offsets not monotonic: %s", what,
-                          path().c_str()));
+      return util::InvalidArgumentError(util::StrFormat(
+          "snapshot %s offsets not monotonic: %s", what, origin));
     }
     if (offsets[count] != arena_size) {
-      return util::InvalidArgumentError(
-          util::StrFormat("snapshot %s offsets do not cover the arena: %s",
-                          what, path().c_str()));
+      return util::InvalidArgumentError(util::StrFormat(
+          "snapshot %s offsets do not cover the arena: %s", what, origin));
     }
     return util::Status::Ok();
   };
@@ -433,95 +488,130 @@ util::Status Snapshot::Init() {
       check_arena(name_offsets_, n, table[kNameBytes].size, "name"));
   CNPB_RETURN_IF_ERROR(
       check_arena(mention_offsets_, m, table[kMentionBytes].size, "mention"));
-  bool sorted_id_oor = false;
-  for (uint64_t i = 0; i < n; ++i) {
-    sorted_id_oor |= name_sorted_[i] >= n;
-  }
-  if (sorted_id_oor) {
-    return util::InvalidArgumentError(
-        "snapshot name-sorted id out of range: " + path());
-  }
-  // The remaining whole-array scans also parallelize: each becomes a task
-  // returning a Status into its own slot, first failure in slot order wins
-  // (the same ladder order as a serial pass). Reference captures are safe —
-  // ParallelFor is synchronous, so every task finishes inside this frame.
-  // The adjacent-pair string compares dominate validation cost, so they are
-  // sharded; shard boundaries are fixed fractions of the element count,
-  // never of the thread count, keeping the task list deterministic.
+
+  // The remaining whole-array scans are tasks too: each returns a Status
+  // into its own slot, first failure in slot order wins (the same ladder
+  // order as a serial pass). Reference captures are safe — `run` is
+  // synchronous, so every task finishes inside this frame.
+  // Per-key scans are sharded; shard boundaries are fixed fractions of the
+  // key count, never of the thread count, keeping the task list
+  // deterministic.
   std::vector<std::function<util::Status()>> checks;
-  constexpr uint64_t kPairShards = 8;
-  for (uint64_t s = 0; s < kPairShards && n > 1; ++s) {
-    const uint64_t begin = 1 + (n - 1) * s / kPairShards;
-    const uint64_t end = 1 + (n - 1) * (s + 1) / kPairShards;
-    if (begin >= end) continue;
-    checks.push_back([this, begin, end]() -> util::Status {
-      for (uint64_t i = begin; i < end; ++i) {
-        // Strictly increasing names over a full-length id array proves the
-        // section is a permutation and that names are unique.
-        if (NameAt(name_sorted_[i - 1]) >= NameAt(name_sorted_[i])) {
-          return util::InvalidArgumentError(
-              "snapshot name-sorted ids not sorted by name: " + path());
-        }
-      }
-      return util::Status::Ok();
-    });
-  }
-  const auto check_csr = [&](const Csr& csr, uint64_t rows, uint64_t entries,
-                             const char* what) -> util::Status {
-    if (csr.rows[0] != 0 || csr.rows[rows] != entries) {
-      return util::InvalidArgumentError(
-          util::StrFormat("snapshot %s rows do not cover the edges: %s", what,
-                          path().c_str()));
+  constexpr uint64_t kShards = 8;
+  const auto for_shards = [&](uint64_t first, uint64_t count, auto make) {
+    for (uint64_t s = 0; s < kShards && count > 0; ++s) {
+      const uint64_t begin = first + count * s / kShards;
+      const uint64_t end = first + count * (s + 1) / kShards;
+      if (begin < end) checks.push_back(make(begin, end));
     }
-    bool non_monotonic = false;
-    for (uint64_t i = 0; i < rows; ++i) {
-      non_monotonic |= csr.rows[i + 1] < csr.rows[i];
-    }
-    if (non_monotonic) {
-      return util::InvalidArgumentError(
-          util::StrFormat("snapshot %s rows not monotonic: %s", what,
-                          path().c_str()));
-    }
-    bool target_oor = false;
-    for (uint64_t k = 0; k < entries; ++k) {
-      target_oor |= csr.targets[k] >= n;
-    }
-    if (target_oor) {
-      return util::InvalidArgumentError(
-          util::StrFormat("snapshot %s target out of range: %s", what,
-                          path().c_str()));
-    }
-    bool source_oor = false;
-    for (uint64_t k = 0; k < entries; ++k) {
-      source_oor |= csr.sources[k] >= kNumSources;
-    }
-    if (source_oor) {
-      return util::InvalidArgumentError(
-          util::StrFormat("snapshot %s edge source out of range: %s", what,
-                          path().c_str()));
-    }
-    return util::Status::Ok();
   };
-  checks.push_back([&, this]() { return check_csr(hyper_, n, e, "hypernym"); });
-  checks.push_back([&, this]() { return check_csr(hypo_, n, e, "hyponym"); });
-  for (uint64_t s = 0; s < kPairShards && m > 1; ++s) {
-    const uint64_t begin = 1 + (m - 1) * s / kPairShards;
-    const uint64_t end = 1 + (m - 1) * (s + 1) / kPairShards;
-    if (begin >= end) continue;
-    checks.push_back([this, begin, end]() -> util::Status {
-      for (uint64_t i = begin; i < end; ++i) {
-        if (MentionAt(i - 1) >= MentionAt(i)) {
-          return util::InvalidArgumentError("snapshot mentions not sorted: " +
-                                            path());
-        }
+  // A hash section over `keys` keys: every slot is empty or names a key,
+  // exactly `keys` slots are filled (so an empty slot ends every probe),
+  // and each key is found along its own probe chain before an empty slot.
+  // A key passed on that chain with equal bytes is a duplicate. The shard
+  // probes re-check slot ranges themselves and stop after one lap, so a
+  // corrupt table is refused without an out-of-bounds read or an endless
+  // probe whichever task runs first.
+  const auto check_hash = [&](const uint32_t* slots, uint64_t mask,
+                              uint64_t keys, auto key_at, const char* what) {
+    checks.push_back([=]() -> util::Status {
+      uint64_t filled = 0;
+      bool out_of_range = false;
+      for (uint64_t s = 0; s <= mask; ++s) {
+        filled += slots[s] != kInvalidNode;
+        out_of_range |= slots[s] != kInvalidNode && slots[s] >= keys;
+      }
+      if (out_of_range) {
+        return util::InvalidArgumentError(util::StrFormat(
+            "snapshot %s hash slot out of range: %s", what, origin));
+      }
+      if (filled != keys) {
+        return util::InvalidArgumentError(util::StrFormat(
+            "snapshot %s hash holds %llu keys, expected %llu: %s", what,
+            static_cast<unsigned long long>(filled),
+            static_cast<unsigned long long>(keys), origin));
       }
       return util::Status::Ok();
     });
+    for_shards(0, keys, [=](uint64_t begin, uint64_t end) {
+      return [=]() -> util::Status {
+        for (uint64_t key = begin; key < end; ++key) {
+          const std::string_view bytes = key_at(key);
+          uint64_t slot = util::Fnv1a64(bytes) & mask;
+          for (uint64_t step = 0;; ++step, slot = (slot + 1) & mask) {
+            const uint32_t other = slots[slot];
+            if (other == key) break;
+            if (step > mask || other >= keys) {
+              return util::InvalidArgumentError(util::StrFormat(
+                  "snapshot %s hash does not reach key %llu: %s", what,
+                  static_cast<unsigned long long>(key), origin));
+            }
+            if (key_at(other) == bytes) {
+              return util::InvalidArgumentError(util::StrFormat(
+                  "snapshot %s hash holds duplicate keys: %s", what, origin));
+            }
+          }
+        }
+        return util::Status::Ok();
+      };
+    });
+  };
+  check_hash(name_slots_, name_mask_, n,
+             [this](uint64_t id) { return NameAt(static_cast<NodeId>(id)); },
+             "name");
+  const auto check_csr = [&](const Csr& csr, const char* what) {
+    checks.push_back([=]() -> util::Status {
+      if (csr.rows[0] != 0 || csr.rows[n] != e) {
+        return util::InvalidArgumentError(util::StrFormat(
+            "snapshot %s rows do not cover the edges: %s", what, origin));
+      }
+      bool non_monotonic = false;
+      for (uint64_t i = 0; i < n; ++i) {
+        non_monotonic |= csr.rows[i + 1] < csr.rows[i];
+      }
+      if (non_monotonic) {
+        return util::InvalidArgumentError(util::StrFormat(
+            "snapshot %s rows not monotonic: %s", what, origin));
+      }
+      bool target_oor = false;
+      for (uint64_t k = 0; k < e; ++k) target_oor |= csr.targets[k] >= n;
+      if (target_oor) {
+        return util::InvalidArgumentError(util::StrFormat(
+            "snapshot %s target out of range: %s", what, origin));
+      }
+      bool source_oor = false;
+      for (uint64_t k = 0; k < e; ++k) {
+        source_oor |= csr.sources[k] >= kNumSources;
+      }
+      if (source_oor) {
+        return util::InvalidArgumentError(util::StrFormat(
+            "snapshot %s edge source out of range: %s", what, origin));
+      }
+      return util::Status::Ok();
+    });
+  };
+  check_csr(hyper_, "hypernym");
+  check_csr(hypo_, "hyponym");
+  // Strictly increasing mentions: the arena order VisitMentions promises,
+  // and uniqueness for the mention hash.
+  if (m > 1) {
+    for_shards(1, m - 1, [this](uint64_t begin, uint64_t end) {
+      return [=, this]() -> util::Status {
+        for (uint64_t i = begin; i < end; ++i) {
+          if (MentionAt(static_cast<uint32_t>(i - 1)) >=
+              MentionAt(static_cast<uint32_t>(i))) {
+            return util::InvalidArgumentError(
+                "snapshot mentions not sorted: " + origin_);
+          }
+        }
+        return util::Status::Ok();
+      };
+    });
   }
-  checks.push_back([this, n, m]() -> util::Status {
-    if (mention_rows_[0] != 0 || mention_rows_[m] != num_mention_ids_) {
+  checks.push_back([=, this]() -> util::Status {
+    if (mention_rows_[0] != 0 || mention_rows_[m] != candidates) {
       return util::InvalidArgumentError(
-          "snapshot mention rows do not cover the candidate ids: " + path());
+          "snapshot mention rows do not cover the candidate ids: " + origin_);
     }
     bool rows_non_monotonic = false;
     for (uint64_t i = 0; i < m; ++i) {
@@ -529,135 +619,38 @@ util::Status Snapshot::Init() {
     }
     if (rows_non_monotonic) {
       return util::InvalidArgumentError(
-          "snapshot mention rows not monotonic: " + path());
+          "snapshot mention rows not monotonic: " + origin_);
     }
     bool candidate_oor = false;
-    for (uint64_t k = 0; k < num_mention_ids_; ++k) {
+    for (uint64_t k = 0; k < candidates; ++k) {
       candidate_oor |= mention_ids_[k] >= n;
     }
     if (candidate_oor) {
       return util::InvalidArgumentError(
-          "snapshot mention candidate id out of range: " + path());
+          "snapshot mention candidate id out of range: " + origin_);
     }
     return util::Status::Ok();
   });
+  check_hash(mention_slots_, mention_mask_, m,
+             [this](uint64_t i) {
+               return MentionAt(static_cast<uint32_t>(i));
+             },
+             "mention");
   std::vector<util::Status> verdicts(checks.size());
-  util::ParallelFor(checks.size(),
-                    [&](size_t i) { verdicts[i] = checks[i](); });
+  run(checks.size(), [&](size_t i) { verdicts[i] = checks[i](); });
   for (const util::Status& status : verdicts) {
     CNPB_RETURN_IF_ERROR(status);
   }
   return util::Status::Ok();
 }
 
-std::string_view Snapshot::NameAt(NodeId id) const {
-  const uint64_t begin = name_offsets_[id];
-  return std::string_view(name_bytes_ + begin, name_offsets_[id + 1] - begin);
-}
-
-std::string_view Snapshot::MentionAt(uint32_t index) const {
-  const uint64_t begin = mention_offsets_[index];
-  return std::string_view(mention_bytes_ + begin,
-                          mention_offsets_[index + 1] - begin);
-}
-
-NodeId Snapshot::Find(std::string_view name) const {
-  size_t lo = 0;
-  size_t hi = num_nodes_;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (NameAt(name_sorted_[mid]) < name) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo < num_nodes_ && NameAt(name_sorted_[lo]) == name) {
-    return name_sorted_[lo];
-  }
-  return kInvalidNode;
-}
-
-std::string_view Snapshot::Name(NodeId id) const {
-  CNPB_CHECK(id < num_nodes_);
-  return NameAt(id);
-}
-
-NodeKind Snapshot::Kind(NodeId id) const {
-  CNPB_CHECK(id < num_nodes_);
-  return static_cast<NodeKind>(kinds_[id]);
-}
-
-size_t Snapshot::NumHypernyms(NodeId id) const {
-  if (id >= num_nodes_) return 0;
-  return hyper_.rows[id + 1] - hyper_.rows[id];
-}
-
-size_t Snapshot::NumHyponyms(NodeId id) const {
-  if (id >= num_nodes_) return 0;
-  return hypo_.rows[id + 1] - hypo_.rows[id];
-}
-
-void Snapshot::VisitAdjacent(
-    const Csr& csr, NodeId id,
-    const std::function<bool(const HalfEdge&)>& fn) const {
-  if (id >= num_nodes_) return;
-  const uint64_t end = csr.rows[id + 1];
-  for (uint64_t k = csr.rows[id]; k < end; ++k) {
-    if (!fn(HalfEdge{csr.targets[k], static_cast<Source>(csr.sources[k]),
-                     csr.scores[k]})) {
-      return;
-    }
-  }
-}
-
-void Snapshot::VisitHypernyms(
-    NodeId id, const std::function<bool(const HalfEdge&)>& fn) const {
-  VisitAdjacent(hyper_, id, fn);
-}
-
-void Snapshot::VisitHyponyms(
-    NodeId id, const std::function<bool(const HalfEdge&)>& fn) const {
-  VisitAdjacent(hypo_, id, fn);
-}
-
-uint32_t Snapshot::FindMentionIndex(std::string_view mention) const {
-  uint32_t lo = 0;
-  uint32_t hi = num_mentions_;
-  while (lo < hi) {
-    const uint32_t mid = lo + (hi - lo) / 2;
-    if (MentionAt(mid) < mention) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo < num_mentions_ && MentionAt(lo) == mention) return lo;
-  return num_mentions_;
-}
-
-bool Snapshot::HasMention(std::string_view mention) const {
-  return FindMentionIndex(mention) != num_mentions_;
-}
-
-std::vector<NodeId> Snapshot::MentionCandidates(
-    std::string_view mention) const {
-  const uint32_t index = FindMentionIndex(mention);
-  if (index == num_mentions_) return {};
-  return std::vector<NodeId>(mention_ids_ + mention_rows_[index],
-                             mention_ids_ + mention_rows_[index + 1]);
-}
-
-void Snapshot::VisitMentions(
-    const std::function<bool(std::string_view, const NodeId*, size_t)>& fn)
-    const {
-  for (uint32_t i = 0; i < num_mentions_; ++i) {
-    const uint64_t begin = mention_rows_[i];
-    if (!fn(MentionAt(i), mention_ids_ + begin,
-            static_cast<size_t>(mention_rows_[i + 1] - begin))) {
-      return;
-    }
-  }
+util::Status WriteSnapshot(const ServingView& view, const std::string& path) {
+  util::AtomicWriteOptions options;
+  options.checksum_footer = false;  // per-section CRCs supersede the footer
+  options.fault_prefix = "snapshot";
+  util::AtomicFileWriter writer(path, options);
+  writer.Append(view.bytes());
+  return writer.Commit();
 }
 
 util::Result<Taxonomy> MaterializeTaxonomy(const ServingView& view) {
@@ -703,10 +696,8 @@ util::Status ResealSnapshotHeader(std::string* bytes) {
   if (bytes->size() < SnapshotPreludeSize()) {
     return util::InvalidArgumentError("bytes too short to reseal");
   }
-  PutPod<uint32_t>(bytes, kOffHeaderCrc, 0);
-  PutPod<uint32_t>(bytes, kOffHeaderCrc,
-                   util::Crc32c(std::string_view(bytes->data(),
-                                                SnapshotPreludeSize())));
+  uint8_t* const base = reinterpret_cast<uint8_t*>(bytes->data());
+  PutPod<uint32_t>(base + kOffHeaderCrc, PreludeCrc(base));
   return util::Status::Ok();
 }
 
@@ -726,9 +717,9 @@ util::Status ResealSnapshotSection(std::string* bytes, uint32_t id) {
   }
   const uint32_t crc = util::Crc32c(
       std::string_view(bytes->data() + info.offset, info.size));
-  PutPod<uint32_t>(bytes,
-                   kSnapshotHeaderSize + id * kSnapshotSectionEntrySize + 4,
-                   crc);
+  PutPod<uint32_t>(
+      bytes->data() + kSnapshotHeaderSize + id * kSnapshotSectionEntrySize + 4,
+      crc);
   return ResealSnapshotHeader(bytes);
 }
 

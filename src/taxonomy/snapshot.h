@@ -1,45 +1,47 @@
 #ifndef CNPROBASE_TAXONOMY_SNAPSHOT_H_
 #define CNPROBASE_TAXONOMY_SNAPSHOT_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "taxonomy/taxonomy.h"
 #include "taxonomy/view.h"
-#include "util/mmap_file.h"
 #include "util/status.h"
 
 namespace cnpb::taxonomy {
 
-// Zero-copy binary snapshot of one taxonomy version (DESIGN.md §10).
+// The CNPBSNP binary format (DESIGN.md §10): the one representation every
+// published ServingView serves from, whether encoded in memory at publish
+// time (ServingView::Encode) or mmap'd from disk (ServingView::Load).
 //
-// A snapshot is an immutable on-disk image of a ServingView: node kinds, an
-// offset-indexed string arena, structure-of-arrays CSR adjacency for both
-// edge directions, and a sorted offset-array mention index. Loading is one
-// mmap plus header/CRC validation — no per-row parsing, no hash-map
-// rebuild — so a server cold-starts in milliseconds and queries run by
-// binary search and array indexing straight off the mapped pages.
+// A snapshot holds node kinds, an offset-indexed string arena,
+// structure-of-arrays CSR adjacency for both edge directions, a sorted
+// mention arena with CSR candidate lists, and two open-addressed hash
+// tables (names, mentions). Loading is one mmap plus header/CRC/structure
+// validation — no per-row parsing, no hash-map rebuild — and queries run by
+// one hash probe and array indexing straight off the bytes.
 //
-// On-disk layout (all integers in host byte order; a foreign-endian file
-// fails the format-version check):
+// Layout (all integers in host byte order; a foreign-endian file fails the
+// format-version check):
 //
 //   [0,48)    fixed header: magic "CNPBSNP1", format version, section
 //             count, num_nodes, num_mentions, num_edges, total file size,
 //             header CRC-32C (computed with the CRC field zeroed, covering
 //             header + section table)
-//   [48,432)  section table: 16 entries of {id u32, crc32c u32, offset u64,
+//   [48,456)  section table: 17 entries of {id u32, crc32c u32, offset u64,
 //             size u64}, in id order
-//   [432,..)  sections, each at an 8-byte-aligned offset, zero-padded
+//   [456,..)  sections, each at an 8-byte-aligned offset, zero-padded
 //             between, laid out in id order:
 //
 //   id  section             contents
 //    0  kinds               u8[num_nodes]            NodeKind per node
 //    1  name offsets        u64[num_nodes+1]         into the name arena
 //    2  name bytes          string arena (node names, id order)
-//    3  name-sorted ids     u32[num_nodes]           node ids by name bytes
+//    3  name hash           u32[SnapshotHashSlots(num_nodes)]   node ids
 //    4  hypernym rows       u64[num_nodes+1]         CSR row starts
 //    5  hypernym targets    u32[num_edges]
 //    6  hypernym sources    u8[num_edges]
@@ -51,28 +53,36 @@ namespace cnpb::taxonomy {
 //   12  mention offsets     u64[num_mentions+1]      into the mention arena
 //   13  mention bytes       string arena (mentions, sorted byte order)
 //   14  mention rows        u64[num_mentions+1]      CSR into candidate ids
-//   15  mention ids         u32[total candidates]
+//   15  mention ids         u32[total candidates]    each < num_nodes
+//   16  mention hash        u32[SnapshotHashSlots(num_mentions)] mention
+//                           indices
+//
+// Hash sections: a power-of-two slot count of at least twice the key
+// count; a key's home slot is util::Fnv1a64(key) & (slots - 1), collisions
+// probe linearly, and kInvalidNode marks an empty slot. The writer inserts
+// keys in index order, so the table is a pure function of the keys.
 //
 // Edges are stored in canonical serialization order: the global sequence is
 // hypernym rows in node-id order with per-row order preserved, and the
 // hyponym CSR replays that same sequence bucketed by hypernym — exactly the
-// structure LoadTaxonomy produces from a TSV file, so heap- and
-// snapshot-backed services answer identically (including result order).
+// structure LoadTaxonomy produces from a TSV file, so a freshly built
+// taxonomy and its TSV-reloaded copy encode to identical bytes.
 //
 // Integrity: a load validates magic/version/counts, the header CRC (which
 // seals the section table, so a corrupted offset or stored section CRC is
-// caught), per-section CRC-32C over every payload, and full structural
-// bounds (monotonic offset arrays, edge targets < num_nodes, sources <
-// kNumSources, sorted unique names/mentions). Verdicts: kInvalidArgument
-// for files that are not structurally a snapshot (bad magic/version/
-// layout), kDataLoss for integrity failures (truncation, trailing bytes,
-// CRC mismatch). A corrupt snapshot is never served and never read out of
-// bounds (tests/snapshot_robustness_test.cc holds every corruption to
-// that).
+// caught), per-section CRC-32C over every payload, and full structure
+// (monotonic offset arrays, edge targets and mention candidates <
+// num_nodes, sources < kNumSources, strictly sorted mentions, hash slots in
+// range with exactly one slot per key, every key reachable along its own
+// probe chain, unique names). Verdicts: kInvalidArgument for bytes that
+// are not structurally a snapshot (bad magic/version/layout), kDataLoss for
+// integrity failures (truncation, trailing bytes, CRC mismatch). A corrupt
+// snapshot is never served and never read out of bounds
+// (tests/snapshot_robustness_test.cc holds every corruption to that).
 
 inline constexpr std::string_view kSnapshotMagic = "CNPBSNP1";
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
-inline constexpr uint32_t kSnapshotSectionCount = 16;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
+inline constexpr uint32_t kSnapshotSectionCount = 17;
 inline constexpr size_t kSnapshotHeaderSize = 48;
 inline constexpr size_t kSnapshotSectionEntrySize = 24;
 
@@ -80,6 +90,11 @@ inline constexpr size_t kSnapshotSectionEntrySize = 24;
 constexpr size_t SnapshotPreludeSize() {
   return kSnapshotHeaderSize +
          kSnapshotSectionCount * kSnapshotSectionEntrySize;
+}
+
+// Slot count of a hash section over `keys` keys.
+constexpr uint64_t SnapshotHashSlots(uint64_t keys) {
+  return std::bit_ceil(std::max<uint64_t>(2 * keys, 1));
 }
 
 // One parsed section-table entry (format tooling / corruption tests).
@@ -90,98 +105,15 @@ struct SnapshotSectionInfo {
   uint64_t size = 0;
 };
 
-// Serializes `view` into snapshot bytes (the writer's in-memory half).
-std::string SerializeSnapshot(const ServingView& view);
-
-// Writes `view` as a snapshot via util::AtomicFileWriter: the destination
-// only ever holds a previous complete snapshot or the new complete one,
-// never a torn prefix. Fault points: snapshot.write / snapshot.fsync /
+// Writes view.bytes() via util::AtomicFileWriter: the destination only
+// ever holds a previous complete snapshot or the new complete one, never a
+// torn prefix. Fault points: snapshot.write / snapshot.fsync /
 // snapshot.rename.
 util::Status WriteSnapshot(const ServingView& view, const std::string& path);
 
-// Convenience writer from a frozen Taxonomy plus its mention index.
-util::Status WriteSnapshot(const Taxonomy& taxonomy, MentionIndex mentions,
-                           const std::string& path);
-
-// An mmap-backed snapshot, directly usable as a published serving version
-// (ApiService::Publish accepts it as a ServingView). All queries read the
-// mapped pages; the file must not be modified while mapped (writers always
-// replace via rename, never write in place).
-class Snapshot final : public ServingView {
- public:
-  // mmaps `path` and validates it (see integrity notes above). Errors:
-  //   kIoError          unreadable/unmappable file (or injected
-  //                     snapshot.load.read fault)
-  //   kInvalidArgument  not structurally a snapshot
-  //   kDataLoss         integrity failure (truncated, corrupt, trailing
-  //                     bytes)
-  static util::Result<std::shared_ptr<const Snapshot>> Load(
-      const std::string& path);
-
-  size_t num_nodes() const override { return num_nodes_; }
-  size_t num_edges() const override { return num_edges_; }
-  NodeId Find(std::string_view name) const override;
-  std::string_view Name(NodeId id) const override;
-  NodeKind Kind(NodeId id) const override;
-  size_t NumHypernyms(NodeId id) const override;
-  size_t NumHyponyms(NodeId id) const override;
-  void VisitHypernyms(
-      NodeId id,
-      const std::function<bool(const HalfEdge&)>& fn) const override;
-  void VisitHyponyms(
-      NodeId id,
-      const std::function<bool(const HalfEdge&)>& fn) const override;
-
-  size_t num_mentions() const override { return num_mentions_; }
-  bool HasMention(std::string_view mention) const override;
-  std::vector<NodeId> MentionCandidates(
-      std::string_view mention) const override;
-  void VisitMentions(
-      const std::function<bool(std::string_view, const NodeId*, size_t)>& fn)
-      const override;
-
-  const std::string& path() const { return file_.path(); }
-  size_t file_bytes() const { return file_.size(); }
-
- private:
-  struct Csr {
-    const uint64_t* rows = nullptr;     // num rows + 1 entries
-    const uint32_t* targets = nullptr;
-    const uint8_t* sources = nullptr;
-    const float* scores = nullptr;
-  };
-
-  Snapshot() = default;
-
-  // Validates the mapped bytes and resolves the section pointers.
-  util::Status Init();
-  std::string_view NameAt(NodeId id) const;
-  std::string_view MentionAt(uint32_t index) const;
-  // Index into the mention arrays, or num_mentions_ when absent.
-  uint32_t FindMentionIndex(std::string_view mention) const;
-  void VisitAdjacent(const Csr& csr, NodeId id,
-                     const std::function<bool(const HalfEdge&)>& fn) const;
-
-  util::MmapFile file_;
-  uint32_t num_nodes_ = 0;
-  uint32_t num_mentions_ = 0;
-  uint64_t num_edges_ = 0;
-  uint64_t num_mention_ids_ = 0;
-  const uint8_t* kinds_ = nullptr;
-  const uint64_t* name_offsets_ = nullptr;
-  const char* name_bytes_ = nullptr;
-  const uint32_t* name_sorted_ = nullptr;
-  Csr hyper_;
-  Csr hypo_;
-  const uint64_t* mention_offsets_ = nullptr;
-  const char* mention_bytes_ = nullptr;
-  const uint64_t* mention_rows_ = nullptr;
-  const uint32_t* mention_ids_ = nullptr;
-};
-
-// Rebuilds a mutable Taxonomy from any serving view (snapshot -> heap
-// compatibility path: stats tooling, TSV re-export). The result is
-// structurally identical to LoadTaxonomy of the equivalent TSV file.
+// Rebuilds a mutable Taxonomy from a serving view (stats tooling, TSV
+// re-export). The result is structurally identical to LoadTaxonomy of the
+// equivalent TSV file.
 util::Result<Taxonomy> MaterializeTaxonomy(const ServingView& view);
 
 // --- Format tooling (used by the corruption tests and snapshot tools) ---

@@ -1,17 +1,12 @@
 #include "taxonomy/view.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "util/logging.h"
-
 namespace cnpb::taxonomy {
 
 std::vector<NodeId> ServingView::TransitiveHypernyms(NodeId id,
                                                      size_t limit) const {
   std::vector<NodeId> result;
-  if (id >= num_nodes()) return result;
-  std::vector<bool> seen(num_nodes(), false);
+  if (id >= num_nodes_) return result;
+  std::vector<bool> seen(num_nodes_, false);
   std::vector<NodeId> frontier = {id};
   seen[id] = true;
   while (!frontier.empty() && result.size() < limit) {
@@ -27,54 +22,6 @@ std::vector<NodeId> ServingView::TransitiveHypernyms(NodeId id,
     });
   }
   return result;
-}
-
-HeapServingView::HeapServingView(std::shared_ptr<const Taxonomy> taxonomy,
-                                 MentionIndex mentions)
-    : taxonomy_(std::move(taxonomy)), mentions_(std::move(mentions)) {
-  CNPB_CHECK(taxonomy_ != nullptr);
-}
-
-void HeapServingView::VisitHypernyms(
-    NodeId id, const std::function<bool(const HalfEdge&)>& fn) const {
-  if (id >= taxonomy_->num_nodes()) return;
-  for (const IsaEdge& edge : taxonomy_->Hypernyms(id)) {
-    if (!fn(HalfEdge{edge.hyper, edge.source, edge.score})) return;
-  }
-}
-
-void HeapServingView::VisitHyponyms(
-    NodeId id, const std::function<bool(const HalfEdge&)>& fn) const {
-  if (id >= taxonomy_->num_nodes()) return;
-  for (const IsaEdge& edge : taxonomy_->Hyponyms(id)) {
-    if (!fn(HalfEdge{edge.hypo, edge.source, edge.score})) return;
-  }
-}
-
-bool HeapServingView::HasMention(std::string_view mention) const {
-  return mentions_.find(std::string(mention)) != mentions_.end();
-}
-
-std::vector<NodeId> HeapServingView::MentionCandidates(
-    std::string_view mention) const {
-  auto it = mentions_.find(std::string(mention));
-  return it == mentions_.end() ? std::vector<NodeId>() : it->second;
-}
-
-void HeapServingView::VisitMentions(
-    const std::function<bool(std::string_view, const NodeId*, size_t)>& fn)
-    const {
-  // The hash map has no stable order; sort keys so iteration (and therefore
-  // the snapshot writer's mention section) is deterministic.
-  std::vector<const std::string*> keys;
-  keys.reserve(mentions_.size());
-  for (const auto& [mention, ids] : mentions_) keys.push_back(&mention);
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  for (const std::string* key : keys) {
-    const std::vector<NodeId>& ids = mentions_.at(*key);
-    if (!fn(*key, ids.data(), ids.size())) return;
-  }
 }
 
 }  // namespace cnpb::taxonomy

@@ -14,7 +14,8 @@ namespace cnpb::util {
 // read-only; the mapping (and therefore every pointer into it) stays valid
 // until the object is destroyed or moved-from. The kernel pages bytes in on
 // demand, so "loading" a file this way costs one open/fstat/mmap regardless
-// of file size — the zero-copy substrate under taxonomy::Snapshot.
+// of file size — the zero-copy substrate under
+// taxonomy::ServingView::Load.
 //
 // A zero-length file maps to {data() == nullptr, size() == 0} rather than an
 // error; callers that need a non-empty payload must check size() themselves.

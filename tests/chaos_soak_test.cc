@@ -200,14 +200,15 @@ TEST_P(ChaosSoakTest, SurvivesFaultScheduleCoherently) {
     // lose to injected faults, but whatever Load finds must be a complete
     // earlier snapshot (kIoError when none exists or reads are faulted) —
     // never a torn or checksum-invalid one.
-    const taxonomy::Taxonomy snap_gen = MakeGeneration(gen);
+    const auto snap_gen =
+        taxonomy::ServingView::Encode(MakeGeneration(gen), {});
     const util::Status snap_saved = util::Retry(util::RetryOptions{}, [&] {
-      return taxonomy::WriteSnapshot(snap_gen, {}, snapshot_path);
+      return taxonomy::WriteSnapshot(*snap_gen, snapshot_path);
     });
     int snap_loadable_gen = 0;
-    std::shared_ptr<const taxonomy::Snapshot> snap_view;
+    std::shared_ptr<const taxonomy::ServingView> snap_view;
     {
-      auto snap_loaded = taxonomy::Snapshot::Load(snapshot_path);
+      auto snap_loaded = taxonomy::ServingView::Load(snapshot_path);
       if (snap_loaded.ok()) {
         snap_view = *snap_loaded;
         const taxonomy::NodeId marker = snap_view->Find("marker");
@@ -232,17 +233,18 @@ TEST_P(ChaosSoakTest, SurvivesFaultScheduleCoherently) {
       }
     }
 
-    // Publish the new generation while the readers run, alternating the
-    // backend: odd rounds install a heap view, even rounds the mmap
-    // snapshot just loaded (when its generation is current — a stale or
-    // missing snapshot must not roll the served generation back). The
+    // Publish the new generation while the readers run, alternating how
+    // its bytes arrive: odd rounds publish the Taxonomy (encoded in
+    // memory), even rounds the mmap snapshot just loaded (when its
+    // generation is current — a stale or missing snapshot must not roll
+    // the served generation back). The
     // ceiling is advanced first: a reader must never observe a generation
     // above it, and raising it a moment early is safe while raising it
     // late is not.
     if (gen > 1) {
       published_gen.store(gen, std::memory_order_release);
       if (gen % 2 == 0 && snap_view && snap_loadable_gen == gen) {
-        api.Publish(std::shared_ptr<const taxonomy::ServingView>(snap_view));
+        api.Publish(snap_view);
       } else {
         api.Publish(taxonomy::Taxonomy::Freeze(MakeGeneration(gen)), {});
       }

@@ -54,17 +54,16 @@ Taxonomy MakeTaxonomyB() {
   return t;
 }
 
-std::shared_ptr<const taxonomy::HeapServingView> ViewA() {
-  Taxonomy t = MakeTaxonomyA();
+std::shared_ptr<const taxonomy::ServingView> ViewA() {
+  const Taxonomy t = MakeTaxonomyA();
   taxonomy::MentionIndex mentions;
   mentions["主公"].push_back(t.Find("刘备"));
-  return std::make_shared<taxonomy::HeapServingView>(
-      Taxonomy::Freeze(std::move(t)), std::move(mentions));
+  return taxonomy::ServingView::Encode(t, mentions);
 }
 
-std::shared_ptr<const taxonomy::HeapServingView> ViewB() {
-  return std::make_shared<taxonomy::HeapServingView>(
-      Taxonomy::Freeze(MakeTaxonomyB()), taxonomy::MentionIndex{});
+std::shared_ptr<const taxonomy::ServingView> ViewB() {
+  return taxonomy::ServingView::Encode(MakeTaxonomyB(),
+                                       taxonomy::MentionIndex{});
 }
 
 // Handlers are plain functions of HttpRequest, so routing tests hand-build

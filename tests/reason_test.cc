@@ -29,9 +29,8 @@ using taxonomy::Source;
 using taxonomy::Taxonomy;
 using taxonomy::kInvalidNode;
 
-std::shared_ptr<const taxonomy::HeapServingView> MakeView(Taxonomy t) {
-  return std::make_shared<taxonomy::HeapServingView>(
-      Taxonomy::Freeze(std::move(t)), taxonomy::MentionIndex{});
+std::shared_ptr<const taxonomy::ServingView> MakeView(const Taxonomy& t) {
+  return taxonomy::ServingView::Encode(t, taxonomy::MentionIndex{});
 }
 
 // ------------------------------------------------------------ isA closure
@@ -39,7 +38,7 @@ std::shared_ptr<const taxonomy::HeapServingView> MakeView(Taxonomy t) {
 TEST(IsaClosureTest, SelfAndDirectEdge) {
   Taxonomy t;
   t.AddIsa("e", "c1", Source::kTag, 0.9f);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
   const NodeId e = view->Find("e");
   const NodeId c1 = view->Find("c1");
 
@@ -65,7 +64,7 @@ TEST(IsaClosureTest, MinimalDepthWinsAndWitnessPathMatchesIt) {
   t.AddIsa("c1", "c2", Source::kTag, 0.8f);
   t.AddIsa("c2", "c3", Source::kTag, 0.7f);
   t.AddIsa("e", "c2", Source::kTag, 0.6f);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
   const NodeId e = view->Find("e");
   const NodeId c2 = view->Find("c2");
   const NodeId c3 = view->Find("c3");
@@ -84,7 +83,7 @@ TEST(IsaClosureTest, MaxDepthBoundsTheSearch) {
   t.AddIsa("a", "b1", Source::kTag, 0.9f);
   t.AddIsa("b1", "b2", Source::kTag, 0.9f);
   t.AddIsa("b2", "b3", Source::kTag, 0.9f);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
   const NodeId a = view->Find("a");
   const NodeId b3 = view->Find("b3");
 
@@ -101,7 +100,7 @@ TEST(IsaClosureTest, MaxDepthBoundsTheSearch) {
 TEST(IsaClosureTest, OutOfRangeIdsAreUnreached) {
   Taxonomy t;
   t.AddIsa("e", "c", Source::kTag, 0.9f);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
   const NodeId bogus = static_cast<NodeId>(view->num_nodes() + 7);
   EXPECT_FALSE(IsaClosure(*view, bogus, view->Find("c"), 4).reached);
   EXPECT_FALSE(IsaClosure(*view, view->Find("e"), bogus, 4).reached);
@@ -118,7 +117,7 @@ TEST(CyclicTaxonomyTest, AllTraversalsTerminateWithMinimalDepths) {
   t.AddIsa("B", "C", Source::kTag, 0.8f);
   t.AddIsa("C", "A", Source::kTag, 0.7f);
   t.AddIsa("D", "A", Source::kTag, 0.6f);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
   const NodeId a = view->Find("A");
   const NodeId b = view->Find("B");
   const NodeId c = view->Find("C");
@@ -180,7 +179,7 @@ TEST(AncestorsTest, DepthTagsLevelOrderAndLimit) {
   t.AddIsa("x", "r", Source::kTag, 0.8f);
   t.AddIsa("l", "t", Source::kTag, 0.7f);
   t.AddIsa("r", "t", Source::kTag, 0.6f);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
   const NodeId x = view->Find("x");
 
   const std::vector<Ancestor> all = Ancestors(*view, x, 8);
@@ -207,7 +206,7 @@ TEST(LcaTest, SelfParentAndSiblings) {
   t.AddIsa("s1", "p", Source::kTag, 0.9f);
   t.AddIsa("s2", "p", Source::kTag, 0.9f);
   t.AddIsa("p", "g", Source::kTag, 0.9f);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
 
   const LcaResult self =
       LowestCommonAncestor(*view, view->Find("child"), view->Find("child"), 8);
@@ -241,7 +240,7 @@ TEST(LcaTest, TieBreaksOnSmallestIdAndRespectsMaxDepth) {
   t.AddIsa("ca", "r", Source::kTag, 0.9f);
   t.AddIsa("cb", "r", Source::kTag, 0.9f);
   t.AddNode("loner", taxonomy::NodeKind::kEntity);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
 
   const LcaResult tie =
       LowestCommonAncestor(*view, view->Find("s1"), view->Find("s2"), 8);
@@ -280,7 +279,7 @@ TEST(SimilarEntitiesTest, JaccardRankingWithEdgeScoreTieBreak) {
   t.AddIsa("tb", "c1", Source::kTag, 0.3f);
   // stranger shares nothing with e and must not appear.
   t.AddIsa("stranger", "c3", Source::kTag, 0.9f);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
   const NodeId e = view->Find("e");
 
   const std::vector<Scored> ranked = SimilarEntities(*view, e, 10);
@@ -317,7 +316,7 @@ TEST(ExpandConceptTest, RanksCandidatesByChildHypernymProfile) {
   t.AddIsa("y", "Q", Source::kTag, 0.8f);
   // z is the expansion candidate: under Q but not yet under P.
   t.AddIsa("z", "Q", Source::kTag, 0.7f);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
 
   const std::vector<Scored> ranked = ExpandConcept(*view, view->Find("P"), 10);
   ASSERT_EQ(ranked.size(), 1u);
@@ -332,7 +331,7 @@ TEST(ExpandConceptTest, ChildlessSeedFallsBackToItsOwnHypernyms) {
   Taxonomy t;
   t.AddIsa("C", "G", Source::kTag, 0.9f);
   t.AddIsa("S", "G", Source::kTag, 0.8f);
-  auto view = MakeView(std::move(t));
+  auto view = MakeView(t);
   // C has no children: the profile degrades to C's own hypernyms {G} and
   // ranks C's sibling S instead of returning nothing.
   const std::vector<Scored> ranked = ExpandConcept(*view, view->Find("C"), 10);

@@ -2,10 +2,11 @@
 // snapshot file can be damaged or hand-crafted wrong — truncation at every
 // section boundary, flipped payload bytes, flipped CRCs, bad magic,
 // oversized offsets, zero-length files, trailing garbage, out-of-range
-// indices — must yield a clean kDataLoss / kInvalidArgument status, never a
-// crash or an out-of-bounds read (the asan CI job holds the loader to
-// that). Torn-write injection at the end proves a failed WriteSnapshot
-// never leaves a loadable-but-wrong file behind.
+// indices, malformed hash sections — must yield a clean kDataLoss /
+// kInvalidArgument status, never a crash, an endless probe or an
+// out-of-bounds read (the asan CI job holds the loader to that).
+// Torn-write injection at the end proves a failed WriteSnapshot never
+// leaves a loadable-but-wrong file behind.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include "taxonomy/taxonomy.h"
 #include "taxonomy/view.h"
 #include "util/atomic_file.h"
+#include "util/hash.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
 
@@ -36,9 +38,7 @@ std::string ValidSnapshotBytes() {
   taxonomy::MentionIndex mentions;
   mentions["华仔"] = {t.Find("刘德华")};
   mentions["歌手"] = {t.Find("刘德华"), t.Find("周杰伦")};
-  auto frozen = taxonomy::Taxonomy::Freeze(std::move(t));
-  return taxonomy::SerializeSnapshot(
-      taxonomy::HeapServingView(frozen, std::move(mentions)));
+  return std::string(taxonomy::ServingView::Encode(t, mentions)->bytes());
 }
 
 std::string WriteBytes(const std::string& name, const std::string& bytes) {
@@ -54,7 +54,7 @@ std::string WriteBytes(const std::string& name, const std::string& bytes) {
 // asan this doubles as an out-of-bounds probe.
 void ExpectRejected(const std::string& name, const std::string& bytes) {
   const std::string path = WriteBytes(name, bytes);
-  auto snap = taxonomy::Snapshot::Load(path);
+  auto snap = taxonomy::ServingView::Load(path);
   ASSERT_FALSE(snap.ok()) << name << " loaded successfully";
   const util::StatusCode code = snap.status().code();
   EXPECT_TRUE(code == util::StatusCode::kInvalidArgument ||
@@ -67,7 +67,7 @@ void ExpectRejected(const std::string& name, const std::string& bytes) {
 void ExpectRejectedWith(const std::string& name, const std::string& bytes,
                         util::StatusCode want) {
   const std::string path = WriteBytes(name, bytes);
-  auto snap = taxonomy::Snapshot::Load(path);
+  auto snap = taxonomy::ServingView::Load(path);
   ASSERT_FALSE(snap.ok()) << name << " loaded successfully";
   EXPECT_EQ(snap.status().code(), want)
       << name << ": " << snap.status().ToString();
@@ -83,7 +83,7 @@ void Patch(std::string* bytes, size_t offset, T value) {
 TEST(SnapshotRobustnessTest, ValidFileLoads) {
   const std::string bytes = ValidSnapshotBytes();
   const std::string path = WriteBytes("valid.snap", bytes);
-  auto snap = taxonomy::Snapshot::Load(path);
+  auto snap = taxonomy::ServingView::Load(path);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_EQ((*snap)->num_nodes(), 5u);
   EXPECT_EQ((*snap)->num_edges(), 5u);
@@ -91,8 +91,8 @@ TEST(SnapshotRobustnessTest, ValidFileLoads) {
 }
 
 TEST(SnapshotRobustnessTest, MissingFileIsIoError) {
-  auto snap = taxonomy::Snapshot::Load(::testing::TempDir() +
-                                       "/does_not_exist.snap");
+  auto snap = taxonomy::ServingView::Load(::testing::TempDir() +
+                                          "/does_not_exist.snap");
   ASSERT_FALSE(snap.ok());
   EXPECT_EQ(snap.status().code(), util::StatusCode::kIoError);
 }
@@ -111,11 +111,16 @@ TEST(SnapshotRobustnessTest, BadMagicRejected) {
 }
 
 TEST(SnapshotRobustnessTest, UnsupportedVersionRejected) {
-  std::string bytes = ValidSnapshotBytes();
-  Patch<uint32_t>(&bytes, 8, taxonomy::kSnapshotFormatVersion + 1);
-  ASSERT_TRUE(taxonomy::ResealSnapshotHeader(&bytes).ok());
-  ExpectRejectedWith("version.snap", bytes,
-                     util::StatusCode::kInvalidArgument);
+  // Version 1 files (binary-searched names, no hash sections) are refused
+  // by the version gate, as is any future version.
+  ASSERT_EQ(taxonomy::kSnapshotFormatVersion, 2u);
+  for (const uint32_t version : {1u, taxonomy::kSnapshotFormatVersion + 1}) {
+    std::string bytes = ValidSnapshotBytes();
+    Patch<uint32_t>(&bytes, 8, version);
+    ASSERT_TRUE(taxonomy::ResealSnapshotHeader(&bytes).ok());
+    ExpectRejectedWith("version" + std::to_string(version) + ".snap", bytes,
+                       util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(SnapshotRobustnessTest, BadSectionCountRejected) {
@@ -189,7 +194,7 @@ TEST(SnapshotRobustnessTest, OversizedSectionOffsetsRejected) {
        {static_cast<uint64_t>(valid.size()), ~uint64_t{0},
         ~uint64_t{0} - 64, static_cast<uint64_t>(valid.size()) * 2}) {
     std::string bytes = valid;
-    // Section 3 (name-sorted ids): point it past the end / at overflow bait.
+    // Section 3 (name hash): point it past the end / at overflow bait.
     const size_t entry = taxonomy::kSnapshotHeaderSize +
                          3 * taxonomy::kSnapshotSectionEntrySize;
     Patch<uint64_t>(&bytes, entry + 8, evil);
@@ -265,21 +270,183 @@ TEST(SnapshotRobustnessTest, NonMonotonicNameOffsetsRejected) {
                      util::StatusCode::kInvalidArgument);
 }
 
-TEST(SnapshotRobustnessTest, UnsortedNamePermutationRejected) {
-  std::string bytes = ValidSnapshotBytes();
+// --- Hash sections (3: names, 16: mentions) ---------------------------------
+
+constexpr uint32_t kNameHash = 3;
+constexpr uint32_t kMentionHash = 16;
+
+uint32_t ReadU32(const std::string& bytes, size_t offset) {
+  uint32_t value;
+  std::memcpy(&value, bytes.data() + offset, 4);
+  return value;
+}
+
+uint64_t ReadU64(const std::string& bytes, size_t offset) {
+  uint64_t value;
+  std::memcpy(&value, bytes.data() + offset, 8);
+  return value;
+}
+
+// The keys a hash section indexes, read from the current arena bytes:
+// node names (sections 1/2) or mentions (sections 12/13).
+std::vector<std::string> HashKeys(const std::string& bytes, uint32_t hash) {
   auto sections = taxonomy::ReadSnapshotSections(bytes);
-  ASSERT_TRUE(sections.ok());
-  // Section 3 is the name-sorted id permutation: swap the first two so the
-  // binary-search invariant breaks while every id stays in range.
-  const size_t base = (*sections)[3].offset;
-  uint32_t a, b;
-  std::memcpy(&a, bytes.data() + base, 4);
-  std::memcpy(&b, bytes.data() + base + 4, 4);
-  Patch<uint32_t>(&bytes, base, b);
-  Patch<uint32_t>(&bytes, base + 4, a);
-  ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, 3).ok());
-  ExpectRejectedWith("unsortednames.snap", bytes,
-                     util::StatusCode::kInvalidArgument);
+  const bool names = hash == kNameHash;
+  const uint32_t count = ReadU32(bytes, names ? 16 : 20);
+  const uint64_t offsets = (*sections)[names ? 1 : 12].offset;
+  const uint64_t arena = (*sections)[names ? 2 : 13].offset;
+  std::vector<std::string> keys;
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint64_t begin = ReadU64(bytes, offsets + 8 * i);
+    const uint64_t end = ReadU64(bytes, offsets + 8 * (i + 1));
+    keys.push_back(bytes.substr(arena + begin, end - begin));
+  }
+  return keys;
+}
+
+// Rewrites hash section `hash` the way the writer lays it out, over the
+// keys now in the arena, and reseals it: after patching key bytes, the
+// table is then consistent with them and only the key check can refuse.
+void RebuildHash(std::string* bytes, uint32_t hash) {
+  const std::vector<std::string> keys = HashKeys(*bytes, hash);
+  const taxonomy::SnapshotSectionInfo info =
+      (*taxonomy::ReadSnapshotSections(*bytes))[hash];
+  const uint64_t num_slots = info.size / 4;
+  ASSERT_EQ(num_slots, taxonomy::SnapshotHashSlots(keys.size()));
+  std::vector<uint32_t> slots(num_slots, taxonomy::kInvalidNode);
+  for (uint32_t i = 0; i < keys.size(); ++i) {
+    uint64_t slot = util::Fnv1a64(keys[i]) & (num_slots - 1);
+    while (slots[slot] != taxonomy::kInvalidNode) {
+      slot = (slot + 1) & (num_slots - 1);
+    }
+    slots[slot] = i;
+  }
+  std::memcpy(bytes->data() + info.offset, slots.data(), info.size);
+  ASSERT_TRUE(taxonomy::ResealSnapshotSection(bytes, hash).ok());
+}
+
+// Loads `bytes` and requires kInvalidArgument with `why` in the message, so
+// a case proves the check it targets refused it.
+void ExpectRefusedBecause(const std::string& name, const std::string& bytes,
+                          const std::string& why) {
+  const std::string path = WriteBytes(name, bytes);
+  auto snap = taxonomy::ServingView::Load(path);
+  ASSERT_FALSE(snap.ok()) << name << " loaded successfully";
+  EXPECT_EQ(snap.status().code(), util::StatusCode::kInvalidArgument)
+      << name << ": " << snap.status().ToString();
+  EXPECT_NE(snap.status().message().find(why), std::string::npos)
+      << name << ": " << snap.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotRobustnessTest, HashSlotOutOfRangeRejected) {
+  for (const uint32_t hash : {kNameHash, kMentionHash}) {
+    std::string bytes = ValidSnapshotBytes();
+    const auto info = (*taxonomy::ReadSnapshotSections(bytes))[hash];
+    const uint32_t keys = static_cast<uint32_t>(HashKeys(bytes, hash).size());
+    // Overwrite the first empty slot with the first id past the keys.
+    size_t slot = 0;
+    while (ReadU32(bytes, info.offset + 4 * slot) != taxonomy::kInvalidNode) {
+      ++slot;
+    }
+    Patch<uint32_t>(&bytes, info.offset + 4 * slot, keys);
+    ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, hash).ok());
+    ExpectRefusedBecause("hash_oor_" + std::to_string(hash) + ".snap", bytes,
+                         "hash slot out of range");
+  }
+}
+
+TEST(SnapshotRobustnessTest, KeyOffItsProbeChainRejected) {
+  for (const uint32_t hash : {kNameHash, kMentionHash}) {
+    std::string bytes = ValidSnapshotBytes();
+    const auto info = (*taxonomy::ReadSnapshotSections(bytes))[hash];
+    const size_t num_slots = info.size / 4;
+    // Move the first stored key into an empty slot. Every slot between its
+    // home and its old slot stays filled and the old slot is now empty, so
+    // its own probe chain ends before reaching it.
+    size_t from = 0;
+    while (ReadU32(bytes, info.offset + 4 * from) == taxonomy::kInvalidNode) {
+      ++from;
+    }
+    size_t to = 0;
+    while (to == from ||
+           ReadU32(bytes, info.offset + 4 * to) != taxonomy::kInvalidNode) {
+      ASSERT_LT(++to, num_slots);
+    }
+    const uint32_t key = ReadU32(bytes, info.offset + 4 * from);
+    Patch<uint32_t>(&bytes, info.offset + 4 * to, key);
+    Patch<uint32_t>(&bytes, info.offset + 4 * from, taxonomy::kInvalidNode);
+    ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, hash).ok());
+    ExpectRefusedBecause("hash_unreachable_" + std::to_string(hash) + ".snap",
+                         bytes, "hash does not reach key");
+  }
+}
+
+TEST(SnapshotRobustnessTest, DuplicateNamesRejected) {
+  std::string bytes = ValidSnapshotBytes();
+  const std::vector<std::string> names = HashKeys(bytes, kNameHash);
+  // 演员 and 歌手 have equal byte lengths: copy the first over the second
+  // in the name arena, then rebuild the name hash over the patched names so
+  // both sit on one probe chain and the duplicate check is what refuses.
+  const auto sections = *taxonomy::ReadSnapshotSections(bytes);
+  const uint32_t actor = 1;
+  const uint32_t singer = 2;
+  ASSERT_EQ(names[actor], "演员");
+  ASSERT_EQ(names[singer], "歌手");
+  const uint64_t singer_begin = ReadU64(bytes, sections[1].offset + 8 * singer);
+  bytes.replace(sections[2].offset + singer_begin, names[actor].size(),
+                names[actor]);
+  ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, 2).ok());
+  RebuildHash(&bytes, kNameHash);
+  ExpectRefusedBecause("dupnames.snap", bytes, "duplicate keys");
+}
+
+TEST(SnapshotRobustnessTest, DuplicateMentionsRejected) {
+  std::string bytes = ValidSnapshotBytes();
+  const std::vector<std::string> mentions = HashKeys(bytes, kMentionHash);
+  ASSERT_EQ(mentions.size(), 2u);
+  ASSERT_EQ(mentions[0].size(), mentions[1].size());
+  const auto sections = *taxonomy::ReadSnapshotSections(bytes);
+  const uint64_t second_begin = ReadU64(bytes, sections[12].offset + 8);
+  bytes.replace(sections[13].offset + second_begin, mentions[0].size(),
+                mentions[0]);
+  ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, 13).ok());
+  RebuildHash(&bytes, kMentionHash);
+  // Equal adjacent mentions break the strict arena order first.
+  ExpectRefusedBecause("dupmentions.snap", bytes, "mentions not sorted");
+}
+
+TEST(SnapshotRobustnessTest, HashWithNoEmptySlotRejected) {
+  // A full table would make a probe for an absent key spin forever; the
+  // loader must refuse it (and terminate doing so).
+  for (const uint32_t hash : {kNameHash, kMentionHash}) {
+    std::string bytes = ValidSnapshotBytes();
+    const auto info = (*taxonomy::ReadSnapshotSections(bytes))[hash];
+    for (size_t slot = 0; slot < info.size / 4; ++slot) {
+      if (ReadU32(bytes, info.offset + 4 * slot) == taxonomy::kInvalidNode) {
+        Patch<uint32_t>(&bytes, info.offset + 4 * slot, 0u);
+      }
+    }
+    ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, hash).ok());
+    ExpectRefusedBecause("hash_full_" + std::to_string(hash) + ".snap", bytes,
+                         "hash holds");
+  }
+}
+
+TEST(SnapshotRobustnessTest, NonPowerOfTwoSlotCountRejected) {
+  for (const uint32_t hash : {kNameHash, kMentionHash}) {
+    std::string bytes = ValidSnapshotBytes();
+    const auto info = (*taxonomy::ReadSnapshotSections(bytes))[hash];
+    ASSERT_GE(info.size, 8u);
+    // One slot fewer: the table still fits the file, but its slot count is
+    // no longer a power of two.
+    const size_t entry = taxonomy::kSnapshotHeaderSize +
+                         hash * taxonomy::kSnapshotSectionEntrySize;
+    Patch<uint64_t>(&bytes, entry + 16, info.size - 4);
+    ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, hash).ok());
+    ExpectRefusedBecause("hash_slots_" + std::to_string(hash) + ".snap", bytes,
+                         "has size");
+  }
 }
 
 TEST(SnapshotRobustnessTest, UnsortedMentionsRejected) {
@@ -287,11 +454,12 @@ TEST(SnapshotRobustnessTest, UnsortedMentionsRejected) {
   auto sections = taxonomy::ReadSnapshotSections(bytes);
   ASSERT_TRUE(sections.ok());
   // Section 13 is the mention arena (sorted byte order). Corrupting its
-  // first byte to 0xFF makes the first mention sort after the second.
+  // first byte to 0xFF makes the first mention sort after the second; the
+  // mention hash is rebuilt so the order check is what refuses it.
   bytes[(*sections)[13].offset] = static_cast<char>(0xFF);
   ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, 13).ok());
-  ExpectRejectedWith("unsortedmentions.snap", bytes,
-                     util::StatusCode::kInvalidArgument);
+  RebuildHash(&bytes, kMentionHash);
+  ExpectRefusedBecause("unsortedmentions.snap", bytes, "mentions not sorted");
 }
 
 TEST(SnapshotRobustnessTest, TornWritesNeverLeaveLoadableCorruption) {
@@ -301,8 +469,7 @@ TEST(SnapshotRobustnessTest, TornWritesNeverLeaveLoadableCorruption) {
   // corrupt bytes.
   taxonomy::Taxonomy t;
   t.AddIsa("实体", "概念", taxonomy::Source::kInfobox, 0.9f);
-  auto frozen = taxonomy::Taxonomy::Freeze(std::move(t));
-  const taxonomy::HeapServingView view(frozen, taxonomy::MentionIndex());
+  const auto view = taxonomy::ServingView::Encode(t, taxonomy::MentionIndex());
 
   for (uint64_t seed = 0; seed < 10; ++seed) {
     const std::string path = ::testing::TempDir() + "/torn_" +
@@ -313,13 +480,12 @@ TEST(SnapshotRobustnessTest, TornWritesNeverLeaveLoadableCorruption) {
       util::ScopedFaultInjection faults(
           "snapshot.write=0.4;snapshot.fsync=0.3;snapshot.rename=0.4", seed);
       for (int attempt = 0; attempt < 8; ++attempt) {
-        const util::Status status = taxonomy::WriteSnapshot(view, path);
+        const util::Status status = taxonomy::WriteSnapshot(*view, path);
         if (status.ok()) ++successes;
-        auto snap = taxonomy::Snapshot::Load(path);
+        auto snap = taxonomy::ServingView::Load(path);
         if (snap.ok()) {
           // Whatever is on disk is a complete snapshot of this view.
-          EXPECT_EQ((*snap)->num_nodes(), view.num_nodes());
-          EXPECT_EQ((*snap)->num_edges(), view.num_edges());
+          EXPECT_EQ((*snap)->bytes(), view->bytes());
         } else {
           // Only "no complete file yet" is acceptable — never corruption.
           EXPECT_EQ(snap.status().code(), util::StatusCode::kIoError)
@@ -331,7 +497,7 @@ TEST(SnapshotRobustnessTest, TornWritesNeverLeaveLoadableCorruption) {
     // Once a write succeeded the file persists; later failed attempts
     // cannot take it away.
     if (successes > 0) {
-      auto snap = taxonomy::Snapshot::Load(path);
+      auto snap = taxonomy::ServingView::Load(path);
       EXPECT_TRUE(snap.ok()) << snap.status().ToString();
     }
     std::remove(path.c_str());
@@ -343,11 +509,11 @@ TEST(SnapshotRobustnessTest, InjectedReadFaultIsIoError) {
       WriteBytes("readfault.snap", ValidSnapshotBytes());
   {
     util::ScopedFaultInjection faults("snapshot.load.read=1", 3);
-    auto snap = taxonomy::Snapshot::Load(path);
+    auto snap = taxonomy::ServingView::Load(path);
     ASSERT_FALSE(snap.ok());
     EXPECT_EQ(snap.status().code(), util::StatusCode::kIoError);
   }
-  auto snap = taxonomy::Snapshot::Load(path);
+  auto snap = taxonomy::ServingView::Load(path);
   EXPECT_TRUE(snap.ok()) << snap.status().ToString();
   std::remove(path.c_str());
 }

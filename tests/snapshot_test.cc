@@ -1,12 +1,14 @@
-// Snapshot format round trips (DESIGN.md §10): write -> load -> write is
-// byte-identical, serialization is invariant under CNPB_THREADS, and a
-// snapshot-backed ApiService answers every query identically to the
-// TSV-backed service it was written from — over every mention and every
-// node, not a sample.
+// Snapshot format round trips (DESIGN.md §10): encode -> write -> load is
+// byte-identical, encoding is invariant under CNPB_THREADS, the encoded
+// view answers exactly what its source Taxonomy and MentionIndex say, and
+// a version served from its written file answers every query identically
+// to the published one — over every mention and every node, not a sample.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,13 +68,13 @@ const BuiltWorld& SharedWorld() {
   return *world;
 }
 
-// Borrows the world's taxonomy (it outlives every test) and pairs it with a
-// freshly built mention index.
-std::shared_ptr<const taxonomy::HeapServingView> HeapViewOf(
+taxonomy::MentionIndex MentionsOf(const BuiltWorld& world) {
+  return core::CnProbaseBuilder::BuildMentionIndex(world.dump, world.taxonomy);
+}
+
+std::shared_ptr<const taxonomy::ServingView> EncodeWorld(
     const BuiltWorld& world) {
-  return std::make_shared<taxonomy::HeapServingView>(
-      util::UnownedSnapshot(&world.taxonomy),
-      core::CnProbaseBuilder::BuildMentionIndex(world.dump, world.taxonomy));
+  return taxonomy::ServingView::Encode(world.taxonomy, MentionsOf(world));
 }
 
 std::string TempPath(const char* name) {
@@ -81,29 +83,33 @@ std::string TempPath(const char* name) {
 
 TEST(SnapshotTest, WriteLoadRewriteIsByteIdentical) {
   const BuiltWorld& world = SharedWorld();
-  const auto view = HeapViewOf(world);
-  const std::string bytes = taxonomy::SerializeSnapshot(*view);
+  const taxonomy::MentionIndex mentions = MentionsOf(world);
+  const auto view = taxonomy::ServingView::Encode(world.taxonomy, mentions);
+  const std::string bytes(view->bytes());
   ASSERT_GT(bytes.size(), taxonomy::SnapshotPreludeSize());
 
   const std::string path = TempPath("snapshot_roundtrip.snap");
   ASSERT_TRUE(taxonomy::WriteSnapshot(*view, path).ok());
 
-  // WriteSnapshot puts exactly the serialized image on disk — no footer, no
+  // WriteSnapshot puts exactly the encoded image on disk — no footer, no
   // framing — which is what makes the mmap load zero-copy.
   auto on_disk = util::ReadFileToString(path);
   ASSERT_TRUE(on_disk.ok());
   EXPECT_EQ(*on_disk, bytes);
 
-  auto snap = taxonomy::Snapshot::Load(path);
+  auto snap = taxonomy::ServingView::Load(path);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_EQ((*snap)->num_nodes(), view->num_nodes());
   EXPECT_EQ((*snap)->num_edges(), view->num_edges());
   EXPECT_EQ((*snap)->num_mentions(), view->num_mentions());
-  EXPECT_EQ((*snap)->file_bytes(), bytes.size());
+  EXPECT_EQ((*snap)->bytes(), bytes);
 
-  // Re-serializing the loaded snapshot reproduces the file byte for byte:
-  // the format is a fixed point of write -> load -> write.
-  EXPECT_EQ(taxonomy::SerializeSnapshot(**snap), bytes);
+  // Re-encoding the loaded view's taxonomy reproduces the bytes: the format
+  // is a fixed point of encode -> write -> load -> materialize -> encode.
+  auto materialized = taxonomy::MaterializeTaxonomy(**snap);
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  EXPECT_EQ(taxonomy::ServingView::Encode(*materialized, mentions)->bytes(),
+            bytes);
   std::remove(path.c_str());
 }
 
@@ -112,8 +118,7 @@ TEST(SnapshotTest, SerializationInvariantUnderThreadCount) {
   for (const int threads : {1, 3, 8}) {
     util::ScopedThreadsOverride override_threads(threads);
     const BuiltWorld world = BuildWorld(/*seed=*/21, /*entities=*/200);
-    const auto view = HeapViewOf(world);
-    const std::string bytes = taxonomy::SerializeSnapshot(*view);
+    const std::string bytes(EncodeWorld(world)->bytes());
     if (reference.empty()) {
       reference = bytes;
     } else {
@@ -127,58 +132,138 @@ TEST(SnapshotTest, LoadedSnapshotValidatesUnderEveryThreadCount) {
   // The loader's parallel validation must accept the same file and answer
   // identically at any thread count.
   const BuiltWorld& world = SharedWorld();
-  const auto view = HeapViewOf(world);
+  const auto view = EncodeWorld(world);
   const std::string path = TempPath("snapshot_threads.snap");
   ASSERT_TRUE(taxonomy::WriteSnapshot(*view, path).ok());
-  const std::string bytes = taxonomy::SerializeSnapshot(*view);
   for (const int threads : {1, 3, 8}) {
     util::ScopedThreadsOverride override_threads(threads);
-    auto snap = taxonomy::Snapshot::Load(path);
+    auto snap = taxonomy::ServingView::Load(path);
     ASSERT_TRUE(snap.ok()) << "threads=" << threads << ": "
                            << snap.status().ToString();
-    EXPECT_EQ(taxonomy::SerializeSnapshot(**snap), bytes);
+    EXPECT_EQ((*snap)->bytes(), view->bytes());
   }
   std::remove(path.c_str());
 }
 
-// Compares the two backends over the full query surface. `tsv` serves a
-// taxonomy that went through TSV save/load; `snap` serves the mmap file.
-void ExpectServicesAnswerIdentically(const taxonomy::ApiService& tsv,
-                                     const taxonomy::ApiService& snap,
+// The encoder oracle: the served view answers exactly what its source
+// Taxonomy and MentionIndex say, over every node, edge and mention.
+TEST(SnapshotTest, EncodedViewMatchesItsSource) {
+  const BuiltWorld& world = SharedWorld();
+  const taxonomy::Taxonomy& t = world.taxonomy;
+  taxonomy::MentionIndex mentions = MentionsOf(world);
+  ASSERT_FALSE(mentions.empty());
+  // Ids outside the taxonomy (an index built for another version) must be
+  // dropped, keeping the order of the rest.
+  const std::string stale_mention = mentions.begin()->first;
+  mentions[stale_mention].insert(mentions[stale_mention].begin(),
+                                 static_cast<taxonomy::NodeId>(
+                                     t.num_nodes() + 3));
+  mentions[stale_mention].push_back(taxonomy::kInvalidNode);
+  mentions["__only_stale_ids__"] = {
+      static_cast<taxonomy::NodeId>(t.num_nodes())};
+  const auto view = taxonomy::ServingView::Encode(t, mentions);
+
+  ASSERT_EQ(view->num_nodes(), t.num_nodes());
+  ASSERT_EQ(view->num_edges(), t.num_edges());
+  for (taxonomy::NodeId id = 0; id < t.num_nodes(); ++id) {
+    SCOPED_TRACE("node " + t.Name(id));
+    EXPECT_EQ(view->Name(id), t.Name(id));
+    EXPECT_EQ(view->Kind(id), t.Kind(id));
+    EXPECT_EQ(view->Find(t.Name(id)), id);
+    std::vector<taxonomy::IsaEdge> hypers;
+    view->VisitHypernyms(id, [&](const taxonomy::HalfEdge& edge) {
+      hypers.push_back({id, edge.node, edge.source, edge.score});
+      return true;
+    });
+    const auto& want = t.Hypernyms(id);
+    ASSERT_EQ(hypers.size(), want.size());
+    EXPECT_EQ(view->NumHypernyms(id), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(hypers[i].hyper, want[i].hyper);
+      EXPECT_EQ(hypers[i].source, want[i].source);
+      EXPECT_EQ(hypers[i].score, want[i].score);
+    }
+    // Canonical hyponym order is ascending hyponym id, whatever order the
+    // builder inserted the edges in.
+    std::vector<taxonomy::NodeId> hypos;
+    view->VisitHyponyms(id, [&](const taxonomy::HalfEdge& edge) {
+      hypos.push_back(edge.node);
+      return true;
+    });
+    std::vector<taxonomy::NodeId> want_hypos;
+    for (const auto& edge : t.Hyponyms(id)) want_hypos.push_back(edge.hypo);
+    std::sort(want_hypos.begin(), want_hypos.end());
+    EXPECT_EQ(hypos, want_hypos);
+    EXPECT_EQ(view->TransitiveHypernyms(id), t.TransitiveHypernyms(id));
+  }
+  EXPECT_EQ(view->Find("__definitely_not_a_node__"), taxonomy::kInvalidNode);
+
+  ASSERT_EQ(view->num_mentions(), mentions.size());
+  std::string previous;
+  size_t visited = 0;
+  view->VisitMentions([&](std::string_view mention,
+                          const taxonomy::NodeId* ids, size_t num_ids) {
+    if (visited++ > 0) {
+      EXPECT_LT(previous, mention);
+    }
+    previous = std::string(mention);
+    const std::span<const taxonomy::NodeId> candidates =
+        view->MentionCandidates(mention);
+    EXPECT_EQ(candidates.data(), ids);
+    EXPECT_EQ(candidates.size(), num_ids);
+    return true;
+  });
+  EXPECT_EQ(visited, mentions.size());
+  for (const auto& [mention, ids] : mentions) {
+    std::vector<taxonomy::NodeId> want;
+    for (const taxonomy::NodeId id : ids) {
+      if (id < t.num_nodes()) want.push_back(id);
+    }
+    const std::span<const taxonomy::NodeId> got =
+        view->MentionCandidates(mention);
+    EXPECT_EQ(std::vector<taxonomy::NodeId>(got.begin(), got.end()), want)
+        << "mention " << mention;
+  }
+  EXPECT_TRUE(view->MentionCandidates("__only_stale_ids__").empty());
+  EXPECT_TRUE(view->MentionCandidates("__not_a_mention__").empty());
+}
+
+// Compares two services over the full query surface.
+void ExpectServicesAnswerIdentically(const taxonomy::ApiService& a,
+                                     const taxonomy::ApiService& b,
                                      const taxonomy::ServingView& view) {
   // Every mention: men2ent ids and resolved names.
   view.VisitMentions([&](std::string_view mention, const taxonomy::NodeId*,
                          size_t) -> bool {
     const std::string m(mention);
     SCOPED_TRACE("men2ent(" + m + ")");
-    auto tsv_resolved = tsv.TryMen2EntResolved(m);
-    auto snap_resolved = snap.TryMen2EntResolved(m);
-    EXPECT_TRUE(tsv_resolved.ok());
-    EXPECT_TRUE(snap_resolved.ok());
-    if (!tsv_resolved.ok() || !snap_resolved.ok()) return true;
-    EXPECT_EQ(tsv_resolved->entities.size(), snap_resolved->entities.size());
-    const size_t n = std::min(tsv_resolved->entities.size(),
-                              snap_resolved->entities.size());
+    auto a_resolved = a.TryMen2EntResolved(m);
+    auto b_resolved = b.TryMen2EntResolved(m);
+    EXPECT_TRUE(a_resolved.ok());
+    EXPECT_TRUE(b_resolved.ok());
+    if (!a_resolved.ok() || !b_resolved.ok()) return true;
+    EXPECT_EQ(a_resolved->entities.size(), b_resolved->entities.size());
+    const size_t n =
+        std::min(a_resolved->entities.size(), b_resolved->entities.size());
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(tsv_resolved->entities[i].id, snap_resolved->entities[i].id);
-      EXPECT_EQ(tsv_resolved->entities[i].name,
-                snap_resolved->entities[i].name);
-      EXPECT_EQ(tsv_resolved->entities[i].num_hypernyms,
-                snap_resolved->entities[i].num_hypernyms);
+      EXPECT_EQ(a_resolved->entities[i].id, b_resolved->entities[i].id);
+      EXPECT_EQ(a_resolved->entities[i].name, b_resolved->entities[i].name);
+      EXPECT_EQ(a_resolved->entities[i].num_hypernyms,
+                b_resolved->entities[i].num_hypernyms);
     }
     return true;
   });
   // Every node name: getConcept (direct and transitive) and getEntity.
   for (taxonomy::NodeId id = 0; id < view.num_nodes(); ++id) {
     const std::string name(view.Name(id));
-    EXPECT_EQ(tsv.TryGetConceptResolved(name)->names,
-              snap.TryGetConceptResolved(name)->names)
+    EXPECT_EQ(a.TryGetConceptResolved(name)->names,
+              b.TryGetConceptResolved(name)->names)
         << "getConcept(" << name << ")";
-    EXPECT_EQ(tsv.TryGetConceptResolved(name, /*transitive=*/true)->names,
-              snap.TryGetConceptResolved(name, /*transitive=*/true)->names)
+    EXPECT_EQ(a.TryGetConceptResolved(name, /*transitive=*/true)->names,
+              b.TryGetConceptResolved(name, /*transitive=*/true)->names)
         << "getConcept+transitive(" << name << ")";
-    EXPECT_EQ(tsv.TryGetEntityResolved(name, 50)->names,
-              snap.TryGetEntityResolved(name, 50)->names)
+    EXPECT_EQ(a.TryGetEntityResolved(name, 50)->names,
+              b.TryGetEntityResolved(name, 50)->names)
         << "getEntity(" << name << ")";
   }
 }
@@ -186,38 +271,66 @@ void ExpectServicesAnswerIdentically(const taxonomy::ApiService& tsv,
 TEST(SnapshotTest, SnapshotBackedServiceAnswersIdenticallyToTsvBacked) {
   const BuiltWorld& world = SharedWorld();
 
-  // TSV-backed side: save + reload through the durable text format, exactly
-  // the pre-snapshot serving path.
+  // TSV-backed side: save + reload through the durable text format, then
+  // publish the reloaded taxonomy.
   const std::string tsv_path = TempPath("snapshot_equiv.tsv");
   ASSERT_TRUE(taxonomy::SaveTaxonomy(world.taxonomy, tsv_path).ok());
   auto reloaded = taxonomy::LoadTaxonomy(tsv_path);
   ASSERT_TRUE(reloaded.ok());
   auto frozen = taxonomy::Taxonomy::Freeze(std::move(*reloaded));
-  auto tsv_view = std::make_shared<taxonomy::HeapServingView>(
+  taxonomy::ApiService tsv_service(
       frozen, core::CnProbaseBuilder::BuildMentionIndex(world.dump, *frozen));
-  taxonomy::ApiService tsv_service(tsv_view);
 
-  // Snapshot-backed side: written from the same build, served via mmap.
+  // Snapshot-backed side: written from the builder's taxonomy, served via
+  // mmap.
   const std::string snap_path = TempPath("snapshot_equiv.snap");
-  ASSERT_TRUE(taxonomy::WriteSnapshot(*tsv_view, snap_path).ok());
-  auto snap = taxonomy::Snapshot::Load(snap_path);
+  ASSERT_TRUE(taxonomy::WriteSnapshot(*EncodeWorld(world), snap_path).ok());
+  auto snap = taxonomy::ServingView::Load(snap_path);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  taxonomy::ApiService snap_service{
-      std::shared_ptr<const taxonomy::ServingView>(*snap)};
+  taxonomy::ApiService snap_service(*snap);
 
-  ASSERT_EQ(tsv_view->num_mentions(), (*snap)->num_mentions());
-  ExpectServicesAnswerIdentically(tsv_service, snap_service, *tsv_view);
+  ASSERT_EQ(tsv_service.num_mentions(), (*snap)->num_mentions());
+  EXPECT_EQ(tsv_service.CurrentView()->bytes(), (*snap)->bytes());
+  ExpectServicesAnswerIdentically(tsv_service, snap_service, **snap);
 
   std::remove(tsv_path.c_str());
   std::remove(snap_path.c_str());
 }
 
+// A builder-built taxonomy (not a TSV-reloaded one) inserts hyponym edges
+// in build order, not canonical order. Publishing it and serving the file
+// that version writes must still answer getEntity identically.
+TEST(SnapshotTest, PublishedBuilderTaxonomyAnswersLikeItsWrittenFile) {
+  const BuiltWorld& world = SharedWorld();
+  taxonomy::ApiService published(util::UnownedSnapshot(&world.taxonomy),
+                                 MentionsOf(world));
+  const std::string path = TempPath("snapshot_published.snap");
+  ASSERT_TRUE(
+      taxonomy::WriteSnapshot(*published.CurrentView(), path).ok());
+  auto snap = taxonomy::ServingView::Load(path);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  taxonomy::ApiService mapped(*snap);
+
+  size_t concepts = 0;
+  for (taxonomy::NodeId id = 0; id < world.taxonomy.num_nodes(); ++id) {
+    if (world.taxonomy.Kind(id) != taxonomy::NodeKind::kConcept) continue;
+    ++concepts;
+    const std::string& name = world.taxonomy.Name(id);
+    EXPECT_EQ(published.TryGetEntityResolved(name, 1000)->names,
+              mapped.TryGetEntityResolved(name, 1000)->names)
+        << "getEntity(" << name << ")";
+  }
+  EXPECT_GT(concepts, 0u);
+  ExpectServicesAnswerIdentically(published, mapped, **snap);
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, MaterializeTaxonomyMatchesTsvSave) {
   const BuiltWorld& world = SharedWorld();
-  const auto view = HeapViewOf(world);
+  const auto view = EncodeWorld(world);
   const std::string snap_path = TempPath("snapshot_materialize.snap");
   ASSERT_TRUE(taxonomy::WriteSnapshot(*view, snap_path).ok());
-  auto snap = taxonomy::Snapshot::Load(snap_path);
+  auto snap = taxonomy::ServingView::Load(snap_path);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
   // Materializing the snapshot and saving as TSV must produce the same
@@ -242,9 +355,9 @@ TEST(SnapshotTest, MaterializeTaxonomyMatchesTsvSave) {
 TEST(SnapshotTest, EmptyTaxonomyRoundTrips) {
   taxonomy::Taxonomy empty;
   const std::string path = TempPath("snapshot_empty.snap");
-  ASSERT_TRUE(
-      taxonomy::WriteSnapshot(empty, taxonomy::MentionIndex(), path).ok());
-  auto snap = taxonomy::Snapshot::Load(path);
+  const auto encoded = taxonomy::ServingView::Encode(empty, {});
+  ASSERT_TRUE(taxonomy::WriteSnapshot(*encoded, path).ok());
+  auto snap = taxonomy::ServingView::Load(path);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_EQ((*snap)->num_nodes(), 0u);
   EXPECT_EQ((*snap)->num_edges(), 0u);
@@ -254,16 +367,17 @@ TEST(SnapshotTest, EmptyTaxonomyRoundTrips) {
 
   auto on_disk = util::ReadFileToString(path);
   ASSERT_TRUE(on_disk.ok());
-  EXPECT_EQ(taxonomy::SerializeSnapshot(**snap), *on_disk);
+  EXPECT_EQ((*snap)->bytes(), *on_disk);
+  EXPECT_EQ(encoded->bytes(), *on_disk);
   std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, FindLocatesEveryNodeAndOnlyThem) {
   const BuiltWorld& world = SharedWorld();
-  const auto view = HeapViewOf(world);
+  const auto view = EncodeWorld(world);
   const std::string path = TempPath("snapshot_find.snap");
   ASSERT_TRUE(taxonomy::WriteSnapshot(*view, path).ok());
-  auto snap = taxonomy::Snapshot::Load(path);
+  auto snap = taxonomy::ServingView::Load(path);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   for (taxonomy::NodeId id = 0; id < view->num_nodes(); ++id) {
     EXPECT_EQ((*snap)->Find(view->Name(id)), id);
