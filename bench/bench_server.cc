@@ -1,15 +1,10 @@
 // Loopback load generator for the HTTP serving layer (DESIGN.md §9/§11): an
 // in-process HttpServer over a real built taxonomy, hammered by keep-alive
-// client connections on 127.0.0.1 with the Table II request mix.
+// client connections on 127.0.0.1 with the Table II request mix. The
+// serving benchmark proper (latency, throughput, cache, per-layer costs)
+// is perfbench/; this bench keeps the checks perfbench does not make.
 //
-// Phase 1 (poller baseline): 8 connections drive the server flat out twice,
-// once over the portable poll(2) loop and once over the platform poller
-// (epoll on Linux), with an IncrementalUpdater publishing a fresh batch
-// mid-run during the second window. Reports QPS, p50/p99, the status
-// breakdown, and the epoll-vs-poll delta. Acceptance: >= 20k req/s
-// sustained, and the platform poller does not regress the poll baseline.
-//
-// Phase 2 (connection sweep): holds N concurrent keep-alive connections
+// Phase 1 (connection sweep): holds N concurrent keep-alive connections
 // (default sweep up to 1024) using a few driver threads that multiplex
 // blocking clients — send one request on every connection, then collect
 // every response. A version is published mid-window at each point; each
@@ -17,20 +12,12 @@
 // Acceptance: the largest point connects fully, the server rejects nothing,
 // and stamps are monotonic.
 //
-// Phase 3 (result cache): the same Zipf-skewed mix against a cache-enabled
-// ApiEndpoints; reports the cache hit ratio and the req/s delta against the
-// uncached phase-1 number.
-//
-// Phase 4 (batch amortization): one connection compares single-shot
-// /v1/men2ent against POST /v1/men2ent_batch at 64 mentions per request,
-// in items resolved per second.
-//
-// Phase 5 (overload): the in-flight cap is armed and every admitted query
+// Phase 2 (overload): the in-flight cap is armed and every admitted query
 // is slowed by an injected 2ms stall, so the connections saturate admission
 // and the shed path shows itself as polite 429 + Retry-After responses —
 // never connection resets.
 //
-// Phase 6 (shard router): 4 shards x 2 replicas of in-process backends
+// Phase 3 (shard router): 4 shards x 2 replicas of in-process backends
 // behind the Router frontend, all serving one generation. A healthy window
 // sets the baseline, then a second window runs with concurrent batch
 // traffic while one replica is stopped mid-run. Acceptance: zero
@@ -38,7 +25,7 @@
 // cluster's single stamp) and the kill-window hedged p99 stays within 3x
 // the healthy-cluster p99.
 //
-// Phase 7 (multi-collection tenancy): two collections in one
+// Phase 4 (multi-collection tenancy): two collections in one
 // CollectionManager behind one server. A bare-path window (routed to the
 // default collection, byte-compatible with single-tenant serving) measures
 // the routing-layer overhead against a single-tenant window run just
@@ -48,7 +35,7 @@
 // both windows serve 200s with zero 5xx.
 //
 //   bench_server [--seconds S] [--connections N] [--threads T]
-//                [--sweep N1,N2,...] [--cache-mb MB] [--json PATH]
+//                [--sweep N1,N2,...] [--json PATH]
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -69,7 +56,6 @@
 #include "router/shard_map.h"
 #include "server/client.h"
 #include "server/http.h"
-#include "server/result_cache.h"
 #include "server/server.h"
 #include "server/service.h"
 #include "taxonomy/api_service.h"
@@ -92,7 +78,6 @@ struct Options {
   int connections = 8;
   int threads = 4;
   std::vector<int> sweep = {8, 64, 256, 1024};
-  size_t cache_mb = 16;
   std::string json_path;
 };
 
@@ -340,7 +325,7 @@ void Run(const Options& options) {
                                    world->corpus_words, config);
   taxonomy::ApiService api(taxonomy::Taxonomy::Freeze(taxonomy::Taxonomy()));
   updater.Publish(&api);
-  const uint64_t version_before = api.version();
+  const uint64_t base_version = api.version();
 
   // Query universe, drawn from what the base taxonomy can answer.
   const auto snapshot = updater.snapshot();  // the taxonomy just published
@@ -360,17 +345,7 @@ void Run(const Options& options) {
   std::printf("universe: %zu mentions, %zu entities, %zu concepts "
               "(version %llu)\n",
               mentions.size(), entities.size(), concepts.size(),
-              static_cast<unsigned long long>(version_before));
-
-  // A fresh batch to publish mid-run: new names under existing tags.
-  std::vector<kb::EncyclopediaPage> fresh;
-  for (int i = 0; i < 40; ++i) {
-    kb::EncyclopediaPage page;
-    page.name = "新条目" + std::to_string(i);
-    page.mention = page.name;
-    page.tags = world->output->dump.page(i % world->output->dump.size()).tags;
-    fresh.push_back(std::move(page));
-  }
+              static_cast<unsigned long long>(base_version));
 
   server::ApiEndpoints endpoints(&api);
   std::vector<std::vector<std::string>> target_sets;
@@ -380,27 +355,6 @@ void Run(const Options& options) {
                                       4096));
   }
 
-  // ---- Phase 1: poller baseline, poll(2) vs the platform poller ----
-  std::printf("\nphase 1: %d keep-alive connections, %.1fs per window\n",
-              options.connections, options.seconds);
-  Window poll_window;
-  {
-    server::HttpServer::Config server_config;
-    server_config.num_threads = options.threads;
-    server_config.poller = server::HttpServer::Poller::kPoll;
-    server::HttpServer httpd(server_config, endpoints.AsHandler());
-    if (const util::Status status = httpd.Start(); !status.ok()) {
-      std::fprintf(stderr, "server start failed: %s\n",
-                   status.ToString().c_str());
-      std::exit(1);
-    }
-    poll_window = RunWindow(httpd.port(), target_sets, options.connections,
-                            options.seconds);
-    httpd.Stop();
-    httpd.Wait();
-  }
-  PrintWindow("poll", poll_window);
-
   server::HttpServer::Config server_config;
   server_config.num_threads = options.threads;
   server::HttpServer httpd(server_config, endpoints.AsHandler());
@@ -409,45 +363,9 @@ void Run(const Options& options) {
                  status.ToString().c_str());
     std::exit(1);
   }
-  const bool have_epoll = std::string(httpd.poller_name()) == "epoll";
 
-  // The mid-run publish rides on the platform-poller window, while load is
-  // on: the reported QPS includes serving across a live version swap.
-  Window epoll_window;
-  {
-    std::thread publisher([&] {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(options.seconds * 0.5));
-      const auto batch = updater.ApplyBatch(fresh);
-      const uint64_t version_after = updater.Publish(&api);
-      std::printf("  mid-run publish: version %llu -> %llu "
-                  "(+%zu pages, %zu accepted)\n",
-                  static_cast<unsigned long long>(version_before),
-                  static_cast<unsigned long long>(version_after),
-                  batch.pages_added, batch.accepted);
-    });
-    epoll_window = RunWindow(httpd.port(), target_sets, options.connections,
-                             options.seconds);
-    publisher.join();
-  }
-  PrintWindow(httpd.poller_name(), epoll_window);
-  const double delta_pct =
-      poll_window.qps > 0
-          ? 100.0 * (epoll_window.qps - poll_window.qps) / poll_window.qps
-          : 0.0;
-  const bool floor_ok = epoll_window.qps >= 20000.0;
-  // "No regression" leaves room for run-to-run noise: at 8 connections the
-  // two pollers do the same number of syscalls per request, so anything
-  // beyond -10% would be a real epoll-path defect, not noise.
-  const bool no_regression = !have_epoll || epoll_window.qps >= 0.9 * poll_window.qps;
-  std::printf("  delta       %s vs poll: %+.1f%%\n", httpd.poller_name(),
-              delta_pct);
-  std::printf("  acceptance  %s (floor 20,000 req/s; %s)\n",
-              floor_ok && no_regression ? "PASS" : "FAIL",
-              no_regression ? "no poll regression" : "REGRESSED vs poll");
-
-  // ---- Phase 2: connection sweep with mid-sweep publishes ----
-  std::printf("\nphase 2: connection sweep (%s poller)\n",
+  // ---- Phase 1: connection sweep with mid-sweep publishes ----
+  std::printf("\nphase 1: connection sweep (%s poller)\n",
               httpd.poller_name());
   struct SweepPoint {
     int connections = 0;
@@ -524,106 +442,7 @@ void Run(const Options& options) {
               "monotonic stamps)\n",
               sweep_ok ? "PASS" : "FAIL", top.connections);
 
-  // ---- Phase 3: result cache on the same mix ----
-  server::ResultCache::Config cache_config;
-  cache_config.max_bytes = options.cache_mb << 20;
-  server::ApiEndpoints cached_endpoints(&api, cache_config);
-  Window cache_window;
-  {
-    server::HttpServer::Config cached_config;
-    cached_config.num_threads = options.threads;
-    server::HttpServer cached_httpd(cached_config,
-                                    cached_endpoints.AsHandler());
-    if (const util::Status status = cached_httpd.Start(); !status.ok()) {
-      std::fprintf(stderr, "server start failed: %s\n",
-                   status.ToString().c_str());
-      std::exit(1);
-    }
-    cache_window = RunWindow(cached_httpd.port(), target_sets,
-                             options.connections, options.seconds);
-    cached_httpd.Stop();
-    cached_httpd.Wait();
-  }
-  const server::ResultCache::Stats cache_stats =
-      cached_endpoints.cache()->stats();
-  const double cache_delta_pct =
-      epoll_window.qps > 0
-          ? 100.0 * (cache_window.qps - epoll_window.qps) / epoll_window.qps
-          : 0.0;
-  std::printf("\nphase 3: result cache (%zu MB), %d connections\n",
-              options.cache_mb, options.connections);
-  PrintWindow("cached", cache_window);
-  std::printf("  cache       hit ratio %.1f%% (%llu hits, %llu misses, "
-              "%llu insertions, %llu evictions)\n",
-              100.0 * cache_stats.hit_ratio(),
-              static_cast<unsigned long long>(cache_stats.hits),
-              static_cast<unsigned long long>(cache_stats.misses),
-              static_cast<unsigned long long>(cache_stats.insertions),
-              static_cast<unsigned long long>(cache_stats.evictions));
-  std::printf("  delta       cached vs uncached: %+.1f%%\n", cache_delta_pct);
-
-  // ---- Phase 4: batch amortization ----
-  // The same mentions, resolved one-per-request and 64-per-request. Items
-  // per second is the honest unit: a batch answers 64 lookups against one
-  // pinned snapshot with one round trip.
-  constexpr int kBatchSize = 64;
-  const double batch_seconds = std::max(0.5, options.seconds / 2.0);
-  uint64_t single_items = 0;
-  double single_elapsed = 0;
-  uint64_t batch_items = 0;
-  double batch_elapsed = 0;
-  {
-    server::HttpClient client;
-    if (client.Connect("127.0.0.1", httpd.port()).ok()) {
-      util::WallTimer timer;
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::duration_cast<
-                                std::chrono::steady_clock::duration>(
-                                std::chrono::duration<double>(batch_seconds));
-      size_t i = 0;
-      while (std::chrono::steady_clock::now() < deadline) {
-        const std::string target =
-            "/v1/men2ent?mention=" +
-            server::PercentEncode(mentions[i++ % mentions.size()]);
-        if (client.Get(target).ok()) ++single_items;
-      }
-      single_elapsed = timer.ElapsedSeconds();
-    }
-  }
-  {
-    server::HttpClient client;
-    if (client.Connect("127.0.0.1", httpd.port()).ok()) {
-      util::WallTimer timer;
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::duration_cast<
-                                std::chrono::steady_clock::duration>(
-                                std::chrono::duration<double>(batch_seconds));
-      size_t i = 0;
-      while (std::chrono::steady_clock::now() < deadline) {
-        std::string body;
-        for (int k = 0; k < kBatchSize; ++k) {
-          body += mentions[i++ % mentions.size()];
-          body += '\n';
-        }
-        auto response = client.Post("/v1/men2ent_batch", body);
-        if (response.ok() && response->status == 200) {
-          batch_items += kBatchSize;
-        }
-      }
-      batch_elapsed = timer.ElapsedSeconds();
-    }
-  }
-  const double single_rate = single_elapsed > 0
-      ? static_cast<double>(single_items) / single_elapsed : 0.0;
-  const double batch_rate = batch_elapsed > 0
-      ? static_cast<double>(batch_items) / batch_elapsed : 0.0;
-  std::printf("\nphase 4: batch amortization, 1 connection, %d per batch\n",
-              kBatchSize);
-  std::printf("  single      %9.0f mentions/s\n", single_rate);
-  std::printf("  batched     %9.0f mentions/s (%.1fx)\n", batch_rate,
-              single_rate > 0 ? batch_rate / single_rate : 0.0);
-
-  // ---- Phase 5: overload -> polite 429s ----
+  // ---- Phase 2: overload -> polite 429s ----
   taxonomy::ApiService::ServingLimits limits;
   limits.max_in_flight = 2;
   api.SetServingLimits(limits);
@@ -636,7 +455,7 @@ void Run(const Options& options) {
   }
   api.SetServingLimits(taxonomy::ApiService::ServingLimits());
   const uint64_t shed_requests = TotalRequests(shed_window.total);
-  std::printf("\nphase 5: in-flight cap 2 + 2ms injected stall\n");
+  std::printf("\nphase 2: in-flight cap 2 + 2ms injected stall\n");
   std::printf("  requests    %llu, shed %llu (%.1f%%), resets %llu, "
               "429s missing Retry-After: %llu\n",
               static_cast<unsigned long long>(shed_requests),
@@ -664,7 +483,7 @@ void Run(const Options& options) {
               static_cast<unsigned long long>(stats.parse_errors),
               static_cast<unsigned long long>(stats.io_errors));
 
-  // ---- Phase 6: shard router over a replicated cluster ----
+  // ---- Phase 3: shard router over a replicated cluster ----
   // Every backend is its own ApiService pinning the same published
   // snapshot, so the whole cluster serves one generation — exactly the
   // deployed shape right after a coordinated publish. The router hashes,
@@ -672,7 +491,7 @@ void Run(const Options& options) {
   constexpr size_t kRouterShards = 4;
   constexpr size_t kRouterReplicas = 2;
   const double router_seconds = std::max(0.8, options.seconds / 2.0);
-  std::printf("\nphase 6: shard router, %zu shards x %zu replicas, "
+  std::printf("\nphase 3: shard router, %zu shards x %zu replicas, "
               "%.1fs per window\n",
               kRouterShards, kRouterReplicas, router_seconds);
   const auto router_mentions = core::CnProbaseBuilder::BuildMentionIndex(
@@ -819,7 +638,7 @@ void Run(const Options& options) {
     backend->Wait();
   }
 
-  // ---- Phase 7: multi-collection tenancy ----
+  // ---- Phase 4: multi-collection tenancy ----
   // Two collections over the same published snapshot (isolation itself is
   // a test concern — tests/collections_test.cc; here the question is what
   // the tenancy routing layer costs and what the reasoning endpoints do to
@@ -827,10 +646,9 @@ void Run(const Options& options) {
   // through the manager's default-collection route. Its baseline is a
   // single-tenant window over the same view with the same settings (no
   // cache, no background publisher), run right before it, so the delta
-  // between the two is the routing layer alone. (Phase 1's window had a
-  // publisher applying a batch mid-run and is not comparable.)
+  // between the two is the routing layer alone.
   const double coll_seconds = std::max(0.8, options.seconds / 2.0);
-  std::printf("\nphase 7: multi-collection tenancy, 2 collections, "
+  std::printf("\nphase 4: multi-collection tenancy, 2 collections, "
               "%.1fs per window\n", coll_seconds);
   collections::CollectionManager::Options coll_options;
   coll_options.default_collection = "a";
@@ -934,10 +752,6 @@ void Run(const Options& options) {
     json += "  \"bench\": \"bench_server\",\n";
     json += "  \"seconds\": " + std::to_string(options.seconds) + ",\n";
     json += "  \"poller\": \"" + std::string(httpd.poller_name()) + "\",\n";
-    json += "  \"baseline\": {\"poll_qps\": " +
-            std::to_string(poll_window.qps) + ", \"platform_qps\": " +
-            std::to_string(epoll_window.qps) + ", \"delta_pct\": " +
-            std::to_string(delta_pct) + "},\n";
     json += "  \"sweep\": [";
     for (size_t i = 0; i < sweep_points.size(); ++i) {
       const SweepPoint& point = sweep_points[i];
@@ -952,16 +766,6 @@ void Run(const Options& options) {
               JsonBool(point.versions_monotonic) + "}";
     }
     json += "],\n";
-    json += "  \"cache\": {\"qps\": " + std::to_string(cache_window.qps) +
-            ", \"hit_ratio\": " + std::to_string(cache_stats.hit_ratio()) +
-            ", \"hits\": " + std::to_string(cache_stats.hits) +
-            ", \"misses\": " + std::to_string(cache_stats.misses) +
-            ", \"delta_vs_uncached_pct\": " +
-            std::to_string(cache_delta_pct) + "},\n";
-    json += "  \"batch\": {\"single_items_per_s\": " +
-            std::to_string(single_rate) + ", \"batch_items_per_s\": " +
-            std::to_string(batch_rate) + ", \"batch_size\": " +
-            std::to_string(kBatchSize) + "},\n";
     json += "  \"overload\": {\"requests\": " +
             std::to_string(shed_requests) + ", \"shed\": " +
             std::to_string(shed_window.total.shed) +
@@ -992,9 +796,7 @@ void Run(const Options& options) {
             ", \"reasoning_share\": 0.25" +
             ", \"tenancy_overhead_pct\": " +
             std::to_string(tenancy_overhead_pct) + "},\n";
-    json += "  \"acceptance\": {\"throughput_floor\": " +
-            JsonBool(floor_ok) + ", \"no_poll_regression\": " +
-            JsonBool(no_regression) + ", \"sweep\": " + JsonBool(sweep_ok) +
+    json += "  \"acceptance\": {\"sweep\": " + JsonBool(sweep_ok) +
             ", \"overload_polite\": " + JsonBool(overload_ok) +
             ", \"router_coherent\": " + JsonBool(router_coherent) +
             ", \"router_hedged_tail\": " + JsonBool(router_tail_ok) +
@@ -1038,15 +840,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--sweep needs a comma-separated list\n");
         return 2;
       }
-    } else if (arg == "--cache-mb" && i + 1 < argc) {
-      options.cache_mb =
-          static_cast<size_t>(std::max(1, std::atoi(argv[++i])));
     } else if (arg == "--json" && i + 1 < argc) {
       options.json_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--seconds S] [--connections N] [--threads T] "
-                   "[--sweep N1,N2,...] [--cache-mb MB] [--json PATH]\n",
+                   "[--sweep N1,N2,...] [--json PATH]\n",
                    argv[0]);
       return 2;
     }

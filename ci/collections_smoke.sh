@@ -2,8 +2,8 @@
 # Multi-collection smoke test for CI: two taxonomies (site-split synth
 # worlds) in one process, end to end.
 #
-#   1. boot cnprobase_collections with a fresh --root (site_a read-only,
-#      site_b ingest-enabled)
+#   1. boot cnprobase_serve with a fresh --root, --collection site_a
+#      (read-only) and --ingest site_b
 #   2. reasoning queries (isa / lca / similar / expand) on BOTH collections,
 #      version-stamped; bare paths must answer byte-identically to the
 #      /v1/c/site_a/ prefix (site_a is the default collection)
@@ -12,17 +12,18 @@
 #      pages are visible only under site_b
 #   5. SIGTERM: graceful drain must exit 0
 #
-# Usage: ci/collections_smoke.sh <path-to-cnprobase_collections>
+# Usage: ci/collections_smoke.sh <path-to-cnprobase_serve>
 set -euo pipefail
 
-BIN=${1:?usage: collections_smoke.sh <path-to-cnprobase_collections>}
+BIN=${1:?usage: collections_smoke.sh <path-to-cnprobase_serve>}
 WORK=$(mktemp -d)
 LOG="$WORK/collections.log"
 PID=""
 trap 'kill -9 "$PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 : >"$LOG"
-"$BIN" --root "$WORK/root" --entities 500 --threads 2 \
+"$BIN" --root "$WORK/root" --collection site_a --ingest site_b \
+  --entities 500 --threads 2 \
   --publish-min-pages 2 --publish-max-delay-ms 50 >"$LOG" 2>&1 &
 PID=$!
 for _ in $(seq 1 240); do
@@ -36,7 +37,7 @@ BASE="http://127.0.0.1:$PORT"
 echo "collections server on port $PORT"
 
 # sample <collection> <field>: the printed per-collection query targets
-# (fields: 3=entity 4=concept 5=ancestor 6=sibling).
+# (fields: 4=entity 5=concept 6=ancestor 7=sibling).
 sample() {
   grep -P "^sample\t$1\t" "$LOG" | head -1 | cut -f"$2"
 }
@@ -74,10 +75,10 @@ require collections 200 '"name":"site_b"' /v1/collections
 
 echo "phase 2: reasoning queries on both collections"
 for SITE in site_a site_b; do
-  ENTITY=$(sample "$SITE" 3)
-  CONCEPT=$(sample "$SITE" 4)
-  ANCESTOR=$(sample "$SITE" 5)
-  SIBLING=$(sample "$SITE" 6)
+  ENTITY=$(sample "$SITE" 4)
+  CONCEPT=$(sample "$SITE" 5)
+  ANCESTOR=$(sample "$SITE" 6)
+  SIBLING=$(sample "$SITE" 7)
   [ -n "$ENTITY" ] && [ "$ENTITY" != "-" ] || { echo "FAIL: no sample for $SITE" >&2; exit 1; }
   require "$SITE isa parent" 200 '"isa":true' "/v1/c/$SITE/isa" \
     --data-urlencode "entity=$ENTITY" --data-urlencode "concept=$CONCEPT"
@@ -97,8 +98,8 @@ for SITE in site_a site_b; do
 done
 
 echo "phase 3: bare paths == /v1/c/site_a/ prefix (default collection)"
-ENTITY=$(sample site_a 3)
-CONCEPT=$(sample site_a 4)
+ENTITY=$(sample site_a 4)
+CONCEPT=$(sample site_a 5)
 BARE=$(get /v1/isa --data-urlencode "entity=$ENTITY" --data-urlencode "concept=$CONCEPT")
 PREFIXED=$(get /v1/c/site_a/isa --data-urlencode "entity=$ENTITY" --data-urlencode "concept=$CONCEPT")
 if [ "$BARE" != "$PREFIXED" ]; then

@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
 # Ingest daemon smoke test for CI: the crash-safety contract, end to end.
 #
-#   1. boot cnprobase_ingestd with a fresh WAL dir
+#   1. boot cnprobase_serve with one ingest collection on a fresh --root
 #   2. feed page upserts through POST /v1/ingest (every 200 = durable ack)
 #   3. SIGKILL the daemon mid-stream — no drain, no cleanup
-#   4. restart on the same WAL dir; recovery must replay the suffix
+#   4. restart on the same --root; recovery must replay the suffix
 #   5. verify via the API that NO acked page is lost and none is duplicated
 #   6. SIGTERM: graceful drain must exit 0
 #
-# Usage: ci/ingest_smoke.sh <path-to-cnprobase_ingestd>
+# Usage: ci/ingest_smoke.sh <path-to-cnprobase_serve>
 set -euo pipefail
 
-INGESTD_BIN=${1:?usage: ingest_smoke.sh <path-to-cnprobase_ingestd>}
+INGESTD_BIN=${1:?usage: ingest_smoke.sh <path-to-cnprobase_serve>}
 WORK=$(mktemp -d)
 LOG="$WORK/ingestd.log"
 INGESTD_PID=""
@@ -19,7 +19,7 @@ trap 'kill -9 "$INGESTD_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 boot() {
   : >"$LOG"
-  "$INGESTD_BIN" --wal-dir "$WORK/wal" --entities 400 --threads 2 \
+  "$INGESTD_BIN" --root "$WORK/root" --ingest default --entities 400 --threads 2 \
     --publish-min-pages 4 --publish-max-delay-ms 50 --compact-every 6 \
     >"$LOG" 2>&1 &
   INGESTD_PID=$!

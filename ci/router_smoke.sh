@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
-# Router smoke test for CI: launch cnprobase_router with 1 shard x 2
-# replica backends, query every endpoint through the router, kill one
-# backend mid-flight and verify the answers stay correct (degraded, not
-# down), then SIGTERM the whole tree and require a graceful exit 0. Usage:
+# Router smoke test for CI: launch cnprobase_serve in the router role with
+# 1 shard x 2 replica backends, query every endpoint through the router,
+# kill one backend mid-flight and verify the answers stay correct
+# (degraded, not down), check that a router failing to bind its port
+# leaves no backend or snapshot behind, then SIGTERM the whole tree and
+# require a graceful exit 0. Usage:
 #
-#   ci/router_smoke.sh <path-to-cnprobase_router>
+#   ci/router_smoke.sh <path-to-cnprobase_serve>
 set -euo pipefail
 
-ROUTER_BIN=${1:?usage: router_smoke.sh <path-to-cnprobase_router>}
+ROUTER_BIN=${1:?usage: router_smoke.sh <path-to-cnprobase_serve>}
 LOG=$(mktemp)
-trap 'kill "$ROUTER_PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
+BUSY_LOG=$(mktemp)
+trap 'kill "$ROUTER_PID" 2>/dev/null || true; rm -f "$LOG" "$BUSY_LOG"' EXIT
 
 "$ROUTER_BIN" --shards 1 --replicas 2 --entities 800 --threads 2 \
   --hedge-ms 20 >"$LOG" 2>&1 &
@@ -24,9 +27,9 @@ done
 grep -q "router listening on" "$LOG" || { cat "$LOG"; echo "router never started listening" >&2; exit 1; }
 
 PORT=$(grep -o 'router listening on http://127.0.0.1:[0-9]*' "$LOG" | grep -o '[0-9]*$')
-MENTION=$(grep '^sample_mention=' "$LOG" | head -1 | cut -d= -f2-)
-ENTITY=$(grep '^sample_entity=' "$LOG" | head -1 | cut -d= -f2-)
-CONCEPT=$(grep '^sample_concept=' "$LOG" | head -1 | cut -d= -f2-)
+MENTION=$(grep -P '^sample\t' "$LOG" | head -1 | cut -f3)
+ENTITY=$(grep -P '^sample\t' "$LOG" | head -1 | cut -f4)
+CONCEPT=$(grep -P '^sample\t' "$LOG" | head -1 | cut -f5)
 BACKEND_PIDS=$(grep -o 'backend pid=[0-9]*' "$LOG" | grep -o '[0-9]*')
 echo "router on port $PORT, backends: $(echo "$BACKEND_PIDS" | tr '\n' ' ')"
 [ "$(echo "$BACKEND_PIDS" | wc -l)" = 2 ] || { cat "$LOG"; echo "expected 2 backends" >&2; exit 1; }
@@ -83,6 +86,29 @@ for _ in $(seq 1 20); do
 done
 [ "$DEGRADED" = 1 ] || { echo "FAIL: healthz never reported degraded" >&2; exit 1; }
 echo "ok   degraded-but-correct after backend kill"
+
+# A second router whose frontend port is taken (by the first) must fail
+# without leaving anything behind: nonzero exit, every backend it spawned
+# gone, and its temp snapshot removed.
+BUSY=0
+timeout 120 "$ROUTER_BIN" --shards 1 --replicas 2 --entities 800 --threads 2 \
+  --port "$PORT" >"$BUSY_LOG" 2>&1 || BUSY=$?
+if [ "$BUSY" = 0 ] || [ "$BUSY" = 124 ]; then
+  cat "$BUSY_LOG"; echo "FAIL: router on a taken port exited $BUSY" >&2; exit 1
+fi
+BUSY_PIDS=$(grep -o 'backend pid=[0-9]*' "$BUSY_LOG" | grep -o '[0-9]*' || true)
+[ -n "$BUSY_PIDS" ] || { cat "$BUSY_LOG"; echo "FAIL: taken-port router spawned no backends" >&2; exit 1; }
+for pid in $BUSY_PIDS; do
+  if kill -0 "$pid" 2>/dev/null; then
+    kill -TERM "$pid"
+    echo "FAIL: backend $pid outlived its failed router" >&2; exit 1
+  fi
+done
+BUSY_SNAPSHOT=$(sed -n 's/^snapshot -> //p' "$BUSY_LOG")
+if [ -z "$BUSY_SNAPSHOT" ] || [ -e "$BUSY_SNAPSHOT" ]; then
+  echo "FAIL: temp snapshot '$BUSY_SNAPSHOT' left behind" >&2; exit 1
+fi
+echo "ok   taken port: exit $BUSY, backends reaped, snapshot removed"
 
 # Graceful drain of the whole tree: SIGTERM must yield exit 0.
 kill -TERM "$ROUTER_PID"

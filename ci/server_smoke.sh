@@ -22,9 +22,9 @@ done
 grep -q "listening on" "$LOG" || { cat "$LOG"; echo "server never started listening" >&2; exit 1; }
 
 PORT=$(grep -o 'listening on http://127.0.0.1:[0-9]*' "$LOG" | grep -o '[0-9]*$')
-MENTION=$(grep '^sample_mention=' "$LOG" | head -1 | cut -d= -f2-)
-ENTITY=$(grep '^sample_entity=' "$LOG" | head -1 | cut -d= -f2-)
-CONCEPT=$(grep '^sample_concept=' "$LOG" | head -1 | cut -d= -f2-)
+MENTION=$(grep -P '^sample\t' "$LOG" | head -1 | cut -f3)
+ENTITY=$(grep -P '^sample\t' "$LOG" | head -1 | cut -f4)
+CONCEPT=$(grep -P '^sample\t' "$LOG" | head -1 | cut -f5)
 echo "serving on port $PORT (mention=$MENTION entity=$ENTITY concept=$CONCEPT)"
 
 # fetch <name> <expected-substring> <url...>: 200 + body contains substring.
@@ -57,6 +57,16 @@ echo "ok   missing-param (400)"
 code=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/nonsense")
 [ "$code" = 404 ] || { echo "FAIL unknown-path: expected 404, got $code" >&2; exit 1; }
 echo "ok   unknown-path (404)"
+
+# Strict numeric flags: an out-of-range or non-numeric port is a usage
+# error (exit 2) before anything is built, never a server on some other
+# port.
+for BAD in 70000 abc; do
+  code=0
+  timeout 20 "$SERVE_BIN" --port "$BAD" --entities 800 >/dev/null 2>&1 || code=$?
+  [ "$code" = 2 ] || { echo "FAIL --port $BAD: expected exit 2, got $code" >&2; exit 1; }
+  echo "ok   --port $BAD rejected (exit 2)"
+done
 
 # Graceful drain: SIGTERM must yield exit 0, not a crash or a hang.
 kill -TERM "$SERVE_PID"

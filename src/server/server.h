@@ -53,8 +53,8 @@ namespace cnpb::server {
 class HttpServer {
  public:
   // Event notification backend. kAuto picks epoll on Linux and poll
-  // elsewhere; forcing kPoll keeps the portable path testable (and gives
-  // the bench its baseline) on Linux too.
+  // elsewhere. Nothing in the repo forces kPoll any more; the poll loop and
+  // this enum stay until perfbench, which sets kEpoll, stops naming them.
   enum class Poller { kAuto, kEpoll, kPoll };
 
   struct Config {
