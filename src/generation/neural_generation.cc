@@ -118,11 +118,12 @@ NeuralGeneration::TrainStats NeuralGeneration::Train() {
     stats.epoch_loss.push_back(
         batches == 0 ? 0.0f : static_cast<float>(epoch_loss / batches));
   }
+  decoder_ = std::make_unique<nn::CopyNetDecoder>(*model_);
   return stats;
 }
 
 double NeuralGeneration::EvalAccuracy(size_t holdout, bool oov_only) const {
-  CNPB_CHECK(model_ != nullptr) << "Train() before EvalAccuracy()";
+  CNPB_CHECK(decoder_ != nullptr) << "Train() before EvalAccuracy()";
   const size_t begin =
       holdout >= examples_.size() ? 0 : examples_.size() - holdout;
   size_t correct = 0;
@@ -133,9 +134,9 @@ double NeuralGeneration::EvalAccuracy(size_t holdout, bool oov_only) const {
     const std::string& gold = example.target_words[0];
     if (oov_only && output_vocab_.Contains(gold)) continue;
     ++total;
-    const std::vector<std::string> generated =
-        model_->Generate(example.source_ids, example.source_words);
-    if (!generated.empty() && generated[0] == gold) ++correct;
+    const std::string generated =
+        decoder_->Decode(example.source_ids, example.source_words);
+    if (!generated.empty() && generated == gold) ++correct;
   }
   return total == 0 ? 0.0 : static_cast<double>(correct) / total;
 }
@@ -158,22 +159,24 @@ util::Status NeuralGeneration::Load(const std::string& prefix) {
   output_vocab_ = std::move(*out_vocab);
   model_ = std::make_unique<nn::CopyNet>(&input_vocab_, &output_vocab_,
                                          config_.model);
-  return nn::LoadParameters(model_->Params(), prefix + ".params");
+  decoder_.reset();
+  CNPB_RETURN_IF_ERROR(
+      nn::LoadParameters(model_->Params(), prefix + ".params"));
+  decoder_ = std::make_unique<nn::CopyNetDecoder>(*model_);
+  return util::Status::Ok();
 }
 
 CandidateList NeuralGeneration::ExtractRange(const kb::EncyclopediaDump& dump,
                                              const text::Segmenter& segmenter,
                                              size_t begin, size_t end) const {
-  CNPB_CHECK(model_ != nullptr) << "Train() before ExtractRange()";
+  CNPB_CHECK(decoder_ != nullptr) << "Train() before ExtractRange()";
   CandidateList candidates;
   for (size_t i = begin; i < end; ++i) {
     const kb::EncyclopediaPage& page = dump.page(i);
     if (page.abstract.empty()) continue;
     const nn::CopyNet::Example source = MakeSource(page.abstract, segmenter);
-    const std::vector<std::string> generated =
-        model_->Generate(source.source_ids, source.source_words);
-    if (generated.empty()) continue;
-    const std::string& hyper = generated[0];
+    std::string hyper =
+        decoder_->Decode(source.source_ids, source.source_words);
     if (hyper.empty() || hyper == page.mention) continue;
     // A hypernym must be a common noun; generated function words (是/一种)
     // and punctuation are decoder misfires, not classes.
@@ -184,7 +187,7 @@ CandidateList NeuralGeneration::ExtractRange(const kb::EncyclopediaDump& dump,
     }
     Candidate candidate;
     candidate.hypo = page.name;
-    candidate.hyper = hyper;
+    candidate.hyper = std::move(hyper);
     candidate.source = taxonomy::Source::kAbstract;
     candidates.push_back(std::move(candidate));
   }
@@ -193,7 +196,7 @@ CandidateList NeuralGeneration::ExtractRange(const kb::EncyclopediaDump& dump,
 
 CandidateList NeuralGeneration::ExtractAll(
     const kb::EncyclopediaDump& dump, const text::Segmenter& segmenter) const {
-  CNPB_CHECK(model_ != nullptr) << "Train() before ExtractAll()";
+  CNPB_CHECK(decoder_ != nullptr) << "Train() before ExtractAll()";
   return util::ShardedConcat(dump.size(), [&](size_t begin, size_t end) {
     return ExtractRange(dump, segmenter, begin, end);
   });

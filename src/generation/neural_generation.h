@@ -8,6 +8,7 @@
 #include "generation/candidate.h"
 #include "kb/dump.h"
 #include "nn/copynet.h"
+#include "nn/copynet_decoder.h"
 #include "nn/vocab.h"
 #include "text/segmenter.h"
 
@@ -89,6 +90,8 @@ class NeuralGeneration {
   nn::Vocab output_vocab_;
   std::vector<nn::CopyNet::Example> examples_;
   std::unique_ptr<nn::CopyNet> model_;
+  // Inference runs on this frozen copy of model_, rebuilt by Train and Load.
+  std::unique_ptr<nn::CopyNetDecoder> decoder_;
   size_t train_end_ = 0;  // examples_[0, train_end_) are used for training
 };
 

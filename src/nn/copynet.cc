@@ -1,8 +1,5 @@
 #include "nn/copynet.h"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "util/logging.h"
 
 namespace cnpb::nn {
@@ -89,8 +86,7 @@ float CopyNet::AccumulateBatch(const std::vector<const Example*>& batch) {
     for (const std::string& target : targets) {
       const StepOutput step = DecodeStep(h_matrix, state, context, prev_id);
 
-      const int vocab_id =
-          output_vocab_->Contains(target) ? output_vocab_->Id(target) : -1;
+      const int vocab_id = output_vocab_->Find(target);
       std::vector<int> copy_positions;
       if (config_.use_copy) {
         for (size_t j = 0; j < example->source_words.size(); ++j) {
@@ -139,55 +135,6 @@ float CopyNet::AccumulateBatch(const std::vector<const Example*>& batch) {
   return total_tokens == 0
              ? 0.0f
              : static_cast<float>(total_loss / static_cast<double>(total_tokens));
-}
-
-std::vector<std::string> CopyNet::Generate(
-    const std::vector<int>& source_ids,
-    const std::vector<std::string>& source_words) const {
-  std::vector<std::string> output;
-  if (source_ids.empty()) return output;
-  CNPB_CHECK(source_ids.size() == source_words.size());
-
-  std::vector<Var> states;
-  Var enc_final = Encode(source_ids, &states);
-  const Var h_matrix = StackRows(states);
-
-  Var state = enc_final;
-  Var context = ZeroContext();
-  int prev_id = Vocab::kPad;
-  for (int t = 0; t < config_.max_decode_len; ++t) {
-    const StepOutput step = DecodeStep(h_matrix, state, context, prev_id);
-    // Combined distribution over vocab words and source words.
-    std::unordered_map<std::string, float> scores;
-    const float p_gen = step.p_gen->value[0];
-    for (int v = 0; v < output_vocab_->size(); ++v) {
-      const float p = p_gen * step.p_vocab->value[v];
-      if (p > 0.0f) scores[output_vocab_->Word(v)] += p;
-    }
-    if (config_.use_copy) {
-      for (size_t j = 0; j < source_words.size(); ++j) {
-        scores[source_words[j]] +=
-            (1.0f - p_gen) * step.attention->value[static_cast<int>(j)];
-      }
-    }
-    // Greedy argmax, never emitting the reserved tokens except <eos>.
-    std::string best;
-    float best_score = -1.0f;
-    for (const auto& [word, score] : scores) {
-      if (word == "<pad>" || word == "<unk>") continue;
-      if (score > best_score) {
-        best_score = score;
-        best = word;
-      }
-    }
-    if (best.empty() || best == "<eos>") break;
-    output.push_back(best);
-    prev_id = output_vocab_->Contains(best) ? output_vocab_->Id(best)
-                                            : Vocab::kUnk;
-    state = step.state;
-    context = step.context;
-  }
-  return output;
 }
 
 }  // namespace cnpb::nn

@@ -24,12 +24,19 @@ namespace cnpb::nn {
 //   decoder: GRU over [emb(y_prev); context_prev]
 //   attention: bilinear, e_j = h_j · (W_a s_t); a = softmax(e)
 //   p_gen = sigmoid(w_g [s_t; c_t]);  P = p_gen*P_vocab + (1-p_gen)*copy
+//
+// Training runs on the autograd tape. Inference runs on CopyNetDecoder
+// (nn/copynet_decoder.h), a frozen copy of the weights that decodes the
+// first word only: the hypernym. Its argmax is over P summed per word: each
+// output-vocab id, plus one slot per distinct source word outside the output
+// vocabulary. Exact ties go to the lowest output-vocab id, then to the OOV
+// word with the earliest first source position. <pad> and <unk> are never
+// chosen; <eos> or an empty word means no hypernym.
 class CopyNet {
  public:
   struct Config {
     int embed_dim = 32;
     int hidden_dim = 64;
-    int max_decode_len = 4;
     bool use_copy = true;  // false = plain attentional seq2seq (ablation)
     uint64_t seed = 1234;
   };
@@ -48,15 +55,12 @@ class CopyNet {
   // loss. The caller owns the optimizer step.
   float AccumulateBatch(const std::vector<const Example*>& batch);
 
-  // Greedy decode; returns generated words (may include copied source words
-  // that are outside the output vocabulary).
-  std::vector<std::string> Generate(const std::vector<int>& source_ids,
-                                    const std::vector<std::string>& source_words) const;
-
   std::vector<Var> Params() const;
   const Config& config() const { return config_; }
 
- private:
+  // The tape forward that training differentiates through. Inference runs
+  // on CopyNetDecoder, which reproduces these values bit for bit; tests
+  // compare the two.
   // Runs the encoder; fills per-token states and returns the final state.
   Var Encode(const std::vector<int>& ids, std::vector<Var>* states) const;
 
@@ -70,6 +74,9 @@ class CopyNet {
   StepOutput DecodeStep(const Var& h_matrix, const Var& prev_state,
                         const Var& prev_context, int prev_word_id) const;
   Var ZeroContext() const;
+
+ private:
+  friend class CopyNetDecoder;  // copies the trained weights
 
   const Vocab* input_vocab_;
   const Vocab* output_vocab_;

@@ -37,6 +37,8 @@ class Embedding {
   int dim() const { return table_->value.cols(); }
 
  private:
+  friend class CopyNetDecoder;
+
   Var table_;
 };
 
@@ -56,6 +58,8 @@ class GruCell {
   int hidden_dim() const { return hidden_dim_; }
 
  private:
+  friend class CopyNetDecoder;
+
   int hidden_dim_ = 0;
   Linear wz_, uz_, wr_, ur_, wn_, un_;
 };

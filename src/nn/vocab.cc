@@ -11,22 +11,25 @@ Vocab::Vocab() {
 }
 
 int Vocab::Add(std::string_view word) {
-  auto it = index_.find(std::string(word));
-  if (it != index_.end()) return it->second;
+  const int found = Find(word);
+  if (found >= 0) return found;
   const int id = static_cast<int>(words_.size());
   words_.emplace_back(word);
   index_.emplace(words_.back(), id);
   return id;
 }
 
-int Vocab::Id(std::string_view word) const {
-  auto it = index_.find(std::string(word));
-  return it == index_.end() ? kUnk : it->second;
+int Vocab::Find(std::string_view word) const {
+  auto it = index_.find(word);
+  return it == index_.end() ? -1 : it->second;
 }
 
-bool Vocab::Contains(std::string_view word) const {
-  return index_.count(std::string(word)) > 0;
+int Vocab::Id(std::string_view word) const {
+  const int id = Find(word);
+  return id < 0 ? kUnk : id;
 }
+
+bool Vocab::Contains(std::string_view word) const { return Find(word) >= 0; }
 
 const std::string& Vocab::Word(int id) const {
   CNPB_CHECK(id >= 0 && static_cast<size_t>(id) < words_.size());

@@ -1,6 +1,7 @@
 #ifndef CNPROBASE_NN_VOCAB_H_
 #define CNPROBASE_NN_VOCAB_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,6 +22,8 @@ class Vocab {
 
   // Adds a word (idempotent); returns its id.
   int Add(std::string_view word);
+  // Id of word, or -1 when it is absent.
+  int Find(std::string_view word) const;
   // Id of word, or kUnk.
   int Id(std::string_view word) const;
   bool Contains(std::string_view word) const;
@@ -30,8 +33,16 @@ class Vocab {
   std::vector<int> Encode(const std::vector<std::string>& tokens) const;
 
  private:
+  // Transparent, so a string_view probes the index without a copy.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> words_;
-  std::unordered_map<std::string, int> index_;
+  std::unordered_map<std::string, int, Hash, std::equal_to<>> index_;
 };
 
 }  // namespace cnpb::nn

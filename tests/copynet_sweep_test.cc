@@ -6,6 +6,7 @@
 
 #include "nn/adam.h"
 #include "nn/copynet.h"
+#include "nn/copynet_decoder.h"
 #include "util/rng.h"
 
 namespace cnpb::nn {
@@ -73,11 +74,11 @@ TEST_P(CopyNetSweepTest, TrainsAtEveryScale) {
   EXPECT_LT(trained, initial * 0.6f) << "embed=" << embed
                                      << " hidden=" << hidden;
   // Trained model solves the copy task.
+  const CopyNetDecoder decoder(model);
   size_t correct = 0;
   for (const auto& example : examples_) {
-    const auto generated =
-        model.Generate(example.source_ids, example.source_words);
-    if (!generated.empty() && generated[0] == example.target_words[0]) {
+    if (decoder.Decode(example.source_ids, example.source_words) ==
+        example.target_words[0]) {
       ++correct;
     }
   }

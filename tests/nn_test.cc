@@ -6,6 +6,7 @@
 #include "nn/adam.h"
 #include "nn/autograd.h"
 #include "nn/copynet.h"
+#include "nn/copynet_decoder.h"
 #include "nn/layers.h"
 #include "nn/vocab.h"
 #include "util/rng.h"
@@ -287,15 +288,15 @@ class CopyNetTest : public ::testing::Test {
   enum class Subset { kAll, kOovOnly, kInVocabOnly };
 
   double Accuracy(const CopyNet& model, Subset subset) {
+    const CopyNetDecoder decoder(model);
     size_t correct = 0, total = 0;
     for (const auto& example : examples_) {
       const bool oov = !output_vocab_.Contains(example.target_words[0]);
       if (subset == Subset::kOovOnly && !oov) continue;
       if (subset == Subset::kInVocabOnly && oov) continue;
       ++total;
-      const auto generated =
-          model.Generate(example.source_ids, example.source_words);
-      if (!generated.empty() && generated[0] == example.target_words[0]) {
+      if (decoder.Decode(example.source_ids, example.source_words) ==
+          example.target_words[0]) {
         ++correct;
       }
     }
@@ -349,7 +350,7 @@ TEST(CopyNetEdgeTest, EmptySourceGeneratesNothing) {
   config.embed_dim = 4;
   config.hidden_dim = 6;
   CopyNet model(&in, &out, config);
-  EXPECT_TRUE(model.Generate({}, {}).empty());
+  EXPECT_EQ(CopyNetDecoder(model).Decode({}, {}), "");
 }
 
 }  // namespace
