@@ -80,11 +80,13 @@ void ReaderLoop(const taxonomy::ApiService& api,
 // apply, bounded-lag publish), then measures crash recovery twice on the
 // same WAL: once replaying the full log (no cursor) and once after a
 // compaction bounded it to the suffix. Results land in bench.ingest.*
-// gauges so --metrics-out ships them in the CI JSON artifact.
-void RunIngestPhase(const bench::BenchWorld& world,
-                    const kb::EncyclopediaDump& base,
-                    const std::vector<kb::EncyclopediaPage>& stream,
-                    core::CnProbaseBuilder::Config config) {
+// gauges so --metrics-out ships them in the CI JSON artifact. Returns the
+// number of full rebuilds its updaters ran: with verification off every
+// batch must apply in place, so anything above 0 fails the bench.
+uint64_t RunIngestPhase(const bench::BenchWorld& world,
+                        const kb::EncyclopediaDump& base,
+                        const std::vector<kb::EncyclopediaPage>& stream,
+                        core::CnProbaseBuilder::Config config) {
   std::printf("\n-- ingest daemon: WAL-backed streaming updates --\n");
   // Streamed pages carry explicit relations and ship no corpus evidence;
   // the daemon applies without the statistical verifier (as in ingestd).
@@ -105,7 +107,7 @@ void RunIngestPhase(const bench::BenchWorld& world,
   options.compact_every_records = 0;  // manual: we time both recovery shapes
 
   double feed_seconds = 0.0, full_replay_seconds = 0.0;
-  uint64_t full_replay_records = 0, publishes = 0;
+  uint64_t full_replay_records = 0, publishes = 0, rebuilds = 0;
   {
     core::IncrementalUpdater updater(base, &world.world->lexicon(),
                                      world.corpus_words, config);
@@ -113,7 +115,7 @@ void RunIngestPhase(const bench::BenchWorld& world,
     ingest::IngestDaemon daemon(&updater, &api, options);
     if (const util::Status status = daemon.Start(); !status.ok()) {
       std::printf("ingest phase skipped: %s\n", status.ToString().c_str());
-      return;
+      return 0;
     }
     util::WallTimer feed_timer;
     constexpr size_t kChunk = 32;
@@ -123,17 +125,18 @@ void RunIngestPhase(const bench::BenchWorld& world,
                                               stream.begin() + end);
       if (!daemon.SubmitBatch(chunk).ok()) {
         std::printf("ingest phase aborted: submit failed\n");
-        return;
+        return 0;
       }
     }
     if (!daemon.Flush().ok()) {
       std::printf("ingest phase aborted: flush failed\n");
-      return;
+      return 0;
     }
     feed_seconds = feed_timer.ElapsedSeconds();
     publishes = daemon.stats().publishes;
     // Crash-stop: no drain, no cursor — the next boot replays everything.
     (void)daemon.Stop(ingest::IngestDaemon::StopMode::kAbort);
+    rebuilds += updater.rebuilds();
   }
   const double pages_per_sec =
       feed_seconds > 0 ? stream.size() / feed_seconds : 0.0;
@@ -164,12 +167,13 @@ void RunIngestPhase(const bench::BenchWorld& world,
     if (const util::Status status = daemon.Start(); !status.ok()) {
       std::printf("ingest phase aborted: recovery failed: %s\n",
                   status.ToString().c_str());
-      return;
+      return 0;
     }
     full_replay_seconds = recovery_timer.ElapsedSeconds();
     full_replay_records = daemon.recovery_report().records_delivered;
     (void)daemon.CompactNow();
     (void)daemon.Stop(ingest::IngestDaemon::StopMode::kDrain);
+    rebuilds += updater.rebuilds();
   }
 
   // Recovery 2: bounded replay past the compaction cursor.
@@ -183,11 +187,12 @@ void RunIngestPhase(const bench::BenchWorld& world,
     if (const util::Status status = daemon.Start(); !status.ok()) {
       std::printf("ingest phase aborted: bounded recovery failed: %s\n",
                   status.ToString().c_str());
-      return;
+      return 0;
     }
     bounded_replay_seconds = recovery_timer.ElapsedSeconds();
     bounded_replay_records = daemon.recovery_report().records_delivered;
     (void)daemon.Stop(ingest::IngestDaemon::StopMode::kDrain);
+    rebuilds += updater.rebuilds();
   }
   std::printf("recovery replay: full WAL %llu records in %.2fs; after "
               "compaction %llu records in %.2fs%s\n",
@@ -198,6 +203,10 @@ void RunIngestPhase(const bench::BenchWorld& world,
               bounded_replay_records < full_replay_records
                   ? " (bounded, as required)"
                   : " ** REPLAY NOT BOUNDED **");
+  std::printf("full rebuilds during ingest: %llu%s\n",
+              static_cast<unsigned long long>(rebuilds),
+              rebuilds == 0 ? " (every batch applied in place, as required)"
+                            : " ** O(N) REBUILDS ON THE INGEST PATH **");
 
   auto& registry = obs::MetricsRegistry::Global();
   registry.gauge("bench.ingest.pages_per_sec")->Set(pages_per_sec);
@@ -210,9 +219,12 @@ void RunIngestPhase(const bench::BenchWorld& world,
       ->Set(bounded_replay_seconds);
   registry.gauge("bench.ingest.replay_compacted_records")
       ->Set(static_cast<double>(bounded_replay_records));
+  registry.gauge("bench.ingest.rebuilds")->Set(static_cast<double>(rebuilds));
+  return rebuilds;
 }
 
-void Run() {
+// Returns false when a gate of the run failed.
+bool Run() {
   bench::PrintHeader("Incremental",
                      "never-ending maintenance, served while updating");
   auto world = bench::MakeBenchWorld(bench::BenchScale());
@@ -368,7 +380,7 @@ void Run() {
   for (const auto& batch : batches) {
     stream.insert(stream.end(), batch.begin(), batch.end());
   }
-  RunIngestPhase(*world, base, stream, config);
+  return RunIngestPhase(*world, base, stream, config) == 0;
 }
 
 }  // namespace
@@ -381,7 +393,7 @@ int main(int argc, char** argv) {
       metrics_out = argv[++i];
     }
   }
-  cnpb::Run();
+  const bool ok = cnpb::Run();
   if (!metrics_out.empty()) {
     const cnpb::util::Status status = cnpb::obs::WriteMetricsFiles(
         cnpb::obs::MetricsRegistry::Global(), metrics_out);
@@ -393,5 +405,5 @@ int main(int argc, char** argv) {
     std::printf("\nmetrics written to %s.prom and %s.json\n",
                 metrics_out.c_str(), metrics_out.c_str());
   }
-  return 0;
+  return ok ? 0 : 1;
 }

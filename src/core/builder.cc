@@ -215,16 +215,25 @@ generation::CandidateList CnProbaseBuilder::BuildCandidates(
 taxonomy::Taxonomy CnProbaseBuilder::Materialise(
     const generation::CandidateList& candidates) {
   taxonomy::Taxonomy taxonomy;
+  // Self-loops are skipped before anything is interned: AddIsa would reject
+  // the edge anyway, and interning its endpoint would leave an isolated node
+  // that the next rebuild from this taxonomy's edges drops again.
+  const auto self_loop = [](const generation::Candidate& candidate) {
+    return candidate.hypo == candidate.hyper;
+  };
   // Concepts first so a term that is both a page and a hypernym gets the
   // concept kind (subconcept relations).
   std::unordered_set<std::string_view> concepts;
   for (const generation::Candidate& candidate : candidates) {
-    concepts.insert(candidate.hyper);
+    if (!self_loop(candidate)) concepts.insert(candidate.hyper);
   }
   for (const generation::Candidate& candidate : candidates) {
-    taxonomy.AddNode(candidate.hyper, taxonomy::NodeKind::kConcept);
+    if (!self_loop(candidate)) {
+      taxonomy.AddNode(candidate.hyper, taxonomy::NodeKind::kConcept);
+    }
   }
   for (const generation::Candidate& candidate : candidates) {
+    if (self_loop(candidate)) continue;
     const taxonomy::NodeKind kind = concepts.count(candidate.hypo) > 0
                                         ? taxonomy::NodeKind::kConcept
                                         : taxonomy::NodeKind::kEntity;

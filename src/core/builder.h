@@ -69,7 +69,8 @@ class CnProbaseBuilder {
 
   // Materialises a taxonomy from verified candidates: every hypernym string
   // becomes a concept node; hyponyms that never appear as hypernyms become
-  // entity nodes.
+  // entity nodes. Self-loop candidates (hypo == hyper) are skipped whole, so
+  // every node has at least one edge.
   static taxonomy::Taxonomy Materialise(
       const generation::CandidateList& candidates);
 

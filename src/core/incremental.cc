@@ -1,7 +1,6 @@
 #include "core/incremental.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "generation/direct_extraction.h"
@@ -17,13 +16,6 @@
 namespace cnpb::core {
 
 namespace {
-
-std::string PairKey(const std::string& hypo, const std::string& hyper) {
-  std::string key = hypo;
-  key.push_back('\x01');
-  key.append(hyper);
-  return key;
-}
 
 // Copies pages [first_page, source.size()) preserving their page ids (ids of
 // zero are auto-assigned by AddPage).
@@ -97,9 +89,11 @@ IncrementalUpdater::IncrementalUpdater(
   } else {
     verified = std::move(merged);
   }
-  taxonomy_ =
-      taxonomy::Taxonomy::Freeze(CnProbaseBuilder::Materialise(verified));
+  taxonomy_ = CnProbaseBuilder::Materialise(verified);
+  mentions_ = CnProbaseBuilder::BuildMentionIndex(dump_, taxonomy_);
   generation_ = 1;
+  // Registered up front so a run without a single rebuild exports 0.
+  obs::MetricsRegistry::Global().counter("incremental.rebuilds");
   obs::MetricsRegistry::Global()
       .gauge("incremental.base_build_seconds")
       ->Set(base_timer.ElapsedSeconds());
@@ -121,6 +115,118 @@ generation::CandidateList IncrementalUpdater::ExtractFrom(size_t first_page) {
   for (auto& c : abstract_candidates) c.score = config_.abstract_prior;
   return generation::MergeCandidates(
       {&bracket, &infobox_candidates, &tag_candidates, &abstract_candidates});
+}
+
+bool IncrementalUpdater::HasEdge(
+    const generation::Candidate& candidate) const {
+  const taxonomy::NodeId hypo = taxonomy_.Find(candidate.hypo);
+  if (hypo == taxonomy::kInvalidNode) return false;
+  const taxonomy::NodeId hyper = taxonomy_.Find(candidate.hyper);
+  return hyper != taxonomy::kInvalidNode && taxonomy_.HasIsa(hypo, hyper);
+}
+
+bool IncrementalUpdater::Append(const generation::Candidate& candidate) {
+  if (candidate.hypo == candidate.hyper) return false;
+  taxonomy::NodeId hyper = taxonomy_.Find(candidate.hyper);
+  if (hyper == taxonomy::kInvalidNode) {
+    hyper = taxonomy_.AddNode(candidate.hyper, taxonomy::NodeKind::kConcept);
+  } else {
+    taxonomy_.PromoteToConcept(hyper);
+  }
+  // A new hyponym starts as an entity; it is promoted if a later candidate
+  // names it as a hypernym, which is the kind Materialise would give it.
+  const taxonomy::NodeId hypo =
+      taxonomy_.AddNode(candidate.hypo, taxonomy::NodeKind::kEntity);
+  return taxonomy_.AddIsa(hypo, hyper, candidate.source, candidate.score);
+}
+
+bool IncrementalUpdater::VerifyAndApply(const generation::CandidateList& fresh,
+                                        BatchReport* report) {
+  // Existing relations join the pool so the verification statistics (NER s2,
+  // concept hyponym sets, attribute distributions) see the whole taxonomy —
+  // and so accumulating evidence can also revoke old relations.
+  generation::CandidateList pool;
+  pool.reserve(taxonomy_.num_edges() + fresh.size());
+  taxonomy_.ForEachEdge([&](const taxonomy::IsaEdge& edge) {
+    generation::Candidate candidate;
+    candidate.hypo = taxonomy_.Name(edge.hypo);
+    candidate.hyper = taxonomy_.Name(edge.hyper);
+    candidate.source = edge.source;
+    candidate.score = edge.score;
+    pool.push_back(std::move(candidate));
+  });
+  const size_t num_existing = pool.size();
+  for (const generation::Candidate& candidate : fresh) {
+    if (!HasEdge(candidate)) pool.push_back(candidate);
+  }
+  const size_t proposed = pool.size() - num_existing;
+
+  std::vector<size_t> kept;
+  generation::CandidateList verified = pipeline_->Verify(pool, nullptr, &kept);
+  const auto first_fresh =
+      std::lower_bound(kept.begin(), kept.end(), num_existing);
+  report->revoked =
+      num_existing - static_cast<size_t>(first_fresh - kept.begin());
+  if (report->revoked == 0) {
+    for (auto it = first_fresh; it != kept.end(); ++it) {
+      if (Append(pool[*it])) ++report->accepted;
+    }
+  } else {
+    // A revoked edge may have been the only support of a node or of its
+    // concept kind: rebuild both structures the way the base build does.
+    // Every kept fresh pair but a self-loop becomes an edge.
+    for (auto it = first_fresh; it != kept.end(); ++it) {
+      if (pool[*it].hypo != pool[*it].hyper) ++report->accepted;
+    }
+    taxonomy_ = CnProbaseBuilder::Materialise(verified);
+    mentions_ = CnProbaseBuilder::BuildMentionIndex(dump_, taxonomy_);
+    ++rebuilds_;
+    obs::MetricsRegistry::Global().counter("incremental.rebuilds")->Increment();
+  }
+  report->rejected = proposed - report->accepted;
+  return report->revoked > 0;
+}
+
+void IncrementalUpdater::AddMention(const std::string& mention,
+                                    size_t page_index, taxonomy::NodeId id) {
+  std::vector<taxonomy::NodeId>& ids = mentions_[mention];
+  if (std::find(ids.begin(), ids.end(), id) != ids.end()) return;
+  // Candidates stay in page order, as BuildMentionIndex lists them: the new
+  // one goes after every candidate whose page comes first.
+  const kb::EncyclopediaPage* const pages = dump_.pages().data();
+  auto pos = ids.end();
+  while (pos != ids.begin() &&
+         static_cast<size_t>(dump_.FindByName(taxonomy_.Name(*(pos - 1))) -
+                             pages) > page_index) {
+    --pos;
+  }
+  ids.insert(pos, id);
+}
+
+void IncrementalUpdater::IndexNewMentions(size_t first_page,
+                                          taxonomy::NodeId first_node) {
+  // (page index, node) pairs the index lacks: older pages whose names just
+  // became nodes, then the batch's own pages that name a node.
+  std::vector<std::pair<size_t, taxonomy::NodeId>> additions;
+  const kb::EncyclopediaPage* const pages = dump_.pages().data();
+  for (taxonomy::NodeId id = first_node; id < taxonomy_.num_nodes(); ++id) {
+    const kb::EncyclopediaPage* page = dump_.FindByName(taxonomy_.Name(id));
+    if (page != nullptr && static_cast<size_t>(page - pages) < first_page) {
+      additions.emplace_back(page - pages, id);
+    }
+  }
+  std::sort(additions.begin(), additions.end());
+  for (size_t i = first_page; i < dump_.size(); ++i) {
+    const taxonomy::NodeId id = taxonomy_.Find(dump_.page(i).name);
+    if (id != taxonomy::kInvalidNode) additions.emplace_back(i, id);
+  }
+  for (const auto& [page_index, id] : additions) {
+    const kb::EncyclopediaPage& page = dump_.page(page_index);
+    AddMention(page.mention, page_index, id);
+    for (const std::string& alias : page.aliases) {
+      AddMention(alias, page_index, id);
+    }
+  }
 }
 
 IncrementalUpdater::BatchReport IncrementalUpdater::ApplyBatch(
@@ -147,70 +253,51 @@ IncrementalUpdater::BatchReport IncrementalUpdater::ApplyBatch(
     return report;
   }
 
-  const generation::CandidateList fresh = ExtractFrom(first_new);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  generation::CandidateList fresh;
+  {
+    obs::ScopedTimer stage(
+        metrics.histogram("incremental.stage.extract_seconds"));
+    fresh = ExtractFrom(first_new);
+  }
   report.candidates = fresh.size();
 
-  // Existing relations join the pool so the verification statistics (NER s2,
-  // concept hyponym sets, attribute distributions) see the whole taxonomy —
-  // and so accumulating evidence can also revoke old relations.
-  generation::CandidateList pool;
-  pool.reserve(taxonomy_->num_edges() + fresh.size());
-  std::unordered_set<std::string> existing;
-  existing.reserve(taxonomy_->num_edges());
-  taxonomy_->ForEachEdge([&](const taxonomy::IsaEdge& edge) {
-    generation::Candidate candidate;
-    candidate.hypo = taxonomy_->Name(edge.hypo);
-    candidate.hyper = taxonomy_->Name(edge.hyper);
-    candidate.source = edge.source;
-    candidate.score = edge.score;
-    existing.insert(PairKey(candidate.hypo, candidate.hyper));
-    pool.push_back(std::move(candidate));
-  });
-  // Fresh pairs not already in the taxonomy: the batch's genuinely new
-  // proposals, tracked so acceptance can be read off the final edge set.
-  std::unordered_set<std::string> proposed;
-  proposed.reserve(fresh.size());
-  for (const auto& candidate : fresh) {
-    std::string key = PairKey(candidate.hypo, candidate.hyper);
-    if (existing.count(key) > 0) continue;
-    if (proposed.insert(std::move(key)).second) pool.push_back(candidate);
+  {
+    // Readers holding an earlier snapshot() keep their own copy.
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_.reset();
   }
-
-  generation::CandidateList verified;
-  if (pipeline_ != nullptr) {
-    verified = pipeline_->Verify(pool, nullptr);
-  } else {
-    verified = std::move(pool);
-  }
-  // Materialise the next version off to the side, then swap the frozen
-  // snapshot; readers holding the old snapshot() are unaffected.
-  taxonomy::Taxonomy next = CnProbaseBuilder::Materialise(verified);
-  std::unordered_set<std::string> after;
-  after.reserve(next.num_edges());
-  next.ForEachEdge([&](const taxonomy::IsaEdge& edge) {
-    after.insert(PairKey(next.Name(edge.hypo), next.Name(edge.hyper)));
-  });
-  // Accounting from the actual edge sets: a proposed pair either made it in
-  // (accepted) or was vetoed (rejected); an existing pair that vanished was
-  // revoked — the three are distinct outcomes, not one clamped difference.
-  for (const std::string& key : proposed) {
-    if (after.count(key) > 0) {
-      ++report.accepted;
+  const taxonomy::NodeId first_node =
+      static_cast<taxonomy::NodeId>(taxonomy_.num_nodes());
+  bool rebuilt = false;
+  {
+    obs::ScopedTimer stage(metrics.histogram("incremental.stage.apply_seconds"));
+    if (pipeline_ != nullptr) {
+      rebuilt = VerifyAndApply(fresh, &report);
     } else {
-      ++report.rejected;
+      // No verification: a fresh pair is new unless the taxonomy already
+      // has it; a self-loop is the only new pair AddIsa refuses.
+      for (const generation::Candidate& candidate : fresh) {
+        if (HasEdge(candidate)) continue;
+        if (Append(candidate)) {
+          ++report.accepted;
+        } else {
+          ++report.rejected;
+        }
+      }
     }
   }
-  for (const std::string& key : existing) {
-    if (after.count(key) == 0) ++report.revoked;
+  if (!rebuilt) {
+    obs::ScopedTimer stage(
+        metrics.histogram("incremental.publish.index_seconds"));
+    IndexNewMentions(first_new, first_node);
   }
-  taxonomy_ = taxonomy::Taxonomy::Freeze(std::move(next));
   ++generation_;
   report.seconds = timer.ElapsedSeconds();
 
   // Batch accounting: counters accumulate over the updater's lifetime;
   // revocations feed the verification outcome triple (verify.candidates.*)
   // because the revoke decision is made here, against the previous taxonomy.
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   metrics.counter("incremental.batches")->Increment();
   metrics.counter("incremental.pages_added")->Increment(report.pages_added);
   metrics.counter("incremental.candidates")->Increment(report.candidates);
@@ -223,9 +310,24 @@ IncrementalUpdater::BatchReport IncrementalUpdater::ApplyBatch(
   return report;
 }
 
+std::shared_ptr<const taxonomy::Taxonomy> IncrementalUpdater::snapshot()
+    const {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  if (snapshot_ == nullptr) {
+    snapshot_ = taxonomy::Taxonomy::Freeze(taxonomy_.Clone());
+  }
+  return snapshot_;
+}
+
+std::shared_ptr<const taxonomy::ServingView> IncrementalUpdater::Encode()
+    const {
+  obs::ScopedTimer stage(obs::MetricsRegistry::Global().histogram(
+      "incremental.publish.encode_seconds"));
+  return taxonomy::ServingView::Encode(taxonomy_, mentions_);
+}
+
 uint64_t IncrementalUpdater::Publish(taxonomy::ApiService* service) const {
-  return service->Publish(
-      taxonomy_, CnProbaseBuilder::BuildMentionIndex(dump_, *taxonomy_));
+  return service->Publish(Encode());
 }
 
 util::Status IncrementalUpdater::SaveSnapshot(
@@ -240,7 +342,7 @@ util::Status IncrementalUpdater::SaveSnapshot(
   // previous file survives every failed attempt.
   const util::RetryResult result = util::RetryWithBackoff(
       util::RetryOptions{},
-      [&] { return taxonomy::SaveTaxonomyDurable(*taxonomy_, path); });
+      [&] { return taxonomy::SaveTaxonomyDurable(taxonomy_, path); });
   if (result.attempts > 1) {
     obs::MetricsRegistry::Global()
         .counter("incremental.snapshot_retries")
@@ -255,8 +357,7 @@ util::Status IncrementalUpdater::SaveSnapshot(
 util::Status IncrementalUpdater::SaveBinarySnapshot(
     const std::string& path, uint64_t* persisted_generation) const {
   const uint64_t generation = generation_;
-  const auto view = taxonomy::ServingView::Encode(
-      *taxonomy_, CnProbaseBuilder::BuildMentionIndex(dump_, *taxonomy_));
+  const auto view = Encode();
   const util::RetryResult result =
       util::RetryWithBackoff(util::RetryOptions{}, [&] {
         return taxonomy::WriteSnapshot(*view, path);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "generation/neural_generation.h"
 #include "kb/dump.h"
 #include "taxonomy/taxonomy.h"
+#include "taxonomy/view.h"
 #include "text/lexicon.h"
 #include "text/ngram.h"
 #include "text/segmenter.h"
@@ -29,11 +31,22 @@ namespace cnpb::core {
 // once and fed just the per-batch deltas, so batch cost does not grow with
 // the accumulated corpus.
 //
-// Serving: each batch materialises a fresh taxonomy off to the side and
-// freezes it into an immutable snapshot; Publish() installs the current
-// snapshot (plus a mention index rebuilt for it) into a live ApiService in
-// one atomic swap, so queries keep flowing — against a coherent version —
-// while batches apply.
+// Write path: the updater owns one mutable taxonomy and one mention index
+// and applies each batch to both in place. A batch appends its new nodes
+// and edges in fresh-candidate order; node ids, once assigned, never change
+// (so getEntity's id order is stable across batches), except when
+// verification revokes an existing edge: that batch rebuilds both
+// structures from the verified pool, exactly as the base build does, and
+// counts one `incremental.rebuilds`. With verification off a batch costs
+// O(delta) apart from the publish encode; with it on, the verification
+// pool still carries every edge, because its statistics cover the whole
+// taxonomy.
+//
+// Serving: Publish() encodes the working taxonomy and mention index into
+// one immutable ServingView and installs it in a live ApiService in one
+// atomic swap, so queries keep flowing — against a coherent version —
+// while batches apply. snapshot() hands out a frozen deep copy for callers
+// that want a Taxonomy object.
 class IncrementalUpdater {
  public:
   struct BatchReport {
@@ -66,11 +79,11 @@ class IncrementalUpdater {
       const std::vector<kb::EncyclopediaPage>& pages,
       const std::vector<std::vector<std::string>>& new_corpus = {});
 
-  // Publishes the current snapshot to `service` as a new immutable version:
-  // the mention index is rebuilt off to the side for exactly this taxonomy,
-  // then ApiService::Publish swaps both in as one unit. Queries
-  // in flight are never blocked and never observe a half-applied update.
-  // Returns the service's new version number.
+  // Publishes the current taxonomy and mention index to `service` as a new
+  // immutable version: both are encoded into one ServingView off to the
+  // side, then ApiService::Publish swaps it in. Queries in flight are never
+  // blocked and never observe a half-applied update. Returns the service's
+  // new version number.
   uint64_t Publish(taxonomy::ApiService* service) const;
 
   // Persists the current snapshot durably: atomic checksummed write via
@@ -91,21 +104,47 @@ class IncrementalUpdater {
   util::Status SaveBinarySnapshot(
       const std::string& path, uint64_t* persisted_generation = nullptr) const;
 
-  const taxonomy::Taxonomy& taxonomy() const { return *taxonomy_; }
-  // The current frozen snapshot (replaced wholesale by each ApplyBatch;
-  // safe to hold across batches and to serve from concurrently).
-  std::shared_ptr<const taxonomy::Taxonomy> snapshot() const {
-    return taxonomy_;
-  }
-  // Number of taxonomy generations materialised so far (base build = 1,
-  // +1 per non-empty batch).
+  // The working taxonomy. Valid until the next ApplyBatch, which mutates it
+  // in place: do not hold it across batches or read it from another thread
+  // while one applies.
+  const taxonomy::Taxonomy& taxonomy() const { return taxonomy_; }
+  // A frozen deep copy of the working taxonomy, safe to hold across batches
+  // and to serve from concurrently. Made on the first call after a batch
+  // and shared by every later call until the next ApplyBatch.
+  std::shared_ptr<const taxonomy::Taxonomy> snapshot() const;
+  // Number of taxonomy generations so far (base build = 1, +1 per non-empty
+  // batch).
   uint64_t generation() const { return generation_; }
+  // Batches that revoked an existing edge and so rebuilt the taxonomy and
+  // mention index from scratch (always 0 with verification off).
+  uint64_t rebuilds() const { return rebuilds_; }
   const kb::EncyclopediaDump& dump() const { return dump_; }
   const CnProbaseBuilder::Report& base_report() const { return base_report_; }
 
  private:
+  friend class IncrementalUpdaterTestPeer;
+
   // Extracts candidates from pages [first_page, dump_.size()).
   generation::CandidateList ExtractFrom(size_t first_page);
+
+  // True when `candidate`'s edge is already in the working taxonomy.
+  bool HasEdge(const generation::Candidate& candidate) const;
+  // Appends `candidate`'s edge to the working taxonomy, interning missing
+  // endpoints and promoting an entity hypernym to concept. Self-loops are
+  // refused before anything is interned. Returns whether an edge was added.
+  bool Append(const generation::Candidate& candidate);
+  // Runs verification over every existing edge plus `fresh`, then appends
+  // the accepted fresh edges, or rebuilds from the verified pool when an
+  // existing edge was revoked. Returns whether it rebuilt.
+  bool VerifyAndApply(const generation::CandidateList& fresh,
+                      BatchReport* report);
+  // Brings mentions_ up to date after an in-place batch: pages from
+  // `first_page` on whose names are nodes, plus older pages whose names
+  // became nodes at or after `first_node`, each at its page-order position.
+  void IndexNewMentions(size_t first_page, taxonomy::NodeId first_node);
+  void AddMention(const std::string& mention, size_t page_index,
+                  taxonomy::NodeId id);
+  std::shared_ptr<const taxonomy::ServingView> Encode() const;
 
   CnProbaseBuilder::Config config_;
   const text::Lexicon* lexicon_;
@@ -118,8 +157,15 @@ class IncrementalUpdater {
   // Persistent across batches; fed only the deltas (see AddPage /
   // AddCorpusSentence). Null when verification is disabled.
   std::unique_ptr<verification::VerificationPipeline> pipeline_;
-  std::shared_ptr<const taxonomy::Taxonomy> taxonomy_;
+  taxonomy::Taxonomy taxonomy_;
+  // Always equal, mention by mention and in candidate order, to
+  // CnProbaseBuilder::BuildMentionIndex(dump_, taxonomy_).
+  taxonomy::MentionIndex mentions_;
+  // snapshot()'s cached frozen copy; ApplyBatch drops it.
+  mutable std::mutex snapshot_mu_;
+  mutable std::shared_ptr<const taxonomy::Taxonomy> snapshot_;
   uint64_t generation_ = 0;
+  uint64_t rebuilds_ = 0;
   uint64_t next_page_id_ = 1;  // first id past the base dump's maximum
 };
 

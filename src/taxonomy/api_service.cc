@@ -179,7 +179,6 @@ uint64_t ApiService::PublishInternal(std::shared_ptr<const ServingView> view) {
   // previous version until the single release-ordered swap below.
   auto next = std::make_shared<Version>();
   next->view = std::move(view);
-  next->queries = std::make_shared<std::atomic<uint64_t>>(0);
 
   std::lock_guard<std::mutex> lock(publish_mu_);
   const auto now = std::chrono::steady_clock::now();
@@ -189,13 +188,23 @@ uint64_t ApiService::PublishInternal(std::shared_ptr<const ServingView> view) {
     history_.back().retired_at = now;
     history_.back().retired = true;
   }
+  if (history_.size() == kVersionHistory) {
+    // The oldest record shares the new version's slot: fold its count into
+    // the aggregate and hand the zeroed slot over.
+    const VersionRecord& oldest = history_.front();
+    evicted_ = true;
+    evicted_queries_ +=
+        QuerySlot(oldest.version).exchange(0, std::memory_order_relaxed);
+    evicted_seconds_ += SecondsBetween(oldest.published_at, oldest.retired_at);
+    history_.pop_front();
+  }
+  next->queries = &QuerySlot(next->version);
   VersionRecord record;
   record.version = next->version;
   record.num_edges = next->view->num_edges();
   record.num_mentions = next->view->num_mentions();
-  record.queries = next->queries;
   record.published_at = now;
-  history_.push_back(std::move(record));
+  history_.push_back(record);
   const uint64_t version = next->version;
   snapshot_.Publish(std::move(next));
   return version;
@@ -403,13 +412,19 @@ std::vector<ApiService::VersionStats> ApiService::AllVersionStats() const {
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(publish_mu_);
   std::vector<VersionStats> out;
-  out.reserve(history_.size());
+  out.reserve(history_.size() + 1);
+  if (evicted_) {
+    VersionStats evicted;
+    evicted.queries = evicted_queries_;
+    evicted.seconds_serving = evicted_seconds_;
+    out.push_back(evicted);
+  }
   for (const VersionRecord& record : history_) {
     VersionStats stats;
     stats.version = record.version;
     stats.num_edges = record.num_edges;
     stats.num_mentions = record.num_mentions;
-    stats.queries = record.queries->load(std::memory_order_relaxed);
+    stats.queries = QuerySlot(record.version).load(std::memory_order_relaxed);
     stats.seconds_serving = SecondsBetween(
         record.published_at, record.retired ? record.retired_at : now);
     out.push_back(stats);
@@ -435,10 +450,18 @@ void ApiService::ExportMetrics(obs::MetricsRegistry* registry) const {
   const std::shared_ptr<const Version> snap = snapshot_.Acquire();
   registry->gauge("api.snapshot_age_seconds")
       ->Set(SecondsBetween(snap->published_at, now));
-  for (const VersionStats& stats : AllVersionStats()) {
-    const std::string prefix =
-        util::StrFormat("api.version.%llu.",
-                        static_cast<unsigned long long>(stats.version));
+  const std::vector<VersionStats> all = AllVersionStats();
+  size_t slot = 0;
+  for (auto it = all.rbegin(); it != all.rend(); ++it) {
+    const VersionStats& stats = *it;
+    if (stats.version == 0) {
+      registry->gauge("api.version.evicted.queries")
+          ->Set(static_cast<double>(stats.queries));
+      continue;
+    }
+    const std::string prefix = util::StrFormat("api.version.slot%zu.", slot++);
+    registry->gauge(prefix + "version")
+        ->Set(static_cast<double>(stats.version));
     registry->gauge(prefix + "queries")
         ->Set(static_cast<double>(stats.queries));
     registry->gauge(prefix + "serving_seconds")->Set(stats.seconds_serving);
@@ -462,9 +485,10 @@ void ApiService::ResetUsage() {
     meter->calls.store(0, std::memory_order_relaxed);
   }
   std::lock_guard<std::mutex> lock(publish_mu_);
-  for (const VersionRecord& record : history_) {
-    record.queries->store(0, std::memory_order_relaxed);
+  for (std::atomic<uint64_t>& slot : query_slots_) {
+    slot.store(0, std::memory_order_relaxed);
   }
+  evicted_queries_ = 0;
 }
 
 size_t ApiService::num_mentions() const {

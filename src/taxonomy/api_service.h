@@ -1,9 +1,11 @@
 #ifndef CNPROBASE_TAXONOMY_API_SERVICE_H_
 #define CNPROBASE_TAXONOMY_API_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -72,9 +74,16 @@ class ApiService {
     }
   };
 
+  // Per-version history is bounded: the service keeps the current version
+  // and the kVersionHistory - 1 versions before it, and folds every older
+  // one into a single aggregate.
+  static constexpr size_t kVersionHistory = 16;
+
   // Per-published-version serving statistics; `queries` counts the calls
   // answered while that version was the pinned snapshot, so benches can
-  // attribute QPS to taxonomy versions.
+  // attribute QPS to taxonomy versions. `version == 0` marks the aggregate
+  // of every version evicted from the history (num_edges and num_mentions
+  // are then 0).
   struct VersionStats {
     uint64_t version = 0;
     size_t num_edges = 0;
@@ -183,7 +192,9 @@ class ApiService {
   // the direct ones) are appended after the direct list.
   util::Result<NamesResolved> TryGetConceptResolved(
       std::string_view entity_name, bool transitive = false) const;
-  // getEntity: direct hyponym names of a concept, capped at `limit`.
+  // getEntity: direct hyponym names of a concept in node-id order, capped at
+  // `limit`. The incremental updater never renumbers a node outside a
+  // revoking rebuild, so this order is stable across its batches.
   util::Result<NamesResolved> TryGetEntityResolved(
       std::string_view concept_name, size_t limit = 100) const;
 
@@ -220,8 +231,12 @@ class ApiService {
   // Version number of the currently served snapshot.
   uint64_t version() const;
 
-  // Stats for every version published so far (including retired ones), in
-  // publish order. Each query is attributed to exactly one version.
+  // Stats for the retained versions in publish order (at most
+  // kVersionHistory, the last one current), preceded by the evicted-version
+  // aggregate once any version has been evicted. The queries partition
+  // usage().total() once callers have joined. A query that pinned a version
+  // and was descheduled for kVersionHistory publishes before charging it is
+  // charged to the newest version instead: still counted exactly once.
   std::vector<VersionStats> AllVersionStats() const;
 
   // Snapshot of the call counters. Each counter is read atomically; the
@@ -234,28 +249,34 @@ class ApiService {
   size_t num_mentions() const;
 
   // Writes the serving-side gauges that only make sense at export time into
-  // `registry`: per-version query totals / serving seconds / QPS
-  // (api.version.<N>.*) and the age of the currently pinned snapshot
-  // (api.snapshot_age_seconds). Call right before exporting the registry.
+  // `registry`: for each retained version, by fixed slot (slot 0 the
+  // current version, slot k the k-th before it), its number, query total,
+  // serving seconds and QPS (api.version.slot<k>.{version,queries,
+  // serving_seconds,qps}); the evicted versions' query total
+  // (api.version.evicted.queries); and the age of the currently
+  // pinned snapshot (api.snapshot_age_seconds). The name set is bounded
+  // however many versions are published. Call right before exporting the
+  // registry.
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
  private:
   friend class QueryGuard;
 
-  // One published, immutable serving version. `queries` is shared with the
-  // stats history so counts survive the version being retired.
+  // One published, immutable serving version. `queries` is its slot in
+  // query_slots_, which outlives the version's retirement.
   struct Version {
     std::shared_ptr<const ServingView> view;
     uint64_t version = 0;
-    std::shared_ptr<std::atomic<uint64_t>> queries;
+    std::atomic<uint64_t>* queries = nullptr;
     std::chrono::steady_clock::time_point published_at;
   };
 
+  // History entry of a retained version; its query count lives in
+  // QuerySlot(version).
   struct VersionRecord {
     uint64_t version = 0;
     size_t num_edges = 0;
     size_t num_mentions = 0;
-    std::shared_ptr<std::atomic<uint64_t>> queries;
     std::chrono::steady_clock::time_point published_at;
     // Set by the publish that superseded this version (publishers are
     // serialised, so the last history_ entry is the only live one).
@@ -301,10 +322,21 @@ class ApiService {
   // The actual swap (old Publish body); assumes admission already passed.
   uint64_t PublishInternal(std::shared_ptr<const ServingView> view);
 
+  std::atomic<uint64_t>& QuerySlot(uint64_t version) const {
+    return query_slots_[version % kVersionHistory];
+  }
+
   util::SnapshotHolder<Version> snapshot_;
 
-  mutable std::mutex publish_mu_;  // serialises Publish; guards history_
-  std::vector<VersionRecord> history_;
+  // serialises Publish; guards history_ and the evicted_* aggregate.
+  mutable std::mutex publish_mu_;
+  std::deque<VersionRecord> history_;  // at most kVersionHistory, oldest first
+  // Per-version query counters. A retained version's slot is never shared:
+  // the version that evicts another takes over the evicted one's slot.
+  mutable std::array<std::atomic<uint64_t>, kVersionHistory> query_slots_{};
+  bool evicted_ = false;
+  uint64_t evicted_queries_ = 0;
+  double evicted_seconds_ = 0.0;
   uint64_t next_version_ = 1;
 
   // Overload policy + in-flight gauge. Relaxed atomics: admission is a

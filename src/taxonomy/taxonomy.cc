@@ -1,6 +1,7 @@
 #include "taxonomy/taxonomy.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/logging.h"
 
@@ -29,6 +30,23 @@ const std::vector<IsaEdge>& Taxonomy::EmptyEdges() {
   return *empty;
 }
 
+Taxonomy Taxonomy::Clone() const {
+  Taxonomy copy;
+  copy.names_ = names_;
+  copy.kinds_ = kinds_;
+  // index_ keys view into names_, so the copy re-keys into its own names.
+  copy.index_.reserve(index_.size());
+  for (NodeId id = 0; id < copy.names_.size(); ++id) {
+    copy.index_.emplace(std::string_view(copy.names_[id]), id);
+  }
+  copy.hypernyms_ = hypernyms_;
+  copy.hyponyms_ = hyponyms_;
+  copy.num_edges_ = num_edges_;
+  std::copy(std::begin(source_counts_), std::end(source_counts_),
+            std::begin(copy.source_counts_));
+  return copy;
+}
+
 NodeId Taxonomy::AddNode(std::string_view name, NodeKind kind) {
   CNPB_CHECK(!name.empty());
   auto it = index_.find(name);
@@ -38,6 +56,11 @@ NodeId Taxonomy::AddNode(std::string_view name, NodeKind kind) {
   kinds_.push_back(kind);
   index_.emplace(std::string_view(names_.back()), id);
   return id;
+}
+
+void Taxonomy::PromoteToConcept(NodeId id) {
+  CNPB_CHECK(id < kinds_.size());
+  kinds_[id] = NodeKind::kConcept;
 }
 
 bool Taxonomy::AddIsa(NodeId hypo, NodeId hyper, Source source, float score) {

@@ -53,6 +53,7 @@ class Taxonomy {
   Taxonomy() = default;
 
   // Moves are fine; copies are expensive and deleted to avoid accidents.
+  // Clone() is the explicit deep copy.
   Taxonomy(const Taxonomy&) = delete;
   Taxonomy& operator=(const Taxonomy&) = delete;
   Taxonomy(Taxonomy&&) = default;
@@ -66,12 +67,20 @@ class Taxonomy {
     return std::make_shared<const Taxonomy>(std::move(taxonomy));
   }
 
+  // A deep copy: same names, ids, kinds, edges (row order included) and
+  // source counts, sharing nothing with this object.
+  Taxonomy Clone() const;
+
   // Interns a node; returns the existing id when (name) is already present.
   // A name keeps the kind it was first added with; adding the same name with
   // a different kind returns the existing node unchanged (entities and
   // concepts live in one namespace, as in the paper where a concept string
   // can also be an encyclopedia entity).
   NodeId AddNode(std::string_view name, NodeKind kind);
+
+  // Turns an entity into a concept, e.g. once it is seen as a hypernym. The
+  // node keeps its id, name and edges; a concept is left as it is.
+  void PromoteToConcept(NodeId id);
 
   // Adds isA(hypo, hyper); deduplicates exact (hypo, hyper) pairs. Returns
   // true if the edge was new. Self-loops are rejected (returns false).

@@ -28,7 +28,8 @@ void VerificationPipeline::AddPage(const kb::EncyclopediaPage& page) {
 }
 
 generation::CandidateList VerificationPipeline::Verify(
-    const generation::CandidateList& candidates, Report* report) {
+    const generation::CandidateList& candidates, Report* report,
+    std::vector<size_t>* kept) {
   // Strategies still run in sequence (rejections are attributed to the first
   // strategy that fires), but syntax and NER shard the candidate list and
   // mark their disjoint rejection slots in parallel. Incompatible concepts
@@ -71,8 +72,11 @@ generation::CandidateList VerificationPipeline::Verify(
 
   generation::CandidateList verified;
   verified.reserve(candidates.size());
+  if (kept != nullptr) kept->clear();
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!rejected[i]) verified.push_back(candidates[i]);
+    if (rejected[i]) continue;
+    verified.push_back(candidates[i]);
+    if (kept != nullptr) kept->push_back(i);
   }
   local.output = verified.size();
   metrics.counter("verify.candidates.accepted")->Increment(verified.size());

@@ -55,9 +55,11 @@ class VerificationPipeline {
   // proportional to the delta, not the union.
   void AddPage(const kb::EncyclopediaPage& page);
 
-  // Filters the candidate list; fills `report` if non-null.
+  // Filters the candidate list; fills `report` if non-null, and `kept` if
+  // non-null with the ascending indices of the surviving candidates.
   generation::CandidateList Verify(const generation::CandidateList& candidates,
-                                   Report* report);
+                                   Report* report,
+                                   std::vector<size_t>* kept = nullptr);
 
   const std::unordered_map<std::string, std::string>& mention_of_page() const {
     return mention_of_page_;

@@ -261,6 +261,74 @@ TEST(IncrementalRevocationTest, RevocationsAreCountedSeparatelyFromRejections) {
   EXPECT_EQ(updater.taxonomy().num_edges(), 0u);
 }
 
+TEST(MaterialiseTest, SelfLoopCandidatesInternNothing) {
+  // Interning a self-loop's endpoint before AddIsa refused the loop left an
+  // isolated node: here "x" would have become a concept, and "x -> c" a
+  // subconcept edge.
+  generation::CandidateList candidates(3);
+  candidates[0].hypo = candidates[0].hyper = "x";
+  candidates[1].hypo = "x";
+  candidates[1].hyper = "c";
+  candidates[2].hypo = candidates[2].hyper = "lonely";
+  const taxonomy::Taxonomy taxonomy =
+      core::CnProbaseBuilder::Materialise(candidates);
+  EXPECT_EQ(taxonomy.num_nodes(), 2u);
+  EXPECT_EQ(taxonomy.num_edges(), 1u);
+  EXPECT_EQ(taxonomy.Find("lonely"), taxonomy::kInvalidNode);
+  ASSERT_NE(taxonomy.Find("x"), taxonomy::kInvalidNode);
+  EXPECT_EQ(taxonomy.Kind(taxonomy.Find("x")), taxonomy::NodeKind::kEntity);
+}
+
+TEST(IncrementalSelfLoopTest, ServedNamesDoNotFlipAcrossBatches) {
+  // A page tagged with its own name yields a self-loop candidate. It must
+  // not make the name a node in one version and drop it in the next.
+  text::Lexicon lexicon;
+  kb::EncyclopediaDump base;
+  kb::EncyclopediaPage loopy;
+  loopy.name = "loopy";
+  loopy.mention = "loopy_m";
+  loopy.tags = {"loopy"};
+  base.AddPage(loopy);
+  kb::EncyclopediaPage anchor;
+  anchor.name = "anchor";
+  anchor.mention = "anchor";
+  anchor.tags = {"concept"};
+  base.AddPage(anchor);
+  core::CnProbaseBuilder::Config config;
+  config.neural.epochs = 1;
+  config.enable_verification = false;
+  core::IncrementalUpdater updater(base, &lexicon, {}, config);
+  EXPECT_EQ(updater.taxonomy().Find("loopy"), taxonomy::kInvalidNode);
+
+  kb::EncyclopediaPage looped = loopy;
+  looped.name = "looped";
+  looped.tags = {"looped"};
+  kb::EncyclopediaPage other = anchor;
+  other.name = "other";
+  const auto report = updater.ApplyBatch({looped});
+  EXPECT_EQ(report.candidates, 1u);
+  EXPECT_EQ(report.rejected, 1u);
+  EXPECT_EQ(updater.taxonomy().Find("looped"), taxonomy::kInvalidNode);
+  updater.ApplyBatch({other});
+  EXPECT_EQ(updater.taxonomy().Find("loopy"), taxonomy::kInvalidNode);
+  EXPECT_EQ(updater.taxonomy().Find("looped"), taxonomy::kInvalidNode);
+  EXPECT_EQ(updater.taxonomy().num_nodes(), 3u);
+}
+
+TEST_F(IncrementalTest, SnapshotIsAFrozenCopyCachedPerBatch) {
+  core::IncrementalUpdater updater(*base_, &world_->lexicon(), *corpus_words_,
+                                   Config());
+  const auto first = updater.snapshot();
+  EXPECT_EQ(updater.snapshot(), first);  // cached until the next batch
+  EXPECT_NE(first.get(), &updater.taxonomy());
+  const size_t pinned_edges = first->num_edges();
+  updater.ApplyBatch(*batch1_);
+  EXPECT_EQ(first->num_edges(), pinned_edges);  // the pinned copy is frozen
+  const auto second = updater.snapshot();
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second->num_edges(), updater.taxonomy().num_edges());
+}
+
 TEST_F(IncrementalTest, ComparableToFullRebuild) {
   core::IncrementalUpdater updater(*base_, &world_->lexicon(), *corpus_words_,
                                    Config());

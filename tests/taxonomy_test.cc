@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "obs/metrics.h"
 #include "taxonomy/api_service.h"
 #include "taxonomy/serialize.h"
 #include "taxonomy/taxonomy.h"
@@ -97,6 +99,77 @@ TEST(TaxonomyTest, ForEachEdgeVisitsAll) {
   EXPECT_EQ(count, 2u);
 }
 
+// Every name-level fact of `t`, edge rows in order, as one string.
+std::string Fingerprint(const Taxonomy& t) {
+  std::string out;
+  for (NodeId id = 0; id < t.num_nodes(); ++id) {
+    out += t.Name(id) + (t.Kind(id) == NodeKind::kConcept ? "/c:" : "/e:");
+    for (const IsaEdge& edge : t.Hypernyms(id)) {
+      out += t.Name(edge.hyper) + "," +
+             std::to_string(static_cast<int>(edge.source)) + "," +
+             std::to_string(edge.score) + ";";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(TaxonomyTest, CloneIsDeep) {
+  Taxonomy t;
+  t.AddIsa("刘德华", "演员", Source::kTag);
+  t.AddIsa("刘德华", "歌手", Source::kBracket, 0.5f);
+  t.AddIsa("演员", "人物", Source::kInfobox, 1.0f, NodeKind::kConcept);
+  const Taxonomy clone = t.Clone();
+  const std::string before = Fingerprint(clone);
+  EXPECT_EQ(before, Fingerprint(t));
+  EXPECT_EQ(clone.num_edges(), 3u);
+  EXPECT_EQ(clone.NumEdgesFromSource(Source::kBracket), 1u);
+  EXPECT_EQ(clone.Find("歌手"), t.Find("歌手"));
+
+  // Mutating the source in every way leaves the clone as it was.
+  t.AddIsa("张学友", "歌手", Source::kTag);
+  t.RemoveIsa(t.Find("刘德华"), t.Find("演员"));
+  t.PromoteToConcept(t.Find("刘德华"));
+  t.AddNode("孤立", NodeKind::kEntity);
+  EXPECT_NE(Fingerprint(t), before);
+  EXPECT_EQ(Fingerprint(clone), before);
+  EXPECT_EQ(clone.Find("张学友"), kInvalidNode);
+  EXPECT_EQ(clone.Kind(clone.Find("刘德华")), NodeKind::kEntity);
+  EXPECT_EQ(clone.Hyponyms(clone.Find("歌手")).size(), 1u);
+  EXPECT_EQ(clone.NumEdgesFromSource(Source::kTag), 1u);
+  // The clone's name index is its own: lookups survive the source's death.
+  { Taxonomy gone = std::move(t); }
+  EXPECT_EQ(clone.Find("人物"), 3u);
+}
+
+TEST(TaxonomyTest, PromotionKeepsIdEdgesAndSourceCounts) {
+  Taxonomy t;
+  t.AddIsa("刘德华", "演员", Source::kTag);
+  t.AddIsa("张学友", "歌手", Source::kBracket);
+  const NodeId liu = t.Find("刘德华");
+  const std::string row_before = Fingerprint(t);
+  t.PromoteToConcept(liu);
+  EXPECT_EQ(t.Find("刘德华"), liu);
+  EXPECT_EQ(t.Kind(liu), NodeKind::kConcept);
+  EXPECT_EQ(t.num_nodes(), 4u);
+  EXPECT_EQ(t.num_edges(), 2u);
+  ASSERT_EQ(t.Hypernyms(liu).size(), 1u);
+  EXPECT_EQ(t.Hypernyms(liu)[0].hyper, t.Find("演员"));
+  EXPECT_EQ(t.NumEdgesFromSource(Source::kTag), 1u);
+  EXPECT_EQ(t.NumEdgesFromSource(Source::kBracket), 1u);
+  EXPECT_EQ(t.NumEntities(), 1u);
+  EXPECT_EQ(t.NumSubconceptEdges(), 1u);
+  // Only the kind changed.
+  std::string expected = row_before;
+  expected.replace(expected.find("刘德华/e:"), std::string("刘德华/e:").size(),
+                   "刘德华/c:");
+  EXPECT_EQ(Fingerprint(t), expected);
+  // A concept hypernym can now sit above the promoted node.
+  EXPECT_TRUE(t.AddIsa(t.Find("张学友"), liu, Source::kTag));
+  t.PromoteToConcept(liu);  // idempotent
+  EXPECT_EQ(t.Kind(liu), NodeKind::kConcept);
+}
+
 TEST(SerializeTest, RoundTrip) {
   Taxonomy t;
   t.AddIsa("刘德华（演员）", "演员", Source::kBracket, 0.9f);
@@ -182,6 +255,42 @@ TEST(ApiServiceTest, GetEntityHonoursLimit) {
   ApiService api(util::UnownedSnapshot(&t));
   EXPECT_EQ(api.TryGetEntityResolved("c", 5)->names.size(), 5u);
   EXPECT_EQ(api.TryGetEntityResolved("c", 100)->names.size(), 20u);
+}
+
+TEST(ApiServiceTest, VersionHistoryAndExportedNamesStayBounded) {
+  Taxonomy t;
+  t.AddIsa("a", "b", Source::kTag);
+  ApiService api(util::UnownedSnapshot(&t));
+  const auto view = ServingView::Encode(t, {});
+  obs::MetricsRegistry registry;
+  constexpr size_t kPublishes = 10000;
+  for (size_t i = 0; i < kPublishes; ++i) {
+    api.Publish(view);
+    for (size_t q = 0; q < i % 3; ++q) (void)api.TryGetConceptResolved("a");
+    if (i % 97 == 0) api.ExportMetrics(&registry);
+  }
+  api.ExportMetrics(&registry);
+  EXPECT_EQ(api.version(), kPublishes + 1);
+
+  const std::vector<ApiService::VersionStats> stats = api.AllVersionStats();
+  ASSERT_EQ(stats.size(), ApiService::kVersionHistory + 1);
+  EXPECT_EQ(stats.front().version, 0u);  // the evicted aggregate
+  EXPECT_EQ(stats.back().version, kPublishes + 1);
+  uint64_t attributed = 0;
+  for (const auto& version : stats) attributed += version.queries;
+  EXPECT_EQ(attributed, api.usage().total());
+
+  size_t version_names = 0;
+  for (const auto& [name, value] : registry.GaugeValues()) {
+    if (name.rfind("api.version.", 0) == 0) ++version_names;
+  }
+  // Four gauges per retained slot plus the evicted total.
+  EXPECT_EQ(version_names, 4 * ApiService::kVersionHistory + 1);
+  double current = -1.0;
+  for (const auto& [name, value] : registry.GaugeValues()) {
+    if (name == "api.version.slot0.version") current = value;
+  }
+  EXPECT_EQ(current, static_cast<double>(kPublishes + 1));
 }
 
 }  // namespace
