@@ -13,7 +13,7 @@
 #include "synth/corpus_gen.h"
 #include "synth/encyclopedia_gen.h"
 #include "synth/world.h"
-#include "taxonomy/serialize.h"
+#include "taxonomy/snapshot.h"
 #include "taxonomy/stats.h"
 #include "text/segmenter.h"
 #include "util/timer.h"
@@ -101,9 +101,13 @@ int main(int argc, char** argv) {
   std::printf("\n== structure ==\n%s",
               taxonomy::FormatStats(taxonomy::ComputeStats(taxonomy)).c_str());
 
-  const std::string taxonomy_path = out_dir + "/cnprobase_taxonomy.tsv";
+  const std::string taxonomy_path = out_dir + "/cnprobase_taxonomy.snap";
   const std::string dump_path = out_dir + "/cnprobase_dump.tsv";
-  CNPB_CHECK_OK(taxonomy::SaveTaxonomy(taxonomy, taxonomy_path));
+  CNPB_CHECK_OK(taxonomy::WriteSnapshot(
+      *taxonomy::ServingView::Encode(
+          taxonomy,
+          core::CnProbaseBuilder::BuildMentionIndex(output.dump, taxonomy)),
+      taxonomy_path));
   CNPB_CHECK_OK(output.dump.Save(dump_path));
   std::printf("  saved taxonomy -> %s\n  saved dump     -> %s\n",
               taxonomy_path.c_str(), dump_path.c_str());

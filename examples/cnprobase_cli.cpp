@@ -1,7 +1,7 @@
 // Command-line front end over the library's persistence APIs:
 //
 //   cnprobase_cli generate <dir> [entities]   synthesise dump+corpus+lexicon
-//   cnprobase_cli build    <dir>              build taxonomy from <dir>
+//   cnprobase_cli build    <dir>              build <dir>/taxonomy.snap
 //   cnprobase_cli stats    <dir>              structural report
 //   cnprobase_cli query    <dir> <term>...    hypernyms/hyponyms of terms
 //
@@ -21,19 +21,20 @@
 //   --quarantine <path>     sidecar TSV receiving the quarantined rows with
 //                           reason codes (implies row quarantining)
 //
-// Snapshot flags (DESIGN.md §10):
-//   --snapshot-out <path>   `build` also writes the zero-copy binary
-//                           snapshot (taxonomy + mention index)
-//   --snapshot-in <path>    `stats`/`query` mmap-load the binary snapshot
-//                           instead of parsing the TSV taxonomy
+// The taxonomy store is one CNPBSNP snapshot (DESIGN.md §10), mention index
+// included. `build` keeps the file it replaces as taxonomy.snap.bak, and
+// `stats`/`query` fall back to that copy when taxonomy.snap is corrupt.
+//
 // Fault injection for chaos testing is configured via the CNPB_FAULTS /
 // CNPB_FAULT_SEED environment variables (see util/fault_injection.h).
 //
 // Every failed load/save/build exits nonzero with the util::Status on
 // stderr — no aborts on bad input.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,7 +47,6 @@
 #include "synth/encyclopedia_gen.h"
 #include "synth/world.h"
 #include "taxonomy/api_service.h"
-#include "taxonomy/serialize.h"
 #include "taxonomy/snapshot.h"
 #include "taxonomy/stats.h"
 #include "taxonomy/view.h"
@@ -62,7 +62,7 @@ std::string DumpPath(const std::string& dir) { return dir + "/dump.tsv"; }
 std::string CorpusPath(const std::string& dir) { return dir + "/corpus.tsv"; }
 std::string LexiconPath(const std::string& dir) { return dir + "/lexicon.tsv"; }
 std::string TaxonomyPath(const std::string& dir) {
-  return dir + "/taxonomy.tsv";
+  return dir + "/taxonomy.snap";
 }
 
 // Prints a failed Status with context and converts it to a nonzero exit
@@ -70,6 +70,18 @@ std::string TaxonomyPath(const std::string& dir) {
 int Fail(const char* what, const util::Status& status) {
   std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
   return 1;
+}
+
+// Strict parse of a numeric argument: garbage is a usage error (exit 2)
+// naming the argument, never a silent 0.
+size_t ParseCount(const char* what, const char* text) {
+  uint64_t value = 0;
+  if (!util::ParseUint64(text, &value)) {
+    std::fprintf(stderr, "%s: invalid value '%s' (want a count)\n", what,
+                 text);
+    std::exit(2);
+  }
+  return static_cast<size_t>(value);
 }
 
 int Generate(const std::string& dir, size_t entities) {
@@ -140,7 +152,6 @@ void ServeMetricsWorkload(const kb::EncyclopediaDump& dump,
 }
 
 int Build(const std::string& dir, const std::string& metrics_out,
-          const std::string& snapshot_out,
           const kb::DumpLoadOptions& load_options) {
   kb::DumpLoadReport load_report;
   auto dump = kb::EncyclopediaDump::Load(DumpPath(dir), load_options,
@@ -177,8 +188,11 @@ int Build(const std::string& dir, const std::string& metrics_out,
   core::CnProbaseBuilder::Report report;
   auto taxonomy = core::CnProbaseBuilder::Build(
       *dump, *lexicon, *corpus_rows, config, &report);
-  if (util::Status s = taxonomy::SaveTaxonomyDurable(taxonomy,
-                                                     TaxonomyPath(dir));
+  if (util::Status s = taxonomy::WriteSnapshotWithBackup(
+          *taxonomy::ServingView::Encode(
+              taxonomy,
+              core::CnProbaseBuilder::BuildMentionIndex(*dump, taxonomy)),
+          TaxonomyPath(dir));
       !s.ok()) {
     return Fail("save taxonomy", s);
   }
@@ -186,59 +200,27 @@ int Build(const std::string& dir, const std::string& metrics_out,
       "built %s isA relations (%zu rejected by verification) -> %s\n",
       util::CommaSeparated(taxonomy.num_edges()).c_str(),
       report.verification.rejected_total(), TaxonomyPath(dir).c_str());
-  if (!snapshot_out.empty()) {
-    if (util::Status s = taxonomy::WriteSnapshot(
-            *taxonomy::ServingView::Encode(
-                taxonomy,
-                core::CnProbaseBuilder::BuildMentionIndex(*dump, taxonomy)),
-            snapshot_out);
-        !s.ok()) {
-      return Fail("write snapshot", s);
-    }
-    std::printf("wrote binary snapshot -> %s\n", snapshot_out.c_str());
-  }
   if (!metrics_out.empty()) {
     ServeMetricsWorkload(*dump, std::move(taxonomy));
   }
   return 0;
 }
 
-int Stats(const std::string& dir, const std::string& snapshot_in) {
-  if (!snapshot_in.empty()) {
-    auto snap = taxonomy::ServingView::Load(snapshot_in);
-    if (!snap.ok()) return Fail("load snapshot", snap.status());
-    // The stats pass wants the full mutable structure; materialising from
-    // the view is the snapshot-era equivalent of the TSV parse.
-    auto materialized = taxonomy::MaterializeTaxonomy(**snap);
-    if (!materialized.ok()) {
-      return Fail("materialize snapshot", materialized.status());
-    }
-    std::printf("%s",
-                taxonomy::FormatStats(taxonomy::ComputeStats(*materialized))
-                    .c_str());
-    return 0;
-  }
-  auto taxonomy = taxonomy::LoadTaxonomyWithFallback(TaxonomyPath(dir));
-  if (!taxonomy.ok()) return Fail("load taxonomy", taxonomy.status());
+int Stats(const std::string& dir) {
+  auto view = taxonomy::LoadSnapshotWithFallback(TaxonomyPath(dir));
+  if (!view.ok()) return Fail("load taxonomy", view.status());
+  // The stats pass walks the full mutable structure.
+  auto taxonomy = taxonomy::MaterializeTaxonomy(**view);
+  if (!taxonomy.ok()) return Fail("materialize taxonomy", taxonomy.status());
   std::printf("%s", taxonomy::FormatStats(taxonomy::ComputeStats(*taxonomy))
                         .c_str());
   return 0;
 }
 
-int Query(const std::string& dir, const std::string& snapshot_in, int argc,
-          char** argv, int first) {
-  // A binary snapshot is mmap'd as is; a TSV taxonomy is encoded into the
-  // same format, so the query loop below cannot tell which one answered.
-  std::shared_ptr<const taxonomy::ServingView> view;
-  if (!snapshot_in.empty()) {
-    auto snap = taxonomy::ServingView::Load(snapshot_in);
-    if (!snap.ok()) return Fail("load snapshot", snap.status());
-    view = *std::move(snap);
-  } else {
-    auto loaded = taxonomy::LoadTaxonomyWithFallback(TaxonomyPath(dir));
-    if (!loaded.ok()) return Fail("load taxonomy", loaded.status());
-    view = taxonomy::ServingView::Encode(*loaded, taxonomy::MentionIndex());
-  }
+int Query(const std::string& dir, int argc, char** argv, int first) {
+  auto loaded = taxonomy::LoadSnapshotWithFallback(TaxonomyPath(dir));
+  if (!loaded.ok()) return Fail("load taxonomy", loaded.status());
+  const std::shared_ptr<const taxonomy::ServingView> view = *std::move(loaded);
   for (int i = first; i < argc; ++i) {
     const taxonomy::NodeId id = view->Find(argv[i]);
     if (id == taxonomy::kInvalidNode) {
@@ -267,8 +249,6 @@ int main(int argc, char** argv) {
   // Strip `--flag <value>` options wherever they appear; the remaining
   // positional arguments keep their usual meaning.
   std::string metrics_out;
-  std::string snapshot_out;
-  std::string snapshot_in;
   kb::DumpLoadOptions load_options;
   std::vector<char*> args;
   args.reserve(argc);
@@ -278,17 +258,8 @@ int main(int argc, char** argv) {
       metrics_out = argv[++i];
       continue;
     }
-    if (arg == "--snapshot-out" && i + 1 < argc) {
-      snapshot_out = argv[++i];
-      continue;
-    }
-    if (arg == "--snapshot-in" && i + 1 < argc) {
-      snapshot_in = argv[++i];
-      continue;
-    }
     if (arg == "--max-load-errors" && i + 1 < argc) {
-      load_options.max_errors =
-          static_cast<size_t>(std::strtoull(argv[++i], nullptr, 10));
+      load_options.max_errors = ParseCount("--max-load-errors", argv[++i]);
       continue;
     }
     if (arg == "--quarantine" && i + 1 < argc) {
@@ -306,8 +277,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s generate|build|stats|query <dir> [args] "
                  "[--metrics-out <base>] [--max-load-errors <n>] "
-                 "[--quarantine <path>] [--snapshot-out <path>] "
-                 "[--snapshot-in <path>]\n",
+                 "[--quarantine <path>]\n",
                  argv[0]);
     return 2;
   }
@@ -315,13 +285,13 @@ int main(int argc, char** argv) {
   const std::string dir = args[2];
   int rc = 2;
   if (command == "generate") {
-    rc = Generate(dir, nargs > 3 ? std::atol(args[3]) : 8000);
+    rc = Generate(dir, nargs > 3 ? ParseCount("entities", args[3]) : 8000);
   } else if (command == "build") {
-    rc = Build(dir, metrics_out, snapshot_out, load_options);
+    rc = Build(dir, metrics_out, load_options);
   } else if (command == "stats") {
-    rc = Stats(dir, snapshot_in);
+    rc = Stats(dir);
   } else if (command == "query") {
-    rc = Query(dir, snapshot_in, nargs, args.data(), 3);
+    rc = Query(dir, nargs, args.data(), 3);
   } else {
     std::fprintf(stderr, "unknown command: %s\n", command.c_str());
     return 2;

@@ -8,9 +8,7 @@
 #include "generation/separation.h"
 #include "obs/metrics.h"
 #include "taxonomy/api_service.h"
-#include "taxonomy/serialize.h"
-#include "taxonomy/snapshot.h"
-#include "util/retry.h"
+#include "taxonomy/view.h"
 #include "util/timer.h"
 
 namespace cnpb::core {
@@ -319,58 +317,14 @@ std::shared_ptr<const taxonomy::Taxonomy> IncrementalUpdater::snapshot()
   return snapshot_;
 }
 
-std::shared_ptr<const taxonomy::ServingView> IncrementalUpdater::Encode()
-    const {
-  obs::ScopedTimer stage(obs::MetricsRegistry::Global().histogram(
-      "incremental.publish.encode_seconds"));
-  return taxonomy::ServingView::Encode(taxonomy_, mentions_);
-}
-
 uint64_t IncrementalUpdater::Publish(taxonomy::ApiService* service) const {
-  return service->Publish(Encode());
-}
-
-util::Status IncrementalUpdater::SaveSnapshot(
-    const std::string& path, uint64_t* persisted_generation) const {
-  // Capture which generation these bytes are before any IO: a caller that
-  // records the save in a durable cursor must attribute the file to the
-  // snapshot actually written, not to a later generation() read.
-  const uint64_t generation = generation_;
-  // The snapshot save sits on the update path of a long-running system, so a
-  // transient IO hiccup (or injected taxonomy.save.* fault) should not lose
-  // the generation — retry with backoff; the atomic write guarantees the
-  // previous file survives every failed attempt.
-  const util::RetryResult result = util::RetryWithBackoff(
-      util::RetryOptions{},
-      [&] { return taxonomy::SaveTaxonomyDurable(taxonomy_, path); });
-  if (result.attempts > 1) {
-    obs::MetricsRegistry::Global()
-        .counter("incremental.snapshot_retries")
-        ->Increment(result.attempts - 1);
+  std::shared_ptr<const taxonomy::ServingView> view;
+  {
+    obs::ScopedTimer stage(obs::MetricsRegistry::Global().histogram(
+        "incremental.publish.encode_seconds"));
+    view = taxonomy::ServingView::Encode(taxonomy_, mentions_);
   }
-  if (result.status.ok() && persisted_generation != nullptr) {
-    *persisted_generation = generation;
-  }
-  return result.status;
-}
-
-util::Status IncrementalUpdater::SaveBinarySnapshot(
-    const std::string& path, uint64_t* persisted_generation) const {
-  const uint64_t generation = generation_;
-  const auto view = Encode();
-  const util::RetryResult result =
-      util::RetryWithBackoff(util::RetryOptions{}, [&] {
-        return taxonomy::WriteSnapshot(*view, path);
-      });
-  if (result.attempts > 1) {
-    obs::MetricsRegistry::Global()
-        .counter("incremental.snapshot_retries")
-        ->Increment(result.attempts - 1);
-  }
-  if (result.status.ok() && persisted_generation != nullptr) {
-    *persisted_generation = generation;
-  }
-  return result.status;
+  return service->Publish(std::move(view));
 }
 
 }  // namespace cnpb::core

@@ -15,7 +15,6 @@
 #include "text/lexicon.h"
 #include "text/ngram.h"
 #include "text/segmenter.h"
-#include "util/status.h"
 #include "verification/pipeline.h"
 
 namespace cnpb::core {
@@ -86,24 +85,6 @@ class IncrementalUpdater {
   // new version number.
   uint64_t Publish(taxonomy::ApiService* service) const;
 
-  // Persists the current snapshot durably: atomic checksummed write via
-  // SaveTaxonomyDurable (preserving the previous file as `path`.bak), with
-  // transient IO failures retried under exponential backoff. Pairs with
-  // taxonomy::LoadTaxonomyWithFallback for crash recovery. On success,
-  // `persisted_generation` (when non-null) receives the generation number
-  // the written file captures — callers recording a durable cursor need the
-  // generation of the bytes on disk, not whatever generation() reads later.
-  util::Status SaveSnapshot(const std::string& path,
-                            uint64_t* persisted_generation = nullptr) const;
-
-  // Persists the current snapshot in the zero-copy binary format
-  // (taxonomy/snapshot.h), mention index included, so a server can mmap it
-  // straight into serving. Atomic write, retried like SaveSnapshot; the TSV
-  // save remains the durable fallback format. `persisted_generation` as in
-  // SaveSnapshot.
-  util::Status SaveBinarySnapshot(
-      const std::string& path, uint64_t* persisted_generation = nullptr) const;
-
   // The working taxonomy. Valid until the next ApplyBatch, which mutates it
   // in place: do not hold it across batches or read it from another thread
   // while one applies.
@@ -144,7 +125,6 @@ class IncrementalUpdater {
   void IndexNewMentions(size_t first_page, taxonomy::NodeId first_node);
   void AddMention(const std::string& mention, size_t page_index,
                   taxonomy::NodeId id);
-  std::shared_ptr<const taxonomy::ServingView> Encode() const;
 
   CnProbaseBuilder::Config config_;
   const text::Lexicon* lexicon_;

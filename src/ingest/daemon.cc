@@ -16,9 +16,6 @@ using Clock = std::chrono::steady_clock;
 std::string CheckpointPagesName(uint64_t lsn) {
   return "checkpoint-" + std::to_string(lsn) + ".pages.tsv";
 }
-std::string CheckpointSnapName(uint64_t lsn) {
-  return "checkpoint-" + std::to_string(lsn) + ".snap";
-}
 
 obs::MetricsRegistry& Registry() { return obs::MetricsRegistry::Global(); }
 
@@ -440,12 +437,11 @@ bool IngestDaemon::WorkerStepLocked(std::unique_lock<std::mutex>& lk) {
 }
 
 util::Status IngestDaemon::CompactAt(uint64_t floor_lsn) {
-  // Ordering is the crash-safety argument: pages -> snapshot -> cursor ->
-  // prune. The cursor names versioned files, so a crash after any step
-  // leaves the previous (cursor, checkpoint) pair fully intact; orphaned
+  // Ordering is the crash-safety argument: pages -> cursor -> prune. The
+  // cursor names a versioned file, so a crash after any step leaves the
+  // previous (cursor, checkpoint) pair fully intact; orphaned
   // checkpoint-<lsn>.* from a failed attempt are swept by the next success.
   const std::string pages_name = CheckpointPagesName(floor_lsn);
-  const std::string snap_name = CheckpointSnapName(floor_lsn);
 
   CNPB_RETURN_IF_ERROR(util::CheckFault("compact.pages"));
   kb::EncyclopediaDump delta;
@@ -455,18 +451,10 @@ util::Status IngestDaemon::CompactAt(uint64_t floor_lsn) {
   }
   CNPB_RETURN_IF_ERROR(delta.Save(options_.wal_dir + "/" + pages_name));
 
-  CNPB_RETURN_IF_ERROR(util::CheckFault("compact.snapshot"));
-  uint64_t generation = 0;
-  CNPB_RETURN_IF_ERROR(updater_->SaveBinarySnapshot(
-      options_.wal_dir + "/" + snap_name, &generation));
-
   CNPB_RETURN_IF_ERROR(util::CheckFault("compact.cursor"));
-  IngestCursor cursor;
-  cursor.applied_lsn = floor_lsn;
-  cursor.generation = generation;
-  cursor.checkpoint_file = pages_name;
-  cursor.snapshot_file = snap_name;
-  CNPB_RETURN_IF_ERROR(SaveCursor(options_.wal_dir, cursor));
+  CNPB_RETURN_IF_ERROR(SaveCursor(
+      options_.wal_dir,
+      IngestCursor{.applied_lsn = floor_lsn, .checkpoint_file = pages_name}));
 
   // Pruning is best-effort: a failure (compact.prune) leaves extra sealed
   // segments that the cursor already covers — replay skips them without

@@ -607,9 +607,7 @@ util::Status SaveCursor(const std::string& dir, const IngestCursor& cursor) {
                          {.checksum_footer = true,
                           .fault_prefix = "wal.cursor"});
   CNPB_RETURN_IF_ERROR(writer.status());
-  writer.WriteRow({std::to_string(cursor.applied_lsn),
-                   std::to_string(cursor.generation), cursor.checkpoint_file,
-                   cursor.snapshot_file});
+  writer.WriteRow({std::to_string(cursor.applied_lsn), cursor.checkpoint_file});
   return writer.Close();
 }
 
@@ -627,16 +625,18 @@ util::Result<IngestCursor> LoadCursor(const std::string& dir) {
   if (!data->checksummed) {
     return util::DataLossError("wal cursor missing checksum footer: " + path);
   }
-  if (data->rows.size() != 1 || data->rows[0].size() != 4) {
+  // Two fields as written now; four (lsn, generation, checkpoint, snapshot)
+  // as earlier builds wrote, of which only the lsn and checkpoint count.
+  if (data->rows.size() != 1 ||
+      (data->rows[0].size() != 2 && data->rows[0].size() != 4)) {
     return util::DataLossError("wal cursor malformed: " + path);
   }
+  const std::vector<std::string>& row = data->rows[0];
   IngestCursor cursor;
-  if (!util::ParseUint64(data->rows[0][0], &cursor.applied_lsn) ||
-      !util::ParseUint64(data->rows[0][1], &cursor.generation)) {
+  if (!util::ParseUint64(row[0], &cursor.applied_lsn)) {
     return util::DataLossError("wal cursor malformed: " + path);
   }
-  cursor.checkpoint_file = data->rows[0][2];
-  cursor.snapshot_file = data->rows[0][3];
+  cursor.checkpoint_file = row.size() == 2 ? row[1] : row[2];
   return cursor;
 }
 
@@ -681,7 +681,9 @@ size_t PruneStaleCheckpoints(const std::string& dir, uint64_t keep_lsn) {
                            &lsn)) {
       continue;
     }
-    if (lsn != keep_lsn) stale.push_back(dir + "/" + std::string(name));
+    if (lsn != keep_lsn || name.substr(dot) != ".pages.tsv") {
+      stale.push_back(dir + "/" + std::string(name));
+    }
   }
   ::closedir(d);
   for (const std::string& path : stale) {

@@ -28,7 +28,9 @@ namespace cnpb::ingest {
 //   wal-<first_lsn, %020u>.log      append-only record segments
 //   wal.cursor                      durable commit cursor (atomic TSV + CRC)
 //   checkpoint-<lsn>.pages.tsv      compaction checkpoint: applied pages
-//   checkpoint-<lsn>.snap           compaction checkpoint: binary taxonomy
+//
+// Recovery rebuilds the taxonomy by re-applying the checkpoint pages and
+// replaying the WAL suffix, so no taxonomy file is kept here.
 //
 // Segment format: a 16-byte header ("CNPBWAL1" magic + u64 first_lsn),
 // then records. Record wire format (little-endian):
@@ -196,19 +198,21 @@ util::Status ReplayWal(
 
 // Durable commit cursor. `applied_lsn` is the exactly-once boundary: every
 // record with lsn <= applied_lsn has its effect captured by the referenced
-// checkpoint files, so recovery must never re-deliver them; everything
+// checkpoint file, so recovery must never re-deliver them; everything
 // above is replayed. The cursor only ever advances together with the
-// checkpoint that covers it (written checkpoint -> snapshot -> cursor, in
-// that order), so a crash at any point leaves a coherent older triple.
+// checkpoint that covers it (written checkpoint -> cursor, in that order),
+// so a crash at any point leaves a coherent older pair.
 struct IngestCursor {
   uint64_t applied_lsn = 0;
-  uint64_t generation = 0;        // taxonomy generation in the snapshot
-  std::string checkpoint_file;    // pages TSV, relative to the WAL dir
-  std::string snapshot_file;      // binary taxonomy snapshot, relative
+  std::string checkpoint_file;  // pages TSV, relative to the WAL dir
 };
 
 // Atomic checksummed write (+ directory fsync) of `dir`/wal.cursor.
 // Fault points: wal.cursor.{write,fsync,rename,dirsync}.
+// The row is `applied_lsn <TAB> checkpoint_file`. LoadCursor also accepts
+// the 4-field row earlier builds wrote (applied_lsn, generation,
+// checkpoint, compaction snapshot name) and reads fields 0 and 2 of it, so
+// a WAL directory written by one of them still recovers.
 util::Status SaveCursor(const std::string& dir, const IngestCursor& cursor);
 
 // kNotFound when no cursor exists (a fresh log — replay everything, which
@@ -223,9 +227,10 @@ util::Result<IngestCursor> LoadCursor(const std::string& dir);
 util::Result<size_t> PruneWalSegments(const std::string& dir,
                                       uint64_t cursor_lsn);
 
-// Deletes checkpoint-<lsn>.* files whose lsn differs from `keep_lsn`
-// (failed compaction attempts leave orphans; the next success sweeps them).
-// Returns files removed.
+// Deletes every checkpoint-<lsn>.* file but checkpoint-<keep_lsn>.pages.tsv
+// (failed compaction attempts leave orphans, and earlier builds also wrote
+// a checkpoint-<lsn>.snap; the next success sweeps them). Returns files
+// removed.
 size_t PruneStaleCheckpoints(const std::string& dir, uint64_t keep_lsn);
 
 }  // namespace cnpb::ingest

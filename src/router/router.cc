@@ -29,6 +29,13 @@ using util::JsonUInt;
 // an oversized batch costs one 400, not a fan-out.
 constexpr size_t kMaxBatchItems = 256;
 
+// Bounds of the adaptive hedge delay (see Options::hedge_initial).
+constexpr int64_t kHedgeMinMs = 1;
+constexpr int64_t kHedgeMaxMs = 100;
+
+// Idle keep-alive connections pooled per backend.
+constexpr size_t kMaxIdlePerBackend = 8;
+
 // Same JSON error shape the backends emit, so router-originated errors are
 // indistinguishable on the wire from backend-originated ones.
 HttpResponse ErrorResponse(int status, util::StatusCode code,
@@ -163,7 +170,7 @@ void Router::Release(Lease lease) {
   if (lease.client == nullptr || !lease.client->connected()) return;
   Pool& pool = *pools_[PoolIndex(lease.shard, lease.replica)];
   std::lock_guard<std::mutex> lock(pool.mu);
-  if (pool.idle.size() < options_.max_idle_per_backend) {
+  if (pool.idle.size() < kMaxIdlePerBackend) {
     pool.idle.push_back(std::move(lease.client));
   }
 }
@@ -256,7 +263,7 @@ util::Result<HttpClient::Response> Router::SendHedged(
     // Hedging window: give the primary hedge_delay to produce the first
     // byte; past that, race a duplicate on another replica.
     std::optional<Lease> hedge;
-    if (options_.hedge && shard_map_->num_replicas(shard) > 1) {
+    if (shard_map_->num_replicas(shard) > 1) {
       bool ready = false;
       const util::Status waited =
           util::WaitReadable(lease->client->fd(), hedge_delay(), &ready);
@@ -770,8 +777,7 @@ void Router::ObserveForwardLatency(std::chrono::microseconds elapsed) {
   // Bucket idx spans [2^idx, 2^(idx+1)) µs; hedge at its upper bound.
   int64_t delay_ms = ((int64_t{1} << std::min<size_t>(idx + 1, 40)) + 999) /
                      1000;
-  delay_ms = std::clamp(delay_ms, options_.hedge_min.count(),
-                        options_.hedge_max.count());
+  delay_ms = std::clamp(delay_ms, kHedgeMinMs, kHedgeMaxMs);
   hedge_delay_ms_.store(delay_ms, std::memory_order_relaxed);
 }
 

@@ -60,17 +60,12 @@ class Router {
     // Hedging: after the in-flight request to the primary replica has been
     // outstanding for the hedge delay, send a duplicate to another replica
     // and take whichever answers first. The delay tracks the observed p99
-    // forward latency, clamped to [hedge_min, hedge_max]; hedge_initial
-    // seeds it before enough samples exist.
-    bool hedge = true;
-    std::chrono::milliseconds hedge_min{1};
-    std::chrono::milliseconds hedge_max{100};
+    // forward latency, clamped to [1 ms, 100 ms]; hedge_initial seeds it
+    // before enough samples exist.
     std::chrono::milliseconds hedge_initial{20};
     // Batch coherence: rounds of laggard-shard re-fetches allowed before a
     // mixed-generation merge is refused with 503.
     int coherence_retries = 2;
-    // Idle keep-alive connections pooled per backend.
-    size_t max_idle_per_backend = 8;
   };
 
   struct Stats {

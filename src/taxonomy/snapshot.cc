@@ -288,8 +288,6 @@ util::Result<std::shared_ptr<const ServingView>> ServingView::Load(
     registry.counter("snapshot.load.error")->Increment();
     return status;
   };
-  // Mirrors taxonomy.load.read so fault-injection harnesses can starve both
-  // persistence paths the same way.
   if (util::Status fault = util::CheckFault("snapshot.load.read"); !fault.ok()) {
     return fail(std::move(fault));
   }
@@ -653,6 +651,49 @@ util::Status WriteSnapshot(const ServingView& view, const std::string& path) {
   return writer.Commit();
 }
 
+util::Status WriteSnapshotWithBackup(const ServingView& view,
+                                     const std::string& path) {
+  // Preserve the current file first: if the write below fails at any point,
+  // `path` still holds the previous snapshot, and if a later load finds
+  // `path` corrupted out-of-band, `.bak` survives. The bytes carry their own
+  // CRCs, so they are copied verbatim.
+  auto current = util::ReadFileToString(path);
+  if (current.ok()) {
+    const util::Status status = util::WriteFileAtomic(
+        path + ".bak", *current,
+        {.checksum_footer = false, .fault_prefix = "snapshot.backup"});
+    if (!status.ok()) {
+      CNPB_LOG(Warning) << "could not refresh last-good snapshot " << path
+                        << ".bak: " << status.ToString();
+    }
+  }
+  return WriteSnapshot(view, path);
+}
+
+util::Result<std::shared_ptr<const ServingView>> LoadSnapshotWithFallback(
+    const std::string& path) {
+  // Which file served the load is operationally significant (a fallback
+  // means the primary is damaged), so every outcome is counted.
+  auto& registry = obs::MetricsRegistry::Global();
+  auto primary = ServingView::Load(path);
+  if (primary.ok()) {
+    registry.counter("kb.load.taxonomy.primary")->Increment();
+    return primary;
+  }
+  // An absent primary is missing data, not corruption: no fallback.
+  if (primary.status().code() != util::StatusCode::kNotFound) {
+    auto fallback = ServingView::Load(path + ".bak");
+    if (fallback.ok()) {
+      registry.counter("kb.load.taxonomy.fallback")->Increment();
+      CNPB_LOG(Warning) << "loaded last-good snapshot " << path
+                        << ".bak after: " << primary.status().ToString();
+      return fallback;
+    }
+  }
+  registry.counter("kb.load.taxonomy.failed")->Increment();
+  return primary.status();
+}
+
 util::Result<Taxonomy> MaterializeTaxonomy(const ServingView& view) {
   Taxonomy taxonomy;
   const size_t n = view.num_nodes();
@@ -662,8 +703,8 @@ util::Result<Taxonomy> MaterializeTaxonomy(const ServingView& view) {
           "serving view contains duplicate node names; cannot materialize");
     }
   }
-  // Replaying the canonical sequence reproduces the adjacency structure
-  // LoadTaxonomy builds from the equivalent TSV file.
+  // Replaying the canonical sequence reproduces the adjacency structure the
+  // view was encoded from.
   for (NodeId id = 0; id < n; ++id) {
     view.VisitHypernyms(id, [&](const HalfEdge& edge) {
       taxonomy.AddIsa(id, edge.node, edge.source, edge.score);

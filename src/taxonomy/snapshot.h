@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,8 +66,8 @@ namespace cnpb::taxonomy {
 // Edges are stored in canonical serialization order: the global sequence is
 // hypernym rows in node-id order with per-row order preserved, and the
 // hyponym CSR replays that same sequence bucketed by hypernym — exactly the
-// structure LoadTaxonomy produces from a TSV file, so a freshly built
-// taxonomy and its TSV-reloaded copy encode to identical bytes.
+// structure MaterializeTaxonomy rebuilds, so a freshly built taxonomy and
+// its materialized copy encode to identical bytes.
 //
 // Integrity: a load validates magic/version/counts, the header CRC (which
 // seals the section table, so a corrupted offset or stored section CRC is
@@ -111,9 +112,23 @@ struct SnapshotSectionInfo {
 // snapshot.rename.
 util::Status WriteSnapshot(const ServingView& view, const std::string& path);
 
-// Rebuilds a mutable Taxonomy from a serving view (stats tooling, TSV
-// re-export). The result is structurally identical to LoadTaxonomy of the
-// equivalent TSV file.
+// WriteSnapshot that first copies the current file at `path` (when there is
+// one) to `path`.bak — the last-good copy LoadSnapshotWithFallback recovers
+// from. The copy is atomic too (fault points snapshot.backup.{write,fsync,
+// rename}); failing to refresh it is logged, not fatal, so `path` still
+// advances.
+util::Status WriteSnapshotWithBackup(const ServingView& view,
+                                     const std::string& path);
+
+// ServingView::Load with last-good fallback: when `path` exists but fails
+// to load (corrupt, unreadable), serves `path`.bak instead and logs the
+// recovery. An absent `path` is kNotFound and `.bak` is not read: missing
+// data is not corruption. When both fail, the primary's error is returned.
+util::Result<std::shared_ptr<const ServingView>> LoadSnapshotWithFallback(
+    const std::string& path);
+
+// Rebuilds a mutable Taxonomy from a serving view (stats tooling). Encoding
+// the result with the view's mentions reproduces the view's bytes.
 util::Result<Taxonomy> MaterializeTaxonomy(const ServingView& view);
 
 // --- Format tooling (used by the corruption tests and snapshot tools) ---

@@ -50,8 +50,8 @@ struct HalfEdge {
 // insertion order preserved, hyponym rows replaying that same global edge
 // sequence bucketed by hypernym (so a hyponym row lists hyponyms in
 // ascending id order) — and VisitMentions iterates mentions in
-// lexicographic byte order. Encoding a builder-built taxonomy and a
-// TSV-reloaded copy of it therefore yields identical bytes and identical
+// lexicographic byte order. Encoding a builder-built taxonomy and a copy
+// materialized from its view therefore yields identical bytes and identical
 // answers, result order included.
 class ServingView {
  public:
@@ -62,6 +62,7 @@ class ServingView {
       const Taxonomy& taxonomy, const MentionIndex& mentions);
 
   // mmaps `path` and validates it (see snapshot.h). Errors:
+  //   kNotFound         `path` does not exist
   //   kIoError          unreadable/unmappable file (or injected
   //                     snapshot.load.read fault)
   //   kInvalidArgument  not structurally a snapshot

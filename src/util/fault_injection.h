@@ -16,7 +16,7 @@
 namespace cnpb::util {
 
 // Deterministic fault injection for chaos testing. Code under test declares
-// named fault points ("kb.dump.read", "taxonomy.save.rename", "api.query");
+// named fault points ("kb.dump.read", "snapshot.rename", "api.query");
 // a test or operator arms a subset of them with firing probabilities, and an
 // armed point either fails (returns an error Status for the caller to
 // propagate) or injects latency (sleeps), decided by a PRNG seeded per point

@@ -1,5 +1,6 @@
 #include "util/mmap_file.h"
 
+#include <cerrno>
 #include <utility>
 
 #ifndef _WIN32
@@ -16,7 +17,10 @@ Result<MmapFile> MmapFile::Open(const std::string& path) {
   return IoError("mmap is not supported on this platform: " + path);
 #else
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return IoError("cannot open for mapping: " + path);
+  if (fd < 0) {
+    if (errno == ENOENT) return NotFoundError("no such file: " + path);
+    return IoError("cannot open for mapping: " + path);
+  }
   struct stat st;
   if (::fstat(fd, &st) != 0) {
     ::close(fd);

@@ -21,8 +21,8 @@ namespace cnpb::util {
 // error; callers that need a non-empty payload must check size() themselves.
 class MmapFile {
  public:
-  // Maps `path` read-only. kIoError when the file cannot be opened, stat'ed
-  // or mapped.
+  // Maps `path` read-only. kNotFound when `path` does not exist; kIoError
+  // when the file cannot be opened, stat'ed or mapped.
   static Result<MmapFile> Open(const std::string& path);
 
   MmapFile() = default;

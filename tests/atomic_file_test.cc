@@ -1,9 +1,10 @@
 // Crash-safe persistence: CRC32, AtomicFileWriter, checksum footers, and
-// the save/load recovery paths built on them (taxonomy .bak fallback,
-// nn checkpoint trailer).
+// the save/load recovery paths built on them (taxonomy snapshot .bak
+// fallback, nn checkpoint trailer).
 #include "util/atomic_file.h"
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,8 +13,9 @@
 
 #include "nn/autograd.h"
 #include "nn/serialize.h"
-#include "taxonomy/serialize.h"
+#include "taxonomy/snapshot.h"
 #include "taxonomy/taxonomy.h"
+#include "taxonomy/view.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
 #include "util/tsv.h"
@@ -186,57 +188,89 @@ TEST(AtomicFileTest, TsvReadRejectsTamperedChecksummedFile) {
   EXPECT_EQ(rows.status().code(), util::StatusCode::kDataLoss);
 }
 
-taxonomy::Taxonomy TinyTaxonomy(const std::string& entity) {
+// A one-edge taxonomy encoded as a snapshot; `entity` tells versions apart.
+std::shared_ptr<const taxonomy::ServingView> TinySnapshot(
+    const std::string& entity) {
   taxonomy::Taxonomy t;
   const taxonomy::NodeId e = t.AddNode(entity, taxonomy::NodeKind::kEntity);
   const taxonomy::NodeId c = t.AddNode("概念", taxonomy::NodeKind::kConcept);
   t.AddIsa(e, c, taxonomy::Source::kInfobox, 0.9f);
-  return t;
+  return taxonomy::ServingView::Encode(t, {{entity, {e}}});
 }
 
 TEST(DurableTaxonomyTest, FallbackRecoversFromCorruptPrimary) {
-  const std::string path = TempPath("durable_taxonomy.tsv");
+  const std::string path = TempPath("durable_taxonomy.snap");
   std::remove((path + ".bak").c_str());
   ASSERT_TRUE(
-      taxonomy::SaveTaxonomyDurable(TinyTaxonomy("实体甲"), path).ok());
-  // Second durable save preserves generation 1 as .bak.
+      taxonomy::WriteSnapshotWithBackup(*TinySnapshot("实体甲"), path).ok());
+  // Second write preserves the first snapshot as .bak.
   ASSERT_TRUE(
-      taxonomy::SaveTaxonomyDurable(TinyTaxonomy("实体乙"), path).ok());
+      taxonomy::WriteSnapshotWithBackup(*TinySnapshot("实体乙"), path).ok());
 
-  // Corrupt the primary in place (payload flip under the footer).
+  // Corrupt the primary in place: flip the first name byte, under its
+  // section CRC.
   std::string on_disk = MustRead(path);
-  on_disk[0] = 'X';
-  ASSERT_TRUE(util::WriteFileAtomic(path, on_disk).ok());
+  auto sections = taxonomy::ReadSnapshotSections(on_disk);
+  ASSERT_TRUE(sections.ok()) << sections.status().ToString();
+  on_disk[(*sections)[2].offset] ^= 0x5a;
+  ASSERT_TRUE(
+      util::WriteFileAtomic(path, on_disk, {.checksum_footer = false}).ok());
 
-  auto strict = taxonomy::LoadTaxonomy(path);
+  auto strict = taxonomy::ServingView::Load(path);
   EXPECT_EQ(strict.status().code(), util::StatusCode::kDataLoss);
 
-  auto recovered = taxonomy::LoadTaxonomyWithFallback(path);
+  auto recovered = taxonomy::LoadSnapshotWithFallback(path);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_NE(recovered->Find("实体甲"), taxonomy::kInvalidNode);
+  EXPECT_NE((*recovered)->Find("实体甲"), taxonomy::kInvalidNode);
+  EXPECT_EQ((*recovered)->MentionCandidates("实体甲").size(), 1u);
+
+  // With both copies corrupt, the primary's verdict is reported.
+  ASSERT_TRUE(util::WriteFileAtomic(path + ".bak", on_disk,
+                                    {.checksum_footer = false})
+                  .ok());
+  auto neither = taxonomy::LoadSnapshotWithFallback(path);
+  EXPECT_EQ(neither.status().code(), util::StatusCode::kDataLoss);
 }
 
 TEST(DurableTaxonomyTest, MissingPrimaryIsNotCorruption) {
-  const std::string path = TempPath("durable_missing.tsv");
+  const std::string path = TempPath("durable_missing.snap");
   std::remove(path.c_str());
   std::remove((path + ".bak").c_str());
-  auto loaded = taxonomy::LoadTaxonomyWithFallback(path);
-  EXPECT_FALSE(loaded.ok());
+  auto loaded = taxonomy::LoadSnapshotWithFallback(path);
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kNotFound);
+
+  // A last-good copy does not stand in for a primary that is simply absent:
+  // missing data is reported, never silently replaced by an older version.
+  ASSERT_TRUE(taxonomy::WriteSnapshot(*TinySnapshot("实体甲"), path + ".bak")
+                  .ok());
+  auto absent = taxonomy::LoadSnapshotWithFallback(path);
+  EXPECT_EQ(absent.status().code(), util::StatusCode::kNotFound);
+  std::remove((path + ".bak").c_str());
 }
 
 TEST(DurableTaxonomyTest, InjectedSaveFaultPreservesPreviousFile) {
-  const std::string path = TempPath("durable_faulted.tsv");
+  const std::string path = TempPath("durable_faulted.snap");
   ASSERT_TRUE(
-      taxonomy::SaveTaxonomyDurable(TinyTaxonomy("实体甲"), path).ok());
+      taxonomy::WriteSnapshotWithBackup(*TinySnapshot("实体甲"), path).ok());
   {
-    util::ScopedFaultInjection scoped("taxonomy.save.rename=1", 23);
+    util::ScopedFaultInjection scoped("snapshot.rename=1", 23);
     EXPECT_FALSE(
-        taxonomy::SaveTaxonomyDurable(TinyTaxonomy("实体乙"), path).ok());
+        taxonomy::WriteSnapshotWithBackup(*TinySnapshot("实体乙"), path).ok());
   }
-  auto loaded = taxonomy::LoadTaxonomy(path);
+  auto loaded = taxonomy::ServingView::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_NE(loaded->Find("实体甲"), taxonomy::kInvalidNode);
-  EXPECT_EQ(loaded->Find("实体乙"), taxonomy::kInvalidNode);
+  EXPECT_NE((*loaded)->Find("实体甲"), taxonomy::kInvalidNode);
+  EXPECT_EQ((*loaded)->Find("实体乙"), taxonomy::kInvalidNode);
+
+  // A failed .bak refresh is not fatal: the primary still advances.
+  {
+    util::ScopedFaultInjection scoped("snapshot.backup.rename=1", 23);
+    ASSERT_TRUE(
+        taxonomy::WriteSnapshotWithBackup(*TinySnapshot("实体乙"), path).ok());
+  }
+  auto advanced = taxonomy::ServingView::Load(path);
+  ASSERT_TRUE(advanced.ok()) << advanced.status().ToString();
+  EXPECT_NE((*advanced)->Find("实体乙"), taxonomy::kInvalidNode);
 }
 
 TEST(CheckpointCrcTest, TruncatedCheckpointIsRejected) {

@@ -21,7 +21,6 @@
 
 #include "kb/dump.h"
 #include "taxonomy/api_service.h"
-#include "taxonomy/serialize.h"
 #include "taxonomy/snapshot.h"
 #include "taxonomy/taxonomy.h"
 #include "taxonomy/view.h"
@@ -35,13 +34,12 @@ namespace {
 constexpr int kRounds = 6;
 
 // Fault schedule over the whole surface: dump persistence, taxonomy
-// persistence (TSV durable saves including the backup copy, and the binary
-// snapshot writer), load reads on both formats, publish contention, and
-// query-path errors + latency.
+// snapshot persistence (the writer, including the .bak copy of a backed-up
+// write), snapshot load reads, publish contention, and query-path errors +
+// latency.
 constexpr char kChaosSpec[] =
     "kb.dump.save.write=0.1;kb.dump.save.rename=0.15;kb.dump.read=0.15;"
-    "taxonomy.save.write=0.1;taxonomy.save.rename=0.15;taxonomy.backup.rename="
-    "0.2;taxonomy.load.read=0.15;snapshot.write=0.1;snapshot.fsync=0.1;"
+    "snapshot.backup.rename=0.2;snapshot.write=0.1;snapshot.fsync=0.1;"
     "snapshot.rename=0.15;snapshot.load.read=0.15;"
     "api.publish=0.3:limit=8;api.query=0.03";
 
@@ -95,7 +93,7 @@ TEST_P(ChaosSoakTest, SurvivesFaultScheduleCoherently) {
   const int seed = GetParam();
   const std::string dir = ::testing::TempDir();
   const std::string taxonomy_path =
-      dir + "/chaos_taxonomy_" + std::to_string(seed) + ".tsv";
+      dir + "/chaos_taxonomy_" + std::to_string(seed) + ".snap";
   const std::string dump_path =
       dir + "/chaos_dump_" + std::to_string(seed) + ".tsv";
   const std::string snapshot_path =
@@ -153,31 +151,36 @@ TEST_P(ChaosSoakTest, SurvivesFaultScheduleCoherently) {
 
   int last_loadable_gen = 0;
   for (int gen = 1; gen <= kRounds; ++gen) {
-    // Build + persist this generation. The durable save may exhaust its
+    // Build + persist this generation. The backed-up write may exhaust its
     // retries under the fault schedule — that loses THIS generation's
     // write, never the previous file (checked by the load below).
-    const taxonomy::Taxonomy generation = MakeGeneration(gen);
+    const auto generation =
+        taxonomy::ServingView::Encode(MakeGeneration(gen), {});
     const util::Status saved = util::Retry(util::RetryOptions{}, [&] {
-      return taxonomy::SaveTaxonomyDurable(generation, taxonomy_path);
+      return taxonomy::WriteSnapshotWithBackup(*generation, taxonomy_path);
     });
     if (saved.ok()) last_loadable_gen = gen;
 
     auto loaded = util::RetryWithBackoff(util::RetryOptions{}, [&] {
-      return taxonomy::LoadTaxonomyWithFallback(taxonomy_path).status();
+      return taxonomy::LoadSnapshotWithFallback(taxonomy_path).status();
     });
     if (last_loadable_gen > 0) {
       // Something complete is on disk (primary or .bak); the only excuse
       // for not loading it is injected read faults outlasting the retries.
       ExpectCleanLoadStatus(loaded.status, "taxonomy");
     }
-    auto recovered = taxonomy::LoadTaxonomyWithFallback(taxonomy_path);
+    auto recovered = taxonomy::LoadSnapshotWithFallback(taxonomy_path);
     if (recovered.ok()) {
-      const taxonomy::NodeId marker = recovered->Find("marker");
+      const taxonomy::ServingView& view = **recovered;
+      const taxonomy::NodeId marker = view.Find("marker");
       ASSERT_NE(marker, taxonomy::kInvalidNode);
-      const auto& hypernyms = recovered->Hypernyms(marker);
-      ASSERT_EQ(hypernyms.size(), 1u);
-      const int on_disk_gen =
-          ParseGeneration(recovered->Name(hypernyms[0].hyper));
+      ASSERT_EQ(view.NumHypernyms(marker), 1u);
+      std::string hyper;
+      view.VisitHypernyms(marker, [&](const taxonomy::HalfEdge& edge) {
+        hyper = view.Name(edge.node);
+        return true;
+      });
+      const int on_disk_gen = ParseGeneration(hyper);
       // Some complete generation 1..gen — current, a save-skipped round's
       // predecessor, or the .bak one behind it.
       ASSERT_GE(on_disk_gen, 1);
@@ -198,7 +201,8 @@ TEST_P(ChaosSoakTest, SurvivesFaultScheduleCoherently) {
     // Binary-snapshot persistence under the same schedule: the same
     // atomic-write contract holds for the mmap format. A round's write may
     // lose to injected faults, but whatever Load finds must be a complete
-    // earlier snapshot (kIoError when none exists or reads are faulted) —
+    // earlier snapshot (kNotFound when none exists, kIoError when reads are
+    // faulted) —
     // never a torn or checksum-invalid one.
     const auto snap_gen =
         taxonomy::ServingView::Encode(MakeGeneration(gen), {});

@@ -4,15 +4,13 @@
 // every CNPB_THREADS value.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "core/builder.h"
 #include "synth/corpus_gen.h"
 #include "synth/encyclopedia_gen.h"
 #include "synth/world.h"
-#include "taxonomy/serialize.h"
+#include "taxonomy/view.h"
 #include "text/segmenter.h"
 #include "util/parallel.h"
 
@@ -29,14 +27,17 @@ std::string Fingerprint(const taxonomy::Taxonomy& taxonomy) {
   return out.str();
 }
 
-taxonomy::Taxonomy BuildTaxonomy(uint64_t seed) {
+// Builds the taxonomy for `seed`; `dump` (when non-null) receives the
+// encyclopedia dump it was built from.
+taxonomy::Taxonomy BuildTaxonomy(uint64_t seed,
+                                 kb::EncyclopediaDump* dump = nullptr) {
   synth::WorldModel::Config wc;
   wc.num_entities = 1000;
   wc.seed = seed;
   const synth::WorldModel world = synth::WorldModel::Generate(wc);
   synth::EncyclopediaGenerator::Config gc;
   gc.seed = seed + 1;
-  const auto output = synth::EncyclopediaGenerator::Generate(world, gc);
+  auto output = synth::EncyclopediaGenerator::Generate(world, gc);
   text::Segmenter segmenter(&world.lexicon());
   synth::CorpusGenerator::Config cc;
   cc.seed = seed + 2;
@@ -55,26 +56,26 @@ taxonomy::Taxonomy BuildTaxonomy(uint64_t seed) {
     config.verification.syntax.thematic_lexicon.emplace_back(word);
   }
   core::CnProbaseBuilder::Report report;
-  return core::CnProbaseBuilder::Build(output.dump, world.lexicon(),
-                                       corpus_words, config, &report);
+  taxonomy::Taxonomy taxonomy = core::CnProbaseBuilder::Build(
+      output.dump, world.lexicon(), corpus_words, config, &report);
+  if (dump != nullptr) *dump = std::move(output.dump);
+  return taxonomy;
 }
 
 std::string BuildFingerprint(uint64_t seed) {
   return Fingerprint(BuildTaxonomy(seed));
 }
 
-// The on-disk bytes SaveTaxonomy writes for a build at `threads` threads.
-std::string SerializedBytesAt(int threads, uint64_t seed) {
+// The CNPBSNP bytes (taxonomy + mention index, exact float bits included)
+// of a build at `threads` threads — what a snapshot file would hold.
+std::string EncodedBytesAt(int threads, uint64_t seed) {
   util::ScopedThreadsOverride override_threads(threads);
-  const taxonomy::Taxonomy taxonomy = BuildTaxonomy(seed);
-  const std::string path = ::testing::TempDir() + "/cnpb_det_" +
-                           std::to_string(threads) + ".tsv";
-  EXPECT_TRUE(taxonomy::SaveTaxonomy(taxonomy, path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  std::remove(path.c_str());
-  return bytes.str();
+  kb::EncyclopediaDump dump;
+  const taxonomy::Taxonomy taxonomy = BuildTaxonomy(seed, &dump);
+  return std::string(
+      taxonomy::ServingView::Encode(
+          taxonomy, core::CnProbaseBuilder::BuildMentionIndex(dump, taxonomy))
+          ->bytes());
 }
 
 TEST(DeterminismTest, SameSeedSameTaxonomy) {
@@ -89,10 +90,10 @@ TEST(DeterminismTest, ByteIdenticalAcrossThreadCounts) {
   // The sharded pipeline's contract: shard partitioning is a pure function
   // of the page count and every merge is order-stable, so the serialized
   // taxonomy must not depend on CNPB_THREADS at all.
-  const std::string at_one = SerializedBytesAt(1, 7);
+  const std::string at_one = EncodedBytesAt(1, 7);
   ASSERT_FALSE(at_one.empty());
-  EXPECT_EQ(at_one, SerializedBytesAt(3, 7));
-  EXPECT_EQ(at_one, SerializedBytesAt(8, 7));
+  EXPECT_EQ(at_one, EncodedBytesAt(3, 7));
+  EXPECT_EQ(at_one, EncodedBytesAt(8, 7));
 }
 
 TEST(DeterminismTest, WorldGenerationIsPure) {

@@ -6,8 +6,6 @@
 
 #include "core/incremental.h"
 #include "eval/precision.h"
-#include "taxonomy/serialize.h"
-#include "util/fault_injection.h"
 #include "synth/corpus_gen.h"
 #include "synth/encyclopedia_gen.h"
 #include "synth/world.h"
@@ -134,61 +132,6 @@ TEST_F(IncrementalTest, EmptyBatchIsCheap) {
   const auto report = updater.ApplyBatch({});
   EXPECT_EQ(report.pages_added, 0u);
   EXPECT_EQ(report.accepted, 0u);
-}
-
-TEST_F(IncrementalTest, SaveSnapshotIsDurableAndRetriesFaults) {
-  core::IncrementalUpdater updater(*base_, &world_->lexicon(), *corpus_words_,
-                                   Config());
-  const std::string path = ::testing::TempDir() + "/incremental_snapshot.tsv";
-  ASSERT_TRUE(updater.SaveSnapshot(path).ok());
-  auto loaded = taxonomy::LoadTaxonomyWithFallback(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_edges(), updater.taxonomy().num_edges());
-
-  // A bounded burst of injected rename faults is absorbed by the retry; the
-  // snapshot still lands.
-  {
-    util::ScopedFaultInjection scoped("taxonomy.save.rename=1:limit=2", 13);
-    EXPECT_TRUE(updater.SaveSnapshot(path).ok());
-  }
-  // Faults outlasting the retries lose only this write: the previous
-  // snapshot (primary or .bak) still loads.
-  {
-    util::ScopedFaultInjection scoped("taxonomy.save.write=1", 13);
-    EXPECT_FALSE(updater.SaveSnapshot(path).ok());
-  }
-  auto recovered = taxonomy::LoadTaxonomyWithFallback(path);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered->num_edges(), updater.taxonomy().num_edges());
-}
-
-TEST_F(IncrementalTest, SaversReportThePersistedGeneration) {
-  core::IncrementalUpdater updater(*base_, &world_->lexicon(), *corpus_words_,
-                                   Config());
-  const std::string path = ::testing::TempDir() + "/incremental_gen.tsv";
-  uint64_t generation = 0;
-  ASSERT_TRUE(updater.SaveSnapshot(path, &generation).ok());
-  EXPECT_EQ(generation, updater.generation());
-
-  std::vector<kb::EncyclopediaPage> two(batch1_->begin(), batch1_->begin() + 2);
-  updater.ApplyBatch(two);
-  uint64_t generation2 = 0;
-  ASSERT_TRUE(updater.SaveSnapshot(path, &generation2).ok());
-  EXPECT_EQ(generation2, updater.generation());
-  EXPECT_GT(generation2, generation);
-
-  const std::string snap = ::testing::TempDir() + "/incremental_gen.snap";
-  uint64_t bin_generation = 0;
-  ASSERT_TRUE(updater.SaveBinarySnapshot(snap, &bin_generation).ok());
-  EXPECT_EQ(bin_generation, generation2);
-
-  // A failed save must not report: the out-param names the generation of
-  // bytes that actually landed, so a durable-cursor caller attributing a
-  // checkpoint to it can never stamp a generation that is not on disk.
-  uint64_t untouched = 999;
-  util::ScopedFaultInjection scoped("taxonomy.save.write=1", 13);
-  EXPECT_FALSE(updater.SaveSnapshot(path, &untouched).ok());
-  EXPECT_EQ(untouched, 999u);
 }
 
 TEST_F(IncrementalTest, BatchPagesGetDistinctFreshIds) {

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
@@ -46,7 +47,7 @@ constexpr char kChaosSpec[] =
     "wal.append=0.15:limit=4;wal.write=0.15:limit=3;wal.fsync=0.2:limit=4;"
     "wal.rotate=0.4:limit=2;"
     "ingest.apply=0.25:limit=4;ingest.publish=0.3:limit=3;"
-    "compact.pages=0.4:limit=2;compact.snapshot=0.4:limit=2;"
+    "compact.pages=0.4:limit=2;"
     "compact.cursor=0.4:limit=2;compact.prune=0.5:limit=2;"
     "wal.cursor.write=0.3:limit=2;wal.cursor.rename=0.3:limit=2";
 
@@ -378,6 +379,46 @@ TEST(IngestDaemonTest, SubmitFlushServesAndDeleteTombstonesQueuedUpserts) {
     EXPECT_TRUE(NameCounts(*updater2).count(page.name));
   }
   ASSERT_TRUE(daemon2.Stop(ingest::IngestDaemon::StopMode::kDrain).ok());
+}
+
+// A compaction writes the checkpoint pages and the cursor and nothing
+// else; it also sweeps the checkpoint-<lsn>.snap files earlier builds
+// wrote, even one at the lsn it compacts to.
+TEST(IngestDaemonTest, CompactionKeepsOnlyThePagesCheckpoint) {
+  const std::string wal_dir = FreshWalDir(901);
+  const auto& stream = World().stream;
+  auto updater = MakeUpdater();
+  auto options = Tight(wal_dir);
+  options.compact_every_records = 0;  // manual compaction only
+  ingest::IngestDaemon daemon(updater.get(), nullptr, options);
+  ASSERT_TRUE(daemon.Start().ok());
+  std::vector<kb::EncyclopediaPage> batch(stream.begin(), stream.begin() + 6);
+  ASSERT_TRUE(daemon.SubmitBatch(batch).ok());
+  ASSERT_TRUE(daemon.Flush().ok());
+
+  const uint64_t floor = daemon.stats().resolved_lsn;
+  for (const uint64_t lsn : {uint64_t{1}, floor}) {
+    FILE* legacy = std::fopen(
+        (wal_dir + "/checkpoint-" + std::to_string(lsn) + ".snap").c_str(),
+        "w");
+    ASSERT_NE(legacy, nullptr);
+    std::fclose(legacy);
+  }
+  ASSERT_TRUE(daemon.CompactNow().ok());
+
+  auto cursor = ingest::LoadCursor(wal_dir);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  EXPECT_EQ(cursor->applied_lsn, floor);
+  const std::string pages =
+      "checkpoint-" + std::to_string(floor) + ".pages.tsv";
+  EXPECT_EQ(cursor->checkpoint_file, pages);
+  std::vector<std::string> checkpoints;
+  for (const auto& entry : std::filesystem::directory_iterator(wal_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("checkpoint-", 0) == 0) checkpoints.push_back(name);
+  }
+  EXPECT_EQ(checkpoints, std::vector<std::string>{pages});
+  ASSERT_TRUE(daemon.Stop(ingest::IngestDaemon::StopMode::kDrain).ok());
 }
 
 TEST(IngestDaemonTest, PriorityOrdersApplyWithinABacklog) {

@@ -90,11 +90,11 @@ TEST(SnapshotRobustnessTest, ValidFileLoads) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotRobustnessTest, MissingFileIsIoError) {
+TEST(SnapshotRobustnessTest, MissingFileIsNotFound) {
   auto snap = taxonomy::ServingView::Load(::testing::TempDir() +
                                           "/does_not_exist.snap");
   ASSERT_FALSE(snap.ok());
-  EXPECT_EQ(snap.status().code(), util::StatusCode::kIoError);
+  EXPECT_EQ(snap.status().code(), util::StatusCode::kNotFound);
 }
 
 TEST(SnapshotRobustnessTest, ZeroLengthFileRejected) {
@@ -488,7 +488,7 @@ TEST(SnapshotRobustnessTest, TornWritesNeverLeaveLoadableCorruption) {
           EXPECT_EQ((*snap)->bytes(), view->bytes());
         } else {
           // Only "no complete file yet" is acceptable — never corruption.
-          EXPECT_EQ(snap.status().code(), util::StatusCode::kIoError)
+          EXPECT_EQ(snap.status().code(), util::StatusCode::kNotFound)
               << "seed " << seed << " attempt " << attempt << ": "
               << snap.status().ToString();
         }

@@ -17,7 +17,6 @@
 #include "synth/encyclopedia_gen.h"
 #include "synth/world.h"
 #include "taxonomy/api_service.h"
-#include "taxonomy/serialize.h"
 #include "taxonomy/snapshot.h"
 #include "taxonomy/taxonomy.h"
 #include "taxonomy/view.h"
@@ -268,18 +267,8 @@ void ExpectServicesAnswerIdentically(const taxonomy::ApiService& a,
   }
 }
 
-TEST(SnapshotTest, SnapshotBackedServiceAnswersIdenticallyToTsvBacked) {
+TEST(SnapshotTest, SnapshotBackedServiceAnswersIdenticallyToMaterialized) {
   const BuiltWorld& world = SharedWorld();
-
-  // TSV-backed side: save + reload through the durable text format, then
-  // publish the reloaded taxonomy.
-  const std::string tsv_path = TempPath("snapshot_equiv.tsv");
-  ASSERT_TRUE(taxonomy::SaveTaxonomy(world.taxonomy, tsv_path).ok());
-  auto reloaded = taxonomy::LoadTaxonomy(tsv_path);
-  ASSERT_TRUE(reloaded.ok());
-  auto frozen = taxonomy::Taxonomy::Freeze(std::move(*reloaded));
-  taxonomy::ApiService tsv_service(
-      frozen, core::CnProbaseBuilder::BuildMentionIndex(world.dump, *frozen));
 
   // Snapshot-backed side: written from the builder's taxonomy, served via
   // mmap.
@@ -289,15 +278,23 @@ TEST(SnapshotTest, SnapshotBackedServiceAnswersIdenticallyToTsvBacked) {
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   taxonomy::ApiService snap_service(*snap);
 
-  ASSERT_EQ(tsv_service.num_mentions(), (*snap)->num_mentions());
-  EXPECT_EQ(tsv_service.CurrentView()->bytes(), (*snap)->bytes());
-  ExpectServicesAnswerIdentically(tsv_service, snap_service, **snap);
+  // Materialized side: the file's taxonomy rebuilt as a mutable Taxonomy,
+  // its mention index rebuilt from the dump, then published — what a
+  // process that edits a loaded snapshot would serve.
+  auto materialized = taxonomy::MaterializeTaxonomy(**snap);
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  auto frozen = taxonomy::Taxonomy::Freeze(std::move(*materialized));
+  taxonomy::ApiService rebuilt_service(
+      frozen, core::CnProbaseBuilder::BuildMentionIndex(world.dump, *frozen));
 
-  std::remove(tsv_path.c_str());
+  ASSERT_EQ(rebuilt_service.num_mentions(), (*snap)->num_mentions());
+  EXPECT_EQ(rebuilt_service.CurrentView()->bytes(), (*snap)->bytes());
+  ExpectServicesAnswerIdentically(rebuilt_service, snap_service, **snap);
+
   std::remove(snap_path.c_str());
 }
 
-// A builder-built taxonomy (not a TSV-reloaded one) inserts hyponym edges
+// A builder-built taxonomy (not a materialized one) inserts hyponym edges
 // in build order, not canonical order. Publishing it and serving the file
 // that version writes must still answer getEntity identically.
 TEST(SnapshotTest, PublishedBuilderTaxonomyAnswersLikeItsWrittenFile) {
@@ -325,7 +322,7 @@ TEST(SnapshotTest, PublishedBuilderTaxonomyAnswersLikeItsWrittenFile) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, MaterializeTaxonomyMatchesTsvSave) {
+TEST(SnapshotTest, MaterializeThenEncodeIsByteIdentical) {
   const BuiltWorld& world = SharedWorld();
   const auto view = EncodeWorld(world);
   const std::string snap_path = TempPath("snapshot_materialize.snap");
@@ -333,23 +330,17 @@ TEST(SnapshotTest, MaterializeTaxonomyMatchesTsvSave) {
   auto snap = taxonomy::ServingView::Load(snap_path);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
-  // Materializing the snapshot and saving as TSV must produce the same
-  // bytes as saving the original taxonomy: the compatibility path back to
-  // the durable format loses nothing.
+  // Materializing the loaded file and encoding it again must reproduce the
+  // file byte for byte — node ids, kinds, edge order, sources and exact
+  // score bits: the path back to a mutable Taxonomy loses nothing.
   auto materialized = taxonomy::MaterializeTaxonomy(**snap);
   ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  const std::string a = TempPath("snapshot_materialized.tsv");
-  const std::string b = TempPath("snapshot_original.tsv");
-  ASSERT_TRUE(taxonomy::SaveTaxonomy(*materialized, a).ok());
-  ASSERT_TRUE(taxonomy::SaveTaxonomy(world.taxonomy, b).ok());
-  auto bytes_a = util::ReadFileToString(a);
-  auto bytes_b = util::ReadFileToString(b);
-  ASSERT_TRUE(bytes_a.ok());
-  ASSERT_TRUE(bytes_b.ok());
-  EXPECT_EQ(*bytes_a, *bytes_b);
+  EXPECT_EQ(materialized->num_nodes(), world.taxonomy.num_nodes());
+  EXPECT_EQ(materialized->num_edges(), world.taxonomy.num_edges());
+  EXPECT_EQ(
+      taxonomy::ServingView::Encode(*materialized, MentionsOf(world))->bytes(),
+      (*snap)->bytes());
   std::remove(snap_path.c_str());
-  std::remove(a.c_str());
-  std::remove(b.c_str());
 }
 
 TEST(SnapshotTest, EmptyTaxonomyRoundTrips) {

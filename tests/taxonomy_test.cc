@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 #include "obs/metrics.h"
 #include "taxonomy/api_service.h"
-#include "taxonomy/serialize.h"
+#include "taxonomy/snapshot.h"
 #include "taxonomy/taxonomy.h"
+#include "taxonomy/view.h"
+#include "util/atomic_file.h"
 
 namespace cnpb::taxonomy {
 namespace {
@@ -174,28 +177,36 @@ TEST(SerializeTest, RoundTrip) {
   Taxonomy t;
   t.AddIsa("刘德华（演员）", "演员", Source::kBracket, 0.9f);
   t.AddIsa("演员", "人物", Source::kTag, 1.0f, NodeKind::kConcept);
-  const std::string path = ::testing::TempDir() + "/taxonomy_test.tsv";
-  ASSERT_TRUE(SaveTaxonomy(t, path).ok());
-  auto loaded = LoadTaxonomy(path);
-  ASSERT_TRUE(loaded.ok());
+  const std::string path = ::testing::TempDir() + "/taxonomy_test.snap";
+  ASSERT_TRUE(WriteSnapshot(*ServingView::Encode(t, {}), path).ok());
+  auto view = ServingView::Load(path);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  auto loaded = MaterializeTaxonomy(**view);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->num_nodes(), t.num_nodes());
   EXPECT_EQ(loaded->num_edges(), t.num_edges());
   const NodeId liu = loaded->Find("刘德华（演员）");
   ASSERT_NE(liu, kInvalidNode);
   EXPECT_EQ(loaded->Kind(liu), NodeKind::kEntity);
-  EXPECT_EQ(loaded->Hypernyms(liu).size(), 1u);
+  EXPECT_EQ(loaded->Kind(loaded->Find("演员")), NodeKind::kConcept);
+  ASSERT_EQ(loaded->Hypernyms(liu).size(), 1u);
   EXPECT_EQ(loaded->Hypernyms(liu)[0].source, Source::kBracket);
-  EXPECT_NEAR(loaded->Hypernyms(liu)[0].score, 0.9f, 1e-5);
+  EXPECT_EQ(loaded->Hypernyms(liu)[0].score, 0.9f);  // exact bits
   std::remove(path.c_str());
 }
 
+// Rows of the retired TSV taxonomy format (and any other text) are not a
+// snapshot: loading one is a clean error, never a misread taxonomy.
 TEST(SerializeTest, RejectsMalformedRows) {
-  const std::string path = ::testing::TempDir() + "/taxonomy_bad.tsv";
-  FILE* f = fopen(path.c_str(), "w");
-  fputs("E\t0\t1\t0\t1.0\n", f);  // edge referencing unknown nodes
-  fclose(f);
-  auto loaded = LoadTaxonomy(path);
-  EXPECT_FALSE(loaded.ok());
+  const std::string path = ::testing::TempDir() + "/taxonomy_bad.snap";
+  ASSERT_TRUE(util::WriteFileAtomic(path,
+                                    "N\t演员\tc\nN\t人物\tc\n"
+                                    "E\t0\t1\t0\t1.000000\n")
+                  .ok());
+  auto loaded = ServingView::Load(path);
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+  auto fallback = LoadSnapshotWithFallback(path);
+  EXPECT_FALSE(fallback.ok());
   std::remove(path.c_str());
 }
 

@@ -363,9 +363,7 @@ TEST(WalCursorRobustnessTest, CorruptCursorIsDataLossNeverAGuess) {
 
   ingest::IngestCursor cursor;
   cursor.applied_lsn = 17;
-  cursor.generation = 3;
   cursor.checkpoint_file = "checkpoint-17.pages.tsv";
-  cursor.snapshot_file = "checkpoint-17.snap";
   ASSERT_TRUE(ingest::SaveCursor(dir, cursor).ok());
   const std::string intact = ReadBytes(cursor_path);
   ASSERT_FALSE(intact.empty());

@@ -14,6 +14,7 @@
 #include "kb/page.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
+#include "util/tsv.h"
 
 namespace cnpb {
 namespace {
@@ -304,17 +305,13 @@ TEST(WalCursorTest, SaveLoadRoundTripAndNotFound) {
 
   ingest::IngestCursor cursor;
   cursor.applied_lsn = 42;
-  cursor.generation = 7;
   cursor.checkpoint_file = "checkpoint-42.pages.tsv";
-  cursor.snapshot_file = "checkpoint-42.snap";
   ASSERT_TRUE(ingest::SaveCursor(dir, cursor).ok());
 
   auto loaded = ingest::LoadCursor(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->applied_lsn, 42u);
-  EXPECT_EQ(loaded->generation, 7u);
   EXPECT_EQ(loaded->checkpoint_file, "checkpoint-42.pages.tsv");
-  EXPECT_EQ(loaded->snapshot_file, "checkpoint-42.snap");
 
   // Overwrite advances; the newer cursor wins.
   cursor.applied_lsn = 50;
@@ -322,6 +319,33 @@ TEST(WalCursorTest, SaveLoadRoundTripAndNotFound) {
   auto newer = ingest::LoadCursor(dir);
   ASSERT_TRUE(newer.ok());
   EXPECT_EQ(newer->applied_lsn, 50u);
+}
+
+// Earlier builds wrote a 4-field cursor row (lsn, taxonomy generation,
+// checkpoint pages, compaction snapshot). A WAL directory they left behind
+// must still recover: the lsn and checkpoint are read, the rest ignored.
+TEST(WalCursorTest, LoadsTheFourFieldRowOfEarlierBuilds) {
+  const std::string dir = FreshDir("cursor_legacy");
+  ASSERT_TRUE(ingest::EnsureDir(dir).ok());
+  {
+    util::TsvWriter writer(dir + "/wal.cursor", {.checksum_footer = true});
+    writer.WriteRow(
+        {"42", "7", "checkpoint-42.pages.tsv", "checkpoint-42.snap"});
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  auto loaded = ingest::LoadCursor(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->applied_lsn, 42u);
+  EXPECT_EQ(loaded->checkpoint_file, "checkpoint-42.pages.tsv");
+
+  // Rows of any other width are not a cursor.
+  {
+    util::TsvWriter writer(dir + "/wal.cursor", {.checksum_footer = true});
+    writer.WriteRow({"42", "7", "checkpoint-42.pages.tsv"});
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  EXPECT_EQ(ingest::LoadCursor(dir).status().code(),
+            util::StatusCode::kDataLoss);
 }
 
 TEST(WalFaultTest, AppendFaultFailsCleanlyAndRecovers) {
