@@ -1,7 +1,6 @@
 #include "core/builder.h"
 
 #include <algorithm>
-#include <iterator>
 #include <unordered_set>
 
 #include "generation/direct_extraction.h"
@@ -13,28 +12,6 @@
 #include "util/timer.h"
 
 namespace cnpb::core {
-
-namespace {
-
-// Moves the contents of per-shard candidate lists into one list, in shard
-// order. Because shards are contiguous page ranges in index order, the
-// concatenation equals what a serial full-dump pass would produce — the
-// order-stable merge that makes the build byte-identical for any
-// CNPB_THREADS value.
-generation::CandidateList ConcatShards(
-    std::vector<generation::CandidateList>& parts) {
-  size_t total = 0;
-  for (const generation::CandidateList& part : parts) total += part.size();
-  generation::CandidateList out;
-  out.reserve(total);
-  for (generation::CandidateList& part : parts) {
-    out.insert(out.end(), std::make_move_iterator(part.begin()),
-               std::make_move_iterator(part.end()));
-  }
-  return out;
-}
-
-}  // namespace
 
 generation::CandidateList CnProbaseBuilder::BuildCandidates(
     const kb::EncyclopediaDump& dump, const text::Lexicon& lexicon,
@@ -85,7 +62,7 @@ generation::CandidateList CnProbaseBuilder::BuildCandidates(
           return extractor.ExtractRange(dump, shards[s].first,
                                         shards[s].second);
         });
-    bracket = ConcatShards(parts);
+    bracket = util::ConcatInOrder(parts);
   }
   metrics.gauge("build.stage.bracket_seconds")
       ->Set(stage_timer.ElapsedSeconds());
@@ -153,9 +130,9 @@ generation::CandidateList CnProbaseBuilder::BuildCandidates(
       infoboxes.push_back(std::move(out.infobox));
       tags.push_back(std::move(out.tags));
     }
-    abstract_candidates = ConcatShards(abstracts);
-    infobox_candidates = ConcatShards(infoboxes);
-    tag_candidates = ConcatShards(tags);
+    abstract_candidates = util::ConcatInOrder(abstracts);
+    infobox_candidates = util::ConcatInOrder(infoboxes);
+    tag_candidates = util::ConcatInOrder(tags);
   }
 
   if (!config.enable_bracket) bracket.clear();

@@ -105,8 +105,14 @@ class IncrementalUpdater {
  private:
   friend class IncrementalUpdaterTestPeer;
 
-  // Extracts candidates from pages [first_page, dump_.size()).
-  generation::CandidateList ExtractFrom(size_t first_page);
+  // Extracts candidates from pages [first_page, dump_.size()): one
+  // fork-join on the global thread pool runs all four extractors per shard
+  // of a few pages, then merges each source's candidates in page order, so
+  // the result is the same for every thread count. The base build (from
+  // page 0) and every batch share it. `report`, when non-null, receives the
+  // per-source and merged candidate counts.
+  generation::CandidateList ExtractFrom(
+      size_t first_page, CnProbaseBuilder::Report* report = nullptr);
 
   // True when `candidate`'s edge is already in the working taxonomy.
   bool HasEdge(const generation::Candidate& candidate) const;

@@ -46,17 +46,24 @@ auto ParallelMap(size_t n, Fn&& fn) {
 // A contiguous half-open index range [begin, end).
 using IndexRange = std::pair<size_t, size_t>;
 
-// Deterministic contiguous shard plan for n items: a pure function of n
-// alone (never of the thread count), so any code that processes shards
-// independently and concatenates results in shard order produces output
-// that is byte-identical for every CNPB_THREADS value. Shards are balanced
-// to within one item; the count targets ~kShardGrain items per shard,
-// capped so huge inputs do not drown the scheduler in tiny tasks.
-inline std::vector<IndexRange> MakeShards(size_t n) {
-  constexpr size_t kShardGrain = 128;
+// Items per shard MakeShards targets by default: cheap per-item work (a
+// verification scan over one candidate) needs this many items before a
+// shard outweighs its dispatch.
+inline constexpr size_t kDefaultShardGrain = 128;
+
+// Deterministic contiguous shard plan for n items: a pure function of
+// (n, grain) alone (never of the thread count), so any code that processes
+// shards independently and concatenates results in shard order produces
+// output that is byte-identical for every CNPB_THREADS value. Shards are
+// balanced to within one item; the count targets ~`grain` (> 0) items per
+// shard, capped so huge inputs do not drown the scheduler in tiny tasks.
+// Costly per-item work (a CopyNet decode per page) passes a small grain so
+// that even a short input spreads over every lane.
+inline std::vector<IndexRange> MakeShards(size_t n,
+                                          size_t grain = kDefaultShardGrain) {
   constexpr size_t kMaxShards = 256;
   if (n == 0) return {};
-  const size_t wanted = (n + kShardGrain - 1) / kShardGrain;
+  const size_t wanted = (n + grain - 1) / grain;
   const size_t num_shards = std::min(std::min(wanted, kMaxShards), n);
   std::vector<IndexRange> shards;
   shards.reserve(num_shards);
@@ -68,16 +75,10 @@ inline std::vector<IndexRange> MakeShards(size_t n) {
   return shards;
 }
 
-// Runs fn(begin, end) over every shard of [0, n) in parallel and
-// concatenates the returned containers in shard order — the order-stable
+// Moves per-shard containers into one, in shard order — the order-stable
 // merge that keeps sharded extraction byte-identical to a serial pass.
-template <typename Fn>
-auto ShardedConcat(size_t n, Fn&& fn) {
-  using List = std::decay_t<decltype(fn(size_t{0}, size_t{0}))>;
-  const std::vector<IndexRange> shards = MakeShards(n);
-  std::vector<List> parts = ParallelMap(
-      shards.size(),
-      [&](size_t s) { return fn(shards[s].first, shards[s].second); });
+template <typename List>
+List ConcatInOrder(std::vector<List>& parts) {
   size_t total = 0;
   for (const List& part : parts) total += part.size();
   List out;
@@ -87,6 +88,17 @@ auto ShardedConcat(size_t n, Fn&& fn) {
                std::make_move_iterator(part.end()));
   }
   return out;
+}
+
+// Runs fn(begin, end) over every shard of [0, n) in parallel and
+// concatenates the returned containers in shard order.
+template <typename Fn>
+auto ShardedConcat(size_t n, Fn&& fn) {
+  const std::vector<IndexRange> shards = MakeShards(n);
+  auto parts = ParallelMap(
+      shards.size(),
+      [&](size_t s) { return fn(shards[s].first, shards[s].second); });
+  return ConcatInOrder(parts);
 }
 
 }  // namespace cnpb::util

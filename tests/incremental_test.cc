@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "core/incremental.h"
 #include "eval/precision.h"
 #include "synth/corpus_gen.h"
 #include "synth/encyclopedia_gen.h"
 #include "synth/world.h"
+#include "taxonomy/api_service.h"
+#include "util/thread_pool.h"
 
 namespace cnpb {
 namespace {
@@ -64,6 +69,64 @@ class IncrementalTest : public ::testing::Test {
       config.verification.syntax.thematic_lexicon.emplace_back(word);
     }
     return config;
+  }
+
+  // batch1_ cut into batches of 32 pages (the ingest batch size: 8
+  // extraction shards), 5 (2 shards), 1 (one shard of one page) and the
+  // rest (many shards).
+  static std::vector<std::vector<kb::EncyclopediaPage>> MixedBatches() {
+    std::vector<std::vector<kb::EncyclopediaPage>> batches;
+    size_t next = 0;
+    for (const size_t size : {32ul, 5ul, 1ul, batch1_->size()}) {
+      const size_t end = std::min(next + size, batch1_->size());
+      batches.emplace_back(batch1_->begin() + next, batch1_->begin() + end);
+      next = end;
+    }
+    return batches;
+  }
+
+  // What one updater run leaves behind: every batch's report and the
+  // published view's bytes after the base build and after every batch.
+  struct Run {
+    std::vector<core::IncrementalUpdater::BatchReport> reports;
+    std::vector<std::string> published;
+  };
+
+  // Builds an updater over base_ and applies `batches`, publishing after
+  // each, on the calling thread.
+  static Run ApplyAndPublish(
+      const std::vector<std::vector<kb::EncyclopediaPage>>& batches) {
+    core::IncrementalUpdater updater(*base_, &world_->lexicon(),
+                                     *corpus_words_, Config());
+    taxonomy::ApiService api(updater.snapshot());
+    Run run;
+    updater.Publish(&api);
+    run.published.emplace_back(api.CurrentView()->bytes());
+    for (const auto& batch : batches) {
+      run.reports.push_back(updater.ApplyBatch(batch));
+      updater.Publish(&api);
+      run.published.emplace_back(api.CurrentView()->bytes());
+    }
+    return run;
+  }
+
+  // Everything in a BatchReport but its wall time.
+  static void ExpectSameRuns(const Run& expected, const Run& actual) {
+    ASSERT_EQ(expected.reports.size(), actual.reports.size());
+    for (size_t b = 0; b < expected.reports.size(); ++b) {
+      const auto& want = expected.reports[b];
+      const auto& got = actual.reports[b];
+      EXPECT_EQ(want.pages_added, got.pages_added) << "batch " << b;
+      EXPECT_EQ(want.candidates, got.candidates) << "batch " << b;
+      EXPECT_EQ(want.accepted, got.accepted) << "batch " << b;
+      EXPECT_EQ(want.rejected, got.rejected) << "batch " << b;
+      EXPECT_EQ(want.revoked, got.revoked) << "batch " << b;
+    }
+    ASSERT_EQ(expected.published.size(), actual.published.size());
+    for (size_t v = 0; v < expected.published.size(); ++v) {
+      EXPECT_TRUE(expected.published[v] == actual.published[v])
+          << "published view " << v << " differs";
+    }
   }
 
   static eval::Oracle Oracle() {
@@ -270,6 +333,41 @@ TEST_F(IncrementalTest, SnapshotIsAFrozenCopyCachedPerBatch) {
   const auto second = updater.snapshot();
   EXPECT_NE(second, first);
   EXPECT_EQ(second->num_edges(), updater.taxonomy().num_edges());
+}
+
+TEST_F(IncrementalTest, BatchesByteIdenticalAcrossThreadCounts) {
+  // Batch extraction fans out over the thread pool; its shard plan depends
+  // on the page count alone and every source merges in page order, so
+  // reports and published bytes must not depend on the thread count.
+  const auto batches = MixedBatches();
+  Run at_one;
+  {
+    util::ScopedThreadsOverride threads(1);
+    at_one = ApplyAndPublish(batches);
+  }
+  ASSERT_EQ(at_one.reports.size(), batches.size());
+  EXPECT_GT(at_one.reports.front().candidates, 0u);
+  for (const int count : {3, 8}) {
+    SCOPED_TRACE(count);
+    util::ScopedThreadsOverride threads(count);
+    ExpectSameRuns(at_one, ApplyAndPublish(batches));
+  }
+}
+
+TEST_F(IncrementalTest, ConcurrentUpdatersMatchSerialRun) {
+  // Two ingest collections each own an updater, and both fan their batch
+  // extraction out onto the one global pool. Running them at once must
+  // leave each with the bytes a run alone gives.
+  util::ScopedThreadsOverride threads(4);
+  const auto batches = MixedBatches();
+  const Run serial = ApplyAndPublish(batches);
+  Run first;
+  Run second;
+  std::thread other([&]() { second = ApplyAndPublish(batches); });
+  first = ApplyAndPublish(batches);
+  other.join();
+  ExpectSameRuns(serial, first);
+  ExpectSameRuns(serial, second);
 }
 
 TEST_F(IncrementalTest, ComparableToFullRebuild) {

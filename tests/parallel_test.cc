@@ -95,6 +95,29 @@ TEST_F(ParallelTest, MakeShardsCoversRangeExactly) {
   }
 }
 
+TEST_F(ParallelTest, MakeShardsGrainSetsShardSize) {
+  // The default grain is 128 items: a 32-item input is one shard.
+  EXPECT_EQ(MakeShards(32), MakeShards(32, kDefaultShardGrain));
+  EXPECT_EQ(MakeShards(32).size(), 1u);
+  // A grain of 4 splits the same input into 8 balanced shards of 4.
+  const auto shards = MakeShards(32, 4);
+  ASSERT_EQ(shards.size(), 8u);
+  for (size_t s = 0; s < shards.size(); ++s) {
+    EXPECT_EQ(shards[s], IndexRange(4 * s, 4 * s + 4));
+  }
+  // Uneven inputs balance to within one item; the cap still bounds the
+  // shard count.
+  for (const auto& [begin, end] : MakeShards(10, 4)) {
+    EXPECT_GE(end - begin, 3u);
+    EXPECT_LE(end - begin, 4u);
+  }
+  EXPECT_EQ(MakeShards(100000, 1).size(), 256u);
+  // Still a pure function of (n, grain), never of the thread count.
+  SetThreads(7);
+  EXPECT_EQ(MakeShards(32, 4), shards);
+  SetThreads(0);
+}
+
 TEST_F(ParallelTest, ShardedConcatEqualsSerialConcat) {
   SetThreads(8);
   // Each shard contributes a variable-length list; concatenation must be in
