@@ -6,12 +6,120 @@
 #include "generation/direct_extraction.h"
 #include "generation/separation.h"
 #include "obs/metrics.h"
-#include "text/ngram.h"
-#include "text/segmenter.h"
 #include "util/parallel.h"
 #include "util/timer.h"
 
 namespace cnpb::core {
+
+namespace {
+
+// Pages per extraction shard. One CopyNet decode costs ~100 us, so a
+// 4-page shard is a task of about half a millisecond: a 32-page ingest
+// batch becomes 8 shards that every lane can take a share of, where the
+// default 128-item grain would run the whole batch inline on the calling
+// thread.
+constexpr size_t kExtractGrain = 4;
+
+}  // namespace
+
+GenerationModule::GenerationModule(
+    const kb::EncyclopediaDump& base, const text::Lexicon& lexicon,
+    const std::vector<std::vector<std::string>>& corpus,
+    const CnProbaseBuilder::Config& config, CnProbaseBuilder::Report* report)
+    : config_(config), segmenter_(&lexicon), neural_(config.neural) {
+  util::WallTimer timer;
+  for (const auto& sentence : corpus) ngrams_.AddSentence(sentence);
+
+  // CopyNet's distant supervision and predicate discovery both align
+  // against the base dump's bracket candidates. They consume the whole
+  // prior at once (corpus-level statistics), so they run serially: sharding
+  // them would change results.
+  if (config_.enable_abstract || config_.enable_infobox) {
+    const generation::CandidateList prior =
+        generation::BracketExtractor(&segmenter_, &ngrams_).Extract(base);
+    util::WallTimer stage_timer;
+    if (config_.enable_abstract) {
+      neural_.BuildDataset(base, prior, segmenter_);
+      report->neural_stats = neural_.Train();
+      seconds_.train = stage_timer.ElapsedSeconds();
+    }
+    if (config_.enable_infobox) {
+      stage_timer.Restart();
+      report->discovery = generation::PredicateDiscovery(config_.predicates)
+                              .Discover(base, prior);
+      selected_predicates_ = report->discovery.selected;
+      seconds_.discovery = stage_timer.ElapsedSeconds();
+    }
+  }
+  seconds_.prepare = timer.ElapsedSeconds();
+}
+
+generation::CandidateList GenerationModule::Extract(
+    const kb::EncyclopediaDump& dump, size_t first_page,
+    CnProbaseBuilder::Report* report) const {
+  // Each shard runs the enabled extractors over its own pages; each
+  // source's shard outputs are then concatenated in page order, so the
+  // merge sees exactly the lists a serial pass over the range would give.
+  struct ShardOutput {
+    generation::CandidateList bracket;
+    generation::CandidateList infobox;
+    generation::CandidateList tags;
+    generation::CandidateList abstracts;
+  };
+  const generation::BracketExtractor extractor(&segmenter_, &ngrams_);
+  const std::vector<util::IndexRange> shards =
+      util::MakeShards(dump.size() - first_page, kExtractGrain);
+  std::vector<ShardOutput> outputs(shards.size());
+  util::ParallelFor(shards.size(), [&](size_t s) {
+    const size_t begin = first_page + shards[s].first;
+    const size_t end = first_page + shards[s].second;
+    ShardOutput& out = outputs[s];
+    if (config_.enable_bracket) {
+      out.bracket = extractor.ExtractRange(dump, begin, end);
+    }
+    if (config_.enable_infobox) {
+      out.infobox = generation::PredicateDiscovery::Extract(
+          dump, selected_predicates_, begin, end);
+    }
+    if (config_.enable_tag) {
+      out.tags = generation::ExtractFromTags(dump, begin, end);
+    }
+    if (config_.enable_abstract) {
+      out.abstracts = neural_.ExtractRange(dump, segmenter_, begin, end);
+    }
+  });
+
+  // One source's candidates, in page order, scored with its prior.
+  auto collect = [&outputs](generation::CandidateList ShardOutput::*source,
+                            float prior) {
+    std::vector<generation::CandidateList> parts;
+    parts.reserve(outputs.size());
+    for (ShardOutput& out : outputs) parts.push_back(std::move(out.*source));
+    generation::CandidateList list = util::ConcatInOrder(parts);
+    for (generation::Candidate& c : list) c.score = prior;
+    return list;
+  };
+  const generation::CandidateList bracket =
+      collect(&ShardOutput::bracket, config_.bracket_prior);
+  const generation::CandidateList infobox =
+      collect(&ShardOutput::infobox, config_.infobox_prior);
+  const generation::CandidateList tags =
+      collect(&ShardOutput::tags, config_.tag_prior);
+  const generation::CandidateList abstracts =
+      collect(&ShardOutput::abstracts, config_.abstract_prior);
+  // Merge in decreasing-precision order so provenance reflects the most
+  // trustworthy source of each pair.
+  generation::CandidateList merged =
+      generation::MergeCandidates({&bracket, &infobox, &tags, &abstracts});
+  if (report != nullptr) {
+    report->bracket_candidates = bracket.size();
+    report->abstract_candidates = abstracts.size();
+    report->infobox_candidates = infobox.size();
+    report->tag_candidates = tags.size();
+    report->merged_candidates = merged.size();
+  }
+  return merged;
+}
 
 generation::CandidateList CnProbaseBuilder::BuildCandidates(
     const kb::EncyclopediaDump& dump, const text::Lexicon& lexicon,
@@ -20,151 +128,32 @@ generation::CandidateList CnProbaseBuilder::BuildCandidates(
   Report local;
   util::WallTimer timer;
 
-  // Build-stage instruments. Stage wall times are gauges (last build wins);
-  // shard-level timings go to histograms so tail shards stay visible, and the
-  // shard/page counters make pipeline progress observable from outside.
-  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
-  obs::Counter* shards_processed = metrics.counter("build.shards_processed");
-  obs::Counter* pages_processed = metrics.counter("build.pages_processed");
-  obs::BucketHistogram* bracket_shard_seconds =
-      metrics.histogram("build.shard.bracket_seconds");
-  obs::BucketHistogram* abstract_shard_seconds =
-      metrics.histogram("build.shard.abstract_seconds");
-  obs::BucketHistogram* infobox_shard_seconds =
-      metrics.histogram("build.shard.infobox_seconds");
-  obs::BucketHistogram* tag_shard_seconds =
-      metrics.histogram("build.shard.tag_seconds");
-  util::WallTimer stage_timer;
-
-  text::Segmenter segmenter(&lexicon);
-  text::NgramCounter ngrams;
-  for (const auto& sentence : corpus) ngrams.AddSentence(sentence);
-
-  // Deterministic shard plan over dump pages: a pure function of the page
-  // count, never of the thread count. Both generation passes below fan out
-  // over these shards and concatenate the per-shard outputs in shard order.
-  const std::vector<util::IndexRange> shards = util::MakeShards(dump.size());
-
   // --- generation module ---------------------------------------------------
-  // Pass 1 (sharded): bracket extraction. It runs first and alone because
-  // its output is also the distant-supervision prior for the abstract and
-  // infobox extractors.
-  generation::CandidateList bracket;
-  stage_timer.Restart();
-  if (config.enable_bracket || config.enable_abstract ||
-      config.enable_infobox) {
-    generation::BracketExtractor extractor(&segmenter, &ngrams);
-    std::vector<generation::CandidateList> parts =
-        util::ParallelMap(shards.size(), [&](size_t s) {
-          obs::ScopedTimer shard_timer(bracket_shard_seconds);
-          shards_processed->Increment();
-          pages_processed->Increment(shards[s].second - shards[s].first);
-          return extractor.ExtractRange(dump, shards[s].first,
-                                        shards[s].second);
-        });
-    bracket = util::ConcatInOrder(parts);
-  }
-  metrics.gauge("build.stage.bracket_seconds")
-      ->Set(stage_timer.ElapsedSeconds());
-
-  // Global stages: neural training and predicate discovery consume the whole
-  // bracket prior / dump at once (corpus-level statistics), so they cannot
-  // be sharded without changing results.
-  generation::NeuralGeneration neural(config.neural);
-  stage_timer.Restart();
-  if (config.enable_abstract) {
-    neural.BuildDataset(dump, bracket, segmenter);
-    local.neural_stats = neural.Train();
-  }
-  metrics.gauge("build.stage.neural_train_seconds")
-      ->Set(stage_timer.ElapsedSeconds());
-  generation::PredicateDiscovery discovery(config.predicates);
-  stage_timer.Restart();
-  if (config.enable_infobox) {
-    local.discovery = discovery.Discover(dump, bracket);
-  }
-  metrics.gauge("build.stage.predicate_discovery_seconds")
-      ->Set(stage_timer.ElapsedSeconds());
-
-  // Pass 2 (sharded): the three remaining extractors run per shard on the
-  // frozen model / selected predicates, writing per-shard slots.
-  struct ShardOutput {
-    generation::CandidateList abstracts;
-    generation::CandidateList infobox;
-    generation::CandidateList tags;
-  };
-  std::vector<ShardOutput> shard_outputs(shards.size());
-  stage_timer.Restart();
-  util::ParallelFor(shards.size(), [&](size_t s) {
-    const auto [begin, end] = shards[s];
-    ShardOutput& out = shard_outputs[s];
-    if (config.enable_abstract) {
-      obs::ScopedTimer shard_timer(abstract_shard_seconds);
-      out.abstracts = neural.ExtractRange(dump, segmenter, begin, end);
-    }
-    if (config.enable_infobox) {
-      obs::ScopedTimer shard_timer(infobox_shard_seconds);
-      out.infobox = generation::PredicateDiscovery::Extract(
-          dump, local.discovery.selected, begin, end);
-    }
-    if (config.enable_tag) {
-      obs::ScopedTimer shard_timer(tag_shard_seconds);
-      out.tags = generation::ExtractFromTags(dump, begin, end);
-    }
-    shards_processed->Increment();
-    pages_processed->Increment(end - begin);
-  });
-  metrics.gauge("build.stage.extract_pass2_seconds")
-      ->Set(stage_timer.ElapsedSeconds());
-
-  generation::CandidateList abstract_candidates;
-  generation::CandidateList infobox_candidates;
-  generation::CandidateList tag_candidates;
-  {
-    std::vector<generation::CandidateList> abstracts, infoboxes, tags;
-    abstracts.reserve(shards.size());
-    infoboxes.reserve(shards.size());
-    tags.reserve(shards.size());
-    for (ShardOutput& out : shard_outputs) {
-      abstracts.push_back(std::move(out.abstracts));
-      infoboxes.push_back(std::move(out.infobox));
-      tags.push_back(std::move(out.tags));
-    }
-    abstract_candidates = util::ConcatInOrder(abstracts);
-    infobox_candidates = util::ConcatInOrder(infoboxes);
-    tag_candidates = util::ConcatInOrder(tags);
-  }
-
-  if (!config.enable_bracket) bracket.clear();
-  for (auto& candidate : bracket) candidate.score = config.bracket_prior;
-  for (auto& candidate : infobox_candidates) {
-    candidate.score = config.infobox_prior;
-  }
-  for (auto& candidate : tag_candidates) candidate.score = config.tag_prior;
-  for (auto& candidate : abstract_candidates) {
-    candidate.score = config.abstract_prior;
-  }
-  local.bracket_candidates = bracket.size();
-  local.abstract_candidates = abstract_candidates.size();
-  local.infobox_candidates = infobox_candidates.size();
-  local.tag_candidates = tag_candidates.size();
-
-  // Merge in decreasing-precision order so provenance reflects the most
-  // trustworthy source of each pair.
-  stage_timer.Restart();
-  generation::CandidateList merged = generation::MergeCandidates(
-      {&bracket, &infobox_candidates, &tag_candidates, &abstract_candidates});
-  metrics.gauge("build.stage.merge_seconds")
-      ->Set(stage_timer.ElapsedSeconds());
-  local.merged_candidates = merged.size();
+  const GenerationModule module(dump, lexicon, corpus, config, &local);
+  util::WallTimer extract_timer;
+  generation::CandidateList merged = module.Extract(dump, 0, &local);
   local.seconds_generation = timer.ElapsedSeconds();
-  metrics.counter("build.candidates.bracket")->Increment(bracket.size());
+
+  // Build-stage gauges (last build wins) and counters (accumulated).
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  metrics.gauge("build.stage.neural_train_seconds")
+      ->Set(module.seconds().train);
+  metrics.gauge("build.stage.predicate_discovery_seconds")
+      ->Set(module.seconds().discovery);
+  metrics.gauge("build.stage.extract_seconds")
+      ->Set(extract_timer.ElapsedSeconds());
+  metrics.counter("build.shards_processed")
+      ->Increment(util::MakeShards(dump.size(), kExtractGrain).size());
+  metrics.counter("build.pages_processed")->Increment(dump.size());
+  metrics.counter("build.candidates.bracket")
+      ->Increment(local.bracket_candidates);
   metrics.counter("build.candidates.abstract")
-      ->Increment(abstract_candidates.size());
+      ->Increment(local.abstract_candidates);
   metrics.counter("build.candidates.infobox")
-      ->Increment(infobox_candidates.size());
-  metrics.counter("build.candidates.tag")->Increment(tag_candidates.size());
-  metrics.counter("build.candidates.merged")->Increment(merged.size());
+      ->Increment(local.infobox_candidates);
+  metrics.counter("build.candidates.tag")->Increment(local.tag_candidates);
+  metrics.counter("build.candidates.merged")
+      ->Increment(local.merged_candidates);
 
   // --- verification module -------------------------------------------------
   timer.Restart();

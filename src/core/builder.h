@@ -11,13 +11,17 @@
 #include "taxonomy/api_service.h"
 #include "taxonomy/taxonomy.h"
 #include "text/lexicon.h"
+#include "text/ngram.h"
+#include "text/segmenter.h"
 #include "verification/pipeline.h"
 
 namespace cnpb::core {
 
 // The CN-Probase construction pipeline (paper Figure 2): four generation
 // extractors over the encyclopedia dump, candidate merging, and the
-// three-strategy verification module, producing the final taxonomy.
+// three-strategy verification module, producing the final taxonomy. The
+// generation half is GenerationModule below, which IncrementalUpdater
+// shares.
 class CnProbaseBuilder {
  public:
   struct Config {
@@ -79,6 +83,53 @@ class CnProbaseBuilder {
   // immutable version (ApiService::Publish).
   static taxonomy::ApiService::MentionIndex BuildMentionIndex(
       const kb::EncyclopediaDump& dump, const taxonomy::Taxonomy& taxonomy);
+};
+
+// The generation half of the pipeline (paper §II), shared by the batch
+// build and IncrementalUpdater: the one place the four extractors run.
+// Construction prepares it once over a base dump; Extract then runs the
+// enabled extractors over any page range against that frozen state. It
+// records no metric, so an updater's batches never count as builds.
+class GenerationModule {
+ public:
+  // Builds the segmenter and n-gram table and, as the enabled extractors
+  // need them, the bracket prior, CopyNet (abstract) and the selected
+  // predicates (infobox). `report` (non-null) receives the training
+  // statistics and the discovery. `lexicon` must outlive the module.
+  GenerationModule(const kb::EncyclopediaDump& base,
+                   const text::Lexicon& lexicon,
+                   const std::vector<std::vector<std::string>>& corpus,
+                   const CnProbaseBuilder::Config& config,
+                   CnProbaseBuilder::Report* report);
+
+  // Merged candidates from pages [first_page, dump.size()): one fork-join
+  // on the global thread pool runs the enabled extractors per few-page
+  // shard, and each source is concatenated in page order, so the result is
+  // the same for every thread count. `report`, when non-null, receives the
+  // per-source and merged candidate counts.
+  generation::CandidateList Extract(
+      const kb::EncyclopediaDump& dump, size_t first_page,
+      CnProbaseBuilder::Report* report = nullptr) const;
+
+  // Grows the n-gram table the bracket separation scores with.
+  void AddCorpusSentence(const std::vector<std::string>& sentence) {
+    ngrams_.AddSentence(sentence);
+  }
+
+  // Construction's wall seconds: in all, and in CopyNet training and
+  // predicate discovery (0 when skipped).
+  struct Seconds {
+    double prepare = 0.0, train = 0.0, discovery = 0.0;
+  };
+  const Seconds& seconds() const { return seconds_; }
+
+ private:
+  CnProbaseBuilder::Config config_;
+  text::Segmenter segmenter_;
+  text::NgramCounter ngrams_;
+  generation::NeuralGeneration neural_;
+  std::vector<std::string> selected_predicates_;
+  Seconds seconds_;
 };
 
 }  // namespace cnpb::core

@@ -3,64 +3,35 @@
 #include <algorithm>
 #include <utility>
 
-#include "generation/direct_extraction.h"
-#include "generation/predicate_discovery.h"
-#include "generation/separation.h"
 #include "obs/metrics.h"
 #include "taxonomy/api_service.h"
 #include "taxonomy/view.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace cnpb::core {
-
-namespace {
-
-// Pages per extraction shard. One CopyNet decode costs ~100 us, so a
-// 4-page shard is a task of about half a millisecond: a 32-page batch
-// becomes 8 shards that every lane can take a share of, where the default
-// 128-item grain would run the whole batch inline on the calling thread.
-constexpr size_t kExtractGrain = 4;
-
-}  // namespace
 
 IncrementalUpdater::IncrementalUpdater(
     const kb::EncyclopediaDump& base, const text::Lexicon* lexicon,
     const std::vector<std::vector<std::string>>& corpus,
     const CnProbaseBuilder::Config& config)
-    : config_(config),
-      lexicon_(lexicon),
-      dump_(base),
-      segmenter_(lexicon),
-      neural_(config.neural) {
+    : dump_(base),
+      generator_(dump_, *lexicon, corpus, config, &base_report_) {
   util::WallTimer base_timer;
   // Batch pages get fresh ids continuing after the base dump's maximum, so
   // ids stay unique across the union.
   for (const kb::EncyclopediaPage& page : dump_.pages()) {
     next_page_id_ = std::max(next_page_id_, page.page_id + 1);
   }
-  for (const auto& sentence : corpus) ngrams_.AddSentence(sentence);
 
-  // One-time expensive preparation on the base dump: bracket prior, CopyNet
-  // training, predicate selection.
-  generation::BracketExtractor extractor(&segmenter_, &ngrams_);
-  const generation::CandidateList prior = extractor.Extract(dump_);
-  neural_.BuildDataset(dump_, prior, segmenter_);
-  base_report_.neural_stats = neural_.Train();
-  generation::PredicateDiscovery discovery(config_.predicates);
-  base_report_.discovery = discovery.Discover(dump_, prior);
-  selected_predicates_ = base_report_.discovery.selected;
-
-  // Base build (reuses what was just prepared): the batch extraction over
-  // every page, which repeats the prior's bracket pass.
-  generation::CandidateList merged = ExtractFrom(0, &base_report_);
+  generation::CandidateList merged =
+      generator_.Extract(dump_, 0, &base_report_);
 
   generation::CandidateList verified;
-  if (config_.enable_verification) {
+  if (config.enable_verification) {
     // Constructed once, over the base dump; batches fold their deltas in via
     // AddPage/AddCorpusSentence instead of rebuilding from scratch.
     pipeline_ = std::make_unique<verification::VerificationPipeline>(
-        &dump_, lexicon_, config_.verification);
+        &dump_, lexicon, config.verification);
     for (const auto& sentence : corpus) pipeline_->AddCorpusSentence(sentence);
     verified = pipeline_->Verify(merged, &base_report_.verification);
   } else {
@@ -73,63 +44,7 @@ IncrementalUpdater::IncrementalUpdater(
   obs::MetricsRegistry::Global().counter("incremental.rebuilds");
   obs::MetricsRegistry::Global()
       .gauge("incremental.base_build_seconds")
-      ->Set(base_timer.ElapsedSeconds());
-}
-
-generation::CandidateList IncrementalUpdater::ExtractFrom(
-    size_t first_page, CnProbaseBuilder::Report* report) {
-  // Each shard runs all four extractors over its own pages of dump_; each
-  // source's shard outputs are then concatenated in page order, so the
-  // merge sees exactly the lists a serial pass over the range would give.
-  struct ShardOutput {
-    generation::CandidateList bracket;
-    generation::CandidateList infobox;
-    generation::CandidateList tags;
-    generation::CandidateList abstracts;
-  };
-  const generation::BracketExtractor extractor(&segmenter_, &ngrams_);
-  const std::vector<util::IndexRange> shards =
-      util::MakeShards(dump_.size() - first_page, kExtractGrain);
-  std::vector<ShardOutput> outputs(shards.size());
-  util::ParallelFor(shards.size(), [&](size_t s) {
-    const size_t begin = first_page + shards[s].first;
-    const size_t end = first_page + shards[s].second;
-    ShardOutput& out = outputs[s];
-    out.bracket = extractor.ExtractRange(dump_, begin, end);
-    out.infobox = generation::PredicateDiscovery::Extract(
-        dump_, selected_predicates_, begin, end);
-    out.tags = generation::ExtractFromTags(dump_, begin, end);
-    out.abstracts = neural_.ExtractRange(dump_, segmenter_, begin, end);
-  });
-
-  // One source's candidates, in page order, scored with its prior.
-  auto collect = [&outputs](generation::CandidateList ShardOutput::*source,
-                            float prior) {
-    std::vector<generation::CandidateList> parts;
-    parts.reserve(outputs.size());
-    for (ShardOutput& out : outputs) parts.push_back(std::move(out.*source));
-    generation::CandidateList list = util::ConcatInOrder(parts);
-    for (generation::Candidate& c : list) c.score = prior;
-    return list;
-  };
-  const generation::CandidateList bracket =
-      collect(&ShardOutput::bracket, config_.bracket_prior);
-  const generation::CandidateList infobox =
-      collect(&ShardOutput::infobox, config_.infobox_prior);
-  const generation::CandidateList tags =
-      collect(&ShardOutput::tags, config_.tag_prior);
-  const generation::CandidateList abstracts =
-      collect(&ShardOutput::abstracts, config_.abstract_prior);
-  generation::CandidateList merged =
-      generation::MergeCandidates({&bracket, &infobox, &tags, &abstracts});
-  if (report != nullptr) {
-    report->bracket_candidates = bracket.size();
-    report->abstract_candidates = abstracts.size();
-    report->infobox_candidates = infobox.size();
-    report->tag_candidates = tags.size();
-    report->merged_candidates = merged.size();
-  }
-  return merged;
+      ->Set(generator_.seconds().prepare + base_timer.ElapsedSeconds());
 }
 
 bool IncrementalUpdater::HasEdge(
@@ -260,7 +175,7 @@ IncrementalUpdater::BatchReport IncrementalUpdater::ApplyBatch(
     ++report.pages_added;
   }
   for (const auto& sentence : new_corpus) {
-    ngrams_.AddSentence(sentence);
+    generator_.AddCorpusSentence(sentence);
     if (pipeline_ != nullptr) pipeline_->AddCorpusSentence(sentence);
   }
   if (report.pages_added == 0) {
@@ -273,7 +188,7 @@ IncrementalUpdater::BatchReport IncrementalUpdater::ApplyBatch(
   {
     obs::ScopedTimer stage(
         metrics.histogram("incremental.stage.extract_seconds"));
-    fresh = ExtractFrom(first_new);
+    fresh = generator_.Extract(dump_, first_new);
   }
   report.candidates = fresh.size();
 

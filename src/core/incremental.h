@@ -8,13 +8,10 @@
 #include <vector>
 
 #include "core/builder.h"
-#include "generation/neural_generation.h"
 #include "kb/dump.h"
 #include "taxonomy/taxonomy.h"
 #include "taxonomy/view.h"
 #include "text/lexicon.h"
-#include "text/ngram.h"
-#include "text/segmenter.h"
 #include "verification/pipeline.h"
 
 namespace cnpb::core {
@@ -22,13 +19,15 @@ namespace cnpb::core {
 // Incremental taxonomy maintenance. CN-Probase is deployed on top of
 // CN-DBpedia, a never-ending extraction system (Xu et al. 2017): new pages
 // arrive continuously, and rebuilding 15M entities per batch is not an
-// option. The updater trains the expensive components once on the base dump
-// (CopyNet, predicate selection) and then processes page batches by
-// extracting candidates from the delta only, while verification statistics
-// (NER supports, concept attribute distributions) are maintained
-// incrementally over the union — the verification pipeline is constructed
-// once and fed just the per-batch deltas, so batch cost does not grow with
-// the accumulated corpus.
+// option. The updater prepares the batch builder's GenerationModule once on
+// the base dump (CopyNet, predicate selection, as the Config's generation
+// toggles enable them), builds the base taxonomy exactly as
+// CnProbaseBuilder::Build does, and then runs the same module over each
+// batch's new pages only, while verification statistics (NER supports,
+// concept attribute distributions) are maintained incrementally over the
+// union — the verification pipeline is constructed once and fed just the
+// per-batch deltas, so batch cost does not grow with the accumulated
+// corpus.
 //
 // Write path: the updater owns one mutable taxonomy and one mention index
 // and applies each batch to both in place. A batch appends its new nodes
@@ -105,15 +104,6 @@ class IncrementalUpdater {
  private:
   friend class IncrementalUpdaterTestPeer;
 
-  // Extracts candidates from pages [first_page, dump_.size()): one
-  // fork-join on the global thread pool runs all four extractors per shard
-  // of a few pages, then merges each source's candidates in page order, so
-  // the result is the same for every thread count. The base build (from
-  // page 0) and every batch share it. `report`, when non-null, receives the
-  // per-source and merged candidate counts.
-  generation::CandidateList ExtractFrom(
-      size_t first_page, CnProbaseBuilder::Report* report = nullptr);
-
   // True when `candidate`'s edge is already in the working taxonomy.
   bool HasEdge(const generation::Candidate& candidate) const;
   // Appends `candidate`'s edge to the working taxonomy, interning missing
@@ -132,14 +122,11 @@ class IncrementalUpdater {
   void AddMention(const std::string& mention, size_t page_index,
                   taxonomy::NodeId id);
 
-  CnProbaseBuilder::Config config_;
-  const text::Lexicon* lexicon_;
   kb::EncyclopediaDump dump_;  // union of base + applied batches
-  text::Segmenter segmenter_;
-  text::NgramCounter ngrams_;
-  generation::NeuralGeneration neural_;
-  std::vector<std::string> selected_predicates_;
+  // Filled in part by generator_'s constructor, so declared before it.
   CnProbaseBuilder::Report base_report_;
+  // Prepared on the base dump; extracts the base build and every batch.
+  GenerationModule generator_;
   // Persistent across batches; fed only the deltas (see AddPage /
   // AddCorpusSentence). Null when verification is disabled.
   std::unique_ptr<verification::VerificationPipeline> pipeline_;

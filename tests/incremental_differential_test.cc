@@ -27,6 +27,7 @@
 #include "synth/world_data.h"
 #include "taxonomy/api_service.h"
 #include "taxonomy/taxonomy.h"
+#include "taxonomy/view.h"
 
 namespace cnpb::core {
 
@@ -35,7 +36,7 @@ class IncrementalUpdaterTestPeer {
   // The batch's fresh candidates, extracted again from the pages it added.
   static generation::CandidateList Fresh(IncrementalUpdater& updater,
                                          size_t first_page) {
-    return updater.ExtractFrom(first_page);
+    return updater.generator_.Extract(updater.dump_, first_page);
   }
   static verification::VerificationPipeline* Pipeline(
       IncrementalUpdater& updater) {
@@ -293,58 +294,103 @@ TEST_P(ControlledWorld, MatchesFullRebuildBatchByBatch) {
 
 INSTANTIATE_TEST_SUITE_P(Verification, ControlledWorld, ::testing::Bool());
 
+synth::WorldModel::Config WorldConfig(uint64_t seed) {
+  synth::WorldModel::Config world_config;
+  world_config.num_entities = 500;
+  world_config.seed = seed;
+  world_config.ambiguity_rate = 0.2;  // many shared mentions
+  return world_config;
+}
+
+// A synthetic encyclopedia world: base = first 70% of pages, the rest in
+// four interleaved batches.
+struct SynthData {
+  SynthData(uint64_t seed, bool verify)
+      : world(synth::WorldModel::Generate(WorldConfig(seed))), batches(4) {
+    synth::EncyclopediaGenerator::Config dump_config;
+    dump_config.seed = seed + 100;
+    const auto output =
+        synth::EncyclopediaGenerator::Generate(world, dump_config);
+    if (verify) {
+      text::Segmenter segmenter(&world.lexicon());
+      for (const auto& sentence : synth::CorpusGenerator::Generate(
+                                      world, output.dump, segmenter, {})
+                                      .sentences) {
+        std::vector<std::string> words;
+        for (const auto& token : sentence) words.push_back(token.word);
+        corpus.push_back(std::move(words));
+      }
+    }
+    const size_t n = output.dump.size();
+    for (size_t i = 0; i < n; ++i) {
+      kb::EncyclopediaPage page = output.dump.page(i);
+      page.page_id = 0;
+      if (i < n * 7 / 10) {
+        base.AddPage(std::move(page));
+      } else {
+        batches[i % batches.size()].pages.push_back(std::move(page));
+      }
+    }
+    config.neural.epochs = 1;
+    config.neural.max_train_samples = 300;
+    config.enable_verification = verify;
+    for (const char* word : synth::ThematicWords()) {
+      config.verification.syntax.thematic_lexicon.emplace_back(word);
+    }
+  }
+
+  const synth::WorldModel world;
+  kb::EncyclopediaDump base;
+  std::vector<Batch> batches;
+  std::vector<std::vector<std::string>> corpus;
+  CnProbaseBuilder::Config config;
+};
+
 // Synthetic encyclopedia worlds: seeds x verification on/off.
 class SynthWorld
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(SynthWorld, MatchesFullRebuildBatchByBatch) {
   const auto [seed, verify] = GetParam();
-  synth::WorldModel::Config world_config;
-  world_config.num_entities = 500;
-  world_config.seed = seed;
-  world_config.ambiguity_rate = 0.2;  // many shared mentions
-  const synth::WorldModel world = synth::WorldModel::Generate(world_config);
-  synth::EncyclopediaGenerator::Config dump_config;
-  dump_config.seed = seed + 100;
-  const auto output = synth::EncyclopediaGenerator::Generate(world, dump_config);
-  std::vector<std::vector<std::string>> corpus;
-  if (verify) {
-    text::Segmenter segmenter(&world.lexicon());
-    for (const auto& sentence : synth::CorpusGenerator::Generate(
-                                    world, output.dump, segmenter, {})
-                                    .sentences) {
-      std::vector<std::string> words;
-      for (const auto& token : sentence) words.push_back(token.word);
-      corpus.push_back(std::move(words));
-    }
-  }
-
-  // Base = first 70% of pages; the rest in four interleaved batches.
-  kb::EncyclopediaDump base;
-  std::vector<Batch> batches(4);
-  const size_t n = output.dump.size();
-  for (size_t i = 0; i < n; ++i) {
-    kb::EncyclopediaPage page = output.dump.page(i);
-    page.page_id = 0;
-    if (i < n * 7 / 10) {
-      base.AddPage(std::move(page));
-    } else {
-      batches[i % batches.size()].pages.push_back(std::move(page));
-    }
-  }
-  CnProbaseBuilder::Config config;
-  config.neural.epochs = 1;
-  config.neural.max_train_samples = 300;
-  config.enable_verification = verify;
-  for (const char* word : synth::ThematicWords()) {
-    config.verification.syntax.thematic_lexicon.emplace_back(word);
-  }
+  const SynthData data(seed, verify);
   const uint64_t rebuilds = RunDifferential(
-      base, &world.lexicon(), corpus, config, batches);
+      data.base, &data.world.lexicon(), data.corpus, data.config,
+      data.batches);
   if (!verify) {
     EXPECT_EQ(rebuilds, 0u);
   }
 }
+
+// The updater's base build is the batch build: the same published bytes
+// and the same candidate counts, verification on and off.
+class BaseBuild : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BaseBuild, EqualsBatchBuild) {
+  const SynthData data(1, GetParam());
+  const IncrementalUpdater updater(data.base, &data.world.lexicon(),
+                                   data.corpus, data.config);
+  CnProbaseBuilder::Report want;
+  const taxonomy::Taxonomy built = CnProbaseBuilder::Build(
+      data.base, data.world.lexicon(), data.corpus, data.config, &want);
+  ASSERT_GT(built.num_edges(), 0u);
+  const auto got_view = taxonomy::ServingView::Encode(
+      updater.taxonomy(), IncrementalUpdaterTestPeer::Mentions(updater));
+  const auto want_view = taxonomy::ServingView::Encode(
+      built, CnProbaseBuilder::BuildMentionIndex(data.base, built));
+  EXPECT_TRUE(got_view->bytes() == want_view->bytes());
+
+  const CnProbaseBuilder::Report& got = updater.base_report();
+  EXPECT_EQ(got.bracket_candidates, want.bracket_candidates);
+  EXPECT_EQ(got.abstract_candidates, want.abstract_candidates);
+  EXPECT_EQ(got.infobox_candidates, want.infobox_candidates);
+  EXPECT_EQ(got.tag_candidates, want.tag_candidates);
+  EXPECT_EQ(got.merged_candidates, want.merged_candidates);
+  EXPECT_GT(want.abstract_candidates, 0u);
+  EXPECT_EQ(got.neural_stats.num_samples, want.neural_stats.num_samples);
+  EXPECT_EQ(got.discovery.selected, want.discovery.selected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Verification, BaseBuild, ::testing::Bool());
 
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndVerification, SynthWorld,

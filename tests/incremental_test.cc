@@ -370,6 +370,37 @@ TEST_F(IncrementalTest, ConcurrentUpdatersMatchSerialRun) {
   ExpectSameRuns(serial, second);
 }
 
+TEST_F(IncrementalTest, GenerationTogglesHoldForBaseAndBatches) {
+  // A disabled extractor stays off in the base build and in every batch,
+  // as it does in CnProbaseBuilder::Build.
+  core::CnProbaseBuilder::Config config = Config();
+  config.enable_abstract = false;
+  config.enable_verification = false;
+  const auto tag_edges = [](const core::IncrementalUpdater& updater) {
+    return updater.taxonomy().NumEdgesFromSource(taxonomy::Source::kTag);
+  };
+  {
+    core::IncrementalUpdater updater(*base_, &world_->lexicon(),
+                                     *corpus_words_, config);
+    EXPECT_EQ(updater.base_report().neural_stats.num_samples, 0u);
+    EXPECT_EQ(updater.base_report().abstract_candidates, 0u);
+    const size_t base_tag_edges = tag_edges(updater);
+    EXPECT_GT(base_tag_edges, 0u);
+    updater.ApplyBatch(*batch2_);
+    EXPECT_EQ(
+        updater.taxonomy().NumEdgesFromSource(taxonomy::Source::kAbstract),
+        0u);
+    // The batch's pages are tagged: with tags on they add tag edges.
+    EXPECT_GT(tag_edges(updater), base_tag_edges);
+  }
+  config.enable_tag = false;
+  core::IncrementalUpdater updater(*base_, &world_->lexicon(), *corpus_words_,
+                                   config);
+  EXPECT_EQ(updater.base_report().tag_candidates, 0u);
+  updater.ApplyBatch(*batch2_);
+  EXPECT_EQ(tag_edges(updater), 0u);
+}
+
 TEST_F(IncrementalTest, ComparableToFullRebuild) {
   core::IncrementalUpdater updater(*base_, &world_->lexicon(), *corpus_words_,
                                    Config());

@@ -4,7 +4,6 @@
 
 #include "text/lexicon.h"
 #include "text/ngram.h"
-#include "text/normalize.h"
 #include "text/segmenter.h"
 #include "text/trie_matcher.h"
 #include "text/utf8.h"
@@ -306,28 +305,6 @@ TEST(TrieMatcherTest, RepeatedAddLastPayloadWins) {
   trie.Add("演员", 9);
   EXPECT_EQ(trie.size(), 1u);
   EXPECT_EQ(trie.PayloadOf("演员"), 9u);
-}
-
-TEST(NormalizeTest, FullwidthFoldsToHalfwidth) {
-  EXPECT_EQ(NormalizeText("ＡＢＣ０１２"), "abc012");
-  EXPECT_EQ(NormalizeText("ｉＰｈｏｎｅ　１２"), "iphone 12");
-}
-
-TEST(NormalizeTest, ChinesePreserved) {
-  EXPECT_EQ(NormalizeText("刘德华（中国香港男演员、歌手）"),
-            "刘德华（中国香港男演员、歌手）");
-  EXPECT_EQ(NormalizeText("《忘情水》，1994年。"),
-            "《忘情水》，1994年。");
-}
-
-TEST(NormalizeTest, AsciiLowercased) {
-  EXPECT_EQ(NormalizeText("CPU和GPU"), "cpu和gpu");
-  EXPECT_EQ(NormalizeText(""), "");
-}
-
-TEST(NormalizeTest, Idempotent) {
-  const std::string once = NormalizeText("ＡＢＣ　ＤＥＦ刘德华XY");
-  EXPECT_EQ(NormalizeText(once), once);
 }
 
 }  // namespace
