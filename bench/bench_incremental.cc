@@ -74,19 +74,51 @@ void ReaderLoop(const taxonomy::ApiService& api,
   }
 }
 
+// The median of `values` (0 when empty).
+double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 ? values[mid]
+                           : (values[mid - 1] + values[mid]) / 2;
+}
+
+// What histogram `name` observed since `before` was taken.
+obs::HistogramSnapshot ObservedSince(const obs::HistogramSnapshot& before,
+                                     const char* name) {
+  obs::HistogramSnapshot now =
+      obs::MetricsRegistry::Global().histogram(name)->Snapshot();
+  for (size_t i = 0; i < now.buckets.size(); ++i) {
+    now.buckets[i] -= before.buckets[i];
+  }
+  now.count -= before.count;
+  now.sum -= before.sum;
+  return now;
+}
+
+double P50(const obs::HistogramSnapshot& snapshot) {
+  return snapshot.TotalCount() ? snapshot.Percentile(50) : 0.0;
+}
+
 // -- ingest daemon phase: the WAL-backed streaming path (DESIGN.md §13) --
 //
 // Feeds the stream pages through the IngestDaemon (durable acks, scheduled
-// apply, bounded-lag publish), then measures crash recovery twice on the
-// same WAL: once replaying the full log (no cursor) and once after a
-// compaction bounded it to the suffix. Results land in bench.ingest.*
-// gauges so --metrics-out ships them in the CI JSON artifact. Returns the
-// number of full rebuilds its updaters ran: with verification off every
-// batch must apply in place, so anything above 0 fails the bench.
-uint64_t RunIngestPhase(const bench::BenchWorld& world,
-                        const kb::EncyclopediaDump& base,
-                        const std::vector<kb::EncyclopediaPage>& stream,
-                        core::CnProbaseBuilder::Config config) {
+// apply, bounded-lag publish) in 32-page chunks, each flushed — applied
+// and published — before the next is sent, as a live stream arrives
+// (perfbench's ingest_churn posts 32 pages per 100 ms); a single publish
+// of the whole stream would always fold. Then it measures crash recovery
+// twice on the same WAL: once replaying the full log (no cursor) and once
+// after a compaction bounded it to the suffix. Results land in
+// bench.ingest.* gauges so --metrics-out ships them in the CI JSON
+// artifact. Returns false when one of its two count gates fails: with
+// verification off every batch must apply in place (0 full rebuilds), and
+// no publish that layered over a fold may lay out more than
+// IncrementalUpdater::kFoldFraction of that fold's bytes. A phase that
+// cannot run or aborts fails no gate.
+bool RunIngestPhase(const bench::BenchWorld& world,
+                    const kb::EncyclopediaDump& base,
+                    const std::vector<kb::EncyclopediaPage>& stream,
+                    core::CnProbaseBuilder::Config config) {
   std::printf("\n-- ingest daemon: WAL-backed streaming updates --\n");
   // Streamed pages carry explicit relations and ship no corpus evidence;
   // the daemon applies without the statistical verifier (as in ingestd).
@@ -107,7 +139,13 @@ uint64_t RunIngestPhase(const bench::BenchWorld& world,
   options.compact_every_records = 0;  // manual: we time both recovery shapes
 
   double feed_seconds = 0.0, full_replay_seconds = 0.0;
-  uint64_t full_replay_records = 0, publishes = 0, rebuilds = 0;
+  uint64_t full_replay_records = 0, publishes = 0, rebuilds = 0, folds = 0;
+  double max_layer_share = 0.0;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const obs::HistogramSnapshot megabytes_before =
+      registry.histogram("incremental.publish.megabytes")->Snapshot();
+  const obs::HistogramSnapshot layer_before =
+      registry.histogram("incremental.publish.layer_seconds")->Snapshot();
   {
     core::IncrementalUpdater updater(base, &world.world->lexicon(),
                                      world.corpus_words, config);
@@ -115,7 +153,7 @@ uint64_t RunIngestPhase(const bench::BenchWorld& world,
     ingest::IngestDaemon daemon(&updater, &api, options);
     if (const util::Status status = daemon.Start(); !status.ok()) {
       std::printf("ingest phase skipped: %s\n", status.ToString().c_str());
-      return 0;
+      return true;
     }
     util::WallTimer feed_timer;
     constexpr size_t kChunk = 32;
@@ -125,25 +163,31 @@ uint64_t RunIngestPhase(const bench::BenchWorld& world,
                                               stream.begin() + end);
       if (!daemon.SubmitBatch(chunk).ok()) {
         std::printf("ingest phase aborted: submit failed\n");
-        return 0;
+        return true;
       }
-    }
-    if (!daemon.Flush().ok()) {
-      std::printf("ingest phase aborted: flush failed\n");
-      return 0;
+      if (!daemon.Flush().ok()) {
+        std::printf("ingest phase aborted: flush failed\n");
+        return true;
+      }
     }
     feed_seconds = feed_timer.ElapsedSeconds();
     publishes = daemon.stats().publishes;
     // Crash-stop: no drain, no cursor — the next boot replays everything.
     (void)daemon.Stop(ingest::IngestDaemon::StopMode::kAbort);
     rebuilds += updater.rebuilds();
+    folds = updater.folds();
+    max_layer_share = updater.max_layer_share();
   }
+  const obs::HistogramSnapshot laid_out =
+      ObservedSince(megabytes_before, "incremental.publish.megabytes");
+  const double publish_bytes_p50 = P50(laid_out) * 1e6;
+  const obs::HistogramSnapshot layered =
+      ObservedSince(layer_before, "incremental.publish.layer_seconds");
   const double pages_per_sec =
       feed_seconds > 0 ? stream.size() / feed_seconds : 0.0;
 
-  const auto lag = obs::MetricsRegistry::Global()
-                       .histogram("ingest.publish.lag_seconds")
-                       ->Snapshot();
+  const auto lag =
+      registry.histogram("ingest.publish.lag_seconds")->Snapshot();
   const double lag_p50_ms =
       lag.TotalCount() ? lag.Percentile(50) * 1e3 : 0.0;
   const double lag_p99_ms =
@@ -156,6 +200,18 @@ uint64_t RunIngestPhase(const bench::BenchWorld& world,
               "%llu pages\n",
               lag_p50_ms, lag_p99_ms,
               static_cast<unsigned long long>(lag.TotalCount()));
+  const bool layers_bounded =
+      max_layer_share <= core::IncrementalUpdater::kFoldFraction;
+  std::printf("publish layout: %llu of %llu publishes folded; p50 %.1f KB "
+              "laid out per publish, layered encode p50 %.3fms over %llu; "
+              "largest delta %.1f%% of its base%s\n",
+              static_cast<unsigned long long>(folds),
+              static_cast<unsigned long long>(laid_out.TotalCount()),
+              publish_bytes_p50 / 1e3, P50(layered) * 1e3,
+              static_cast<unsigned long long>(layered.TotalCount()),
+              100.0 * max_layer_share,
+              layers_bounded ? " (within the fold bound, as required)"
+                             : " ** LAYERED PUBLISH PAST THE FOLD BOUND **");
 
   // Recovery 1: full-WAL replay (the crash left no cursor), then compact
   // and drain so the next boot starts from the checkpoint.
@@ -167,7 +223,7 @@ uint64_t RunIngestPhase(const bench::BenchWorld& world,
     if (const util::Status status = daemon.Start(); !status.ok()) {
       std::printf("ingest phase aborted: recovery failed: %s\n",
                   status.ToString().c_str());
-      return 0;
+      return true;
     }
     full_replay_seconds = recovery_timer.ElapsedSeconds();
     full_replay_records = daemon.recovery_report().records_delivered;
@@ -187,7 +243,7 @@ uint64_t RunIngestPhase(const bench::BenchWorld& world,
     if (const util::Status status = daemon.Start(); !status.ok()) {
       std::printf("ingest phase aborted: bounded recovery failed: %s\n",
                   status.ToString().c_str());
-      return 0;
+      return true;
     }
     bounded_replay_seconds = recovery_timer.ElapsedSeconds();
     bounded_replay_records = daemon.recovery_report().records_delivered;
@@ -208,7 +264,6 @@ uint64_t RunIngestPhase(const bench::BenchWorld& world,
               rebuilds == 0 ? " (every batch applied in place, as required)"
                             : " ** O(N) REBUILDS ON THE INGEST PATH **");
 
-  auto& registry = obs::MetricsRegistry::Global();
   registry.gauge("bench.ingest.pages_per_sec")->Set(pages_per_sec);
   registry.gauge("bench.ingest.publish_lag_p50_ms")->Set(lag_p50_ms);
   registry.gauge("bench.ingest.publish_lag_p99_ms")->Set(lag_p99_ms);
@@ -220,7 +275,12 @@ uint64_t RunIngestPhase(const bench::BenchWorld& world,
   registry.gauge("bench.ingest.replay_compacted_records")
       ->Set(static_cast<double>(bounded_replay_records));
   registry.gauge("bench.ingest.rebuilds")->Set(static_cast<double>(rebuilds));
-  return rebuilds;
+  registry.gauge("bench.ingest.publish_folds")
+      ->Set(static_cast<double>(folds));
+  registry.gauge("bench.ingest.publish_bytes_p50")->Set(publish_bytes_p50);
+  registry.gauge("bench.ingest.layer_encode_p50_ms")->Set(P50(layered) * 1e3);
+  registry.gauge("bench.ingest.max_layer_share")->Set(max_layer_share);
+  return rebuilds == 0 && layers_bounded;
 }
 
 // Returns false when a gate of the run failed.
@@ -316,11 +376,18 @@ bool Run() {
 
   // Per-batch cost must not grow with batch index: the verification corpus
   // statistics are maintained incrementally, never re-fed from scratch.
-  const double growth =
-      batch_seconds.front() > 0.0
-          ? batch_seconds.back() / batch_seconds.front()
-          : 0.0;
-  std::printf("\nper-batch cost growth (batch3/batch1): %.2fx %s\n", growth,
+  // Medians over each half of the batches (an odd count puts the middle
+  // batch in both), so one slow batch does not decide the verdict.
+  const size_t half = (batch_seconds.size() + 1) / 2;
+  const double early = Median(std::vector<double>(
+      batch_seconds.begin(), batch_seconds.begin() + half));
+  const double late = Median(std::vector<double>(
+      batch_seconds.end() - half, batch_seconds.end()));
+  const double growth = early > 0.0 ? late / early : 0.0;
+  std::printf("\nper-batch cost growth (median of batches %zu-%zu / median "
+              "of batches 1-%zu): %.2fx %s\n",
+              batch_seconds.size() - half + 1, batch_seconds.size(), half,
+              growth,
               growth < 2.0 ? "(flat: O(delta) verification stats)"
                            : "** GROWING: batch cost scales with corpus **");
 
@@ -380,7 +447,7 @@ bool Run() {
   for (const auto& batch : batches) {
     stream.insert(stream.end(), batch.begin(), batch.end());
   }
-  return RunIngestPhase(*world, base, stream, config) == 0;
+  return RunIngestPhase(*world, base, stream, config);
 }
 
 }  // namespace

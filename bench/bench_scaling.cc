@@ -68,7 +68,7 @@ void RunDumpSizeSweep() {
     const double total = timer.ElapsedSeconds();
     const auto precision =
         eval::CandidatePrecision(candidates, world->Oracle());
-    std::printf("%10zu %8zu %10.1f %10.1f %10zu %9.1f%% %10.0f\n", scale,
+    std::printf("%10zu %8zu %10.3f %10.3f %10zu %9.1f%% %10.0f\n", scale,
                 world->output->dump.size(), report.seconds_generation,
                 report.seconds_verification, candidates.size(),
                 100.0 * precision.precision(),
@@ -104,7 +104,7 @@ bool RunThreadSweep() {
     deterministic = deterministic && identical;
     size_t num_edges = 0;
     taxonomy.ForEachEdge([&](const taxonomy::IsaEdge&) { ++num_edges; });
-    std::printf("%8d %10.1f %10.0f %9.2fx %10zu  %s\n", threads, seconds,
+    std::printf("%8d %10.3f %10.0f %9.2fx %10zu  %s\n", threads, seconds,
                 world->output->dump.size() / seconds,
                 serial_seconds / seconds, num_edges,
                 identical ? "byte-identical" : "** DIVERGED **");

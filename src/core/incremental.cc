@@ -67,7 +67,17 @@ bool IncrementalUpdater::Append(const generation::Candidate& candidate) {
   // names it as a hypernym, which is the kind Materialise would give it.
   const taxonomy::NodeId hypo =
       taxonomy_.AddNode(candidate.hypo, taxonomy::NodeKind::kEntity);
-  return taxonomy_.AddIsa(hypo, hyper, candidate.source, candidate.score);
+  const bool added =
+      taxonomy_.AddIsa(hypo, hyper, candidate.source, candidate.score);
+  // Base rows the next layered publish must patch; appended nodes are
+  // layered whole.
+  if (base_ != nullptr) {
+    const taxonomy::NodeId base_nodes =
+        static_cast<taxonomy::NodeId>(base_->num_nodes());
+    if (hyper < base_nodes) changed_nodes_.insert(hyper);
+    if (added && hypo < base_nodes) changed_nodes_.insert(hypo);
+  }
+  return added;
 }
 
 bool IncrementalUpdater::VerifyAndApply(const generation::CandidateList& fresh,
@@ -110,6 +120,10 @@ bool IncrementalUpdater::VerifyAndApply(const generation::CandidateList& fresh,
     }
     taxonomy_ = CnProbaseBuilder::Materialise(verified);
     mentions_ = CnProbaseBuilder::BuildMentionIndex(dump_, taxonomy_);
+    // Ids moved and the index was replaced: the next publish folds.
+    base_.reset();
+    changed_nodes_.clear();
+    changed_mentions_.clear();
     ++rebuilds_;
     obs::MetricsRegistry::Global().counter("incremental.rebuilds")->Increment();
   }
@@ -119,8 +133,12 @@ bool IncrementalUpdater::VerifyAndApply(const generation::CandidateList& fresh,
 
 void IncrementalUpdater::AddMention(const std::string& mention,
                                     size_t page_index, taxonomy::NodeId id) {
-  std::vector<taxonomy::NodeId>& ids = mentions_[mention];
+  taxonomy::MentionIndex::value_type& entry =
+      *mentions_.try_emplace(mention).first;
+  std::vector<taxonomy::NodeId>& ids = entry.second;
   if (std::find(ids.begin(), ids.end(), id) != ids.end()) return;
+  // Map entries keep their addresses until the index is replaced.
+  if (base_ != nullptr) changed_mentions_.insert(&entry);
   // Candidates stay in page order, as BuildMentionIndex lists them: the new
   // one goes after every candidate whose page comes first.
   const kb::EncyclopediaPage* const pages = dump_.pages().data();
@@ -249,13 +267,46 @@ std::shared_ptr<const taxonomy::Taxonomy> IncrementalUpdater::snapshot()
   return snapshot_;
 }
 
-uint64_t IncrementalUpdater::Publish(taxonomy::ApiService* service) const {
+taxonomy::LayerChanges IncrementalUpdater::PendingChanges() const {
+  taxonomy::LayerChanges changes;
+  changes.nodes.assign(changed_nodes_.begin(), changed_nodes_.end());
+  changes.mentions.assign(changed_mentions_.begin(), changed_mentions_.end());
+  return changes;
+}
+
+uint64_t IncrementalUpdater::Publish(taxonomy::ApiService* service) {
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
   std::shared_ptr<const taxonomy::ServingView> view;
+  size_t laid_out = 0;
   {
-    obs::ScopedTimer stage(obs::MetricsRegistry::Global().histogram(
-        "incremental.publish.encode_seconds"));
-    view = taxonomy::ServingView::Encode(taxonomy_, mentions_);
+    obs::ScopedTimer stage(
+        metrics.histogram("incremental.publish.encode_seconds"));
+    if (base_ != nullptr) {
+      util::WallTimer layer_timer;
+      const size_t base_bytes = base_->bytes().size();
+      view = taxonomy::ServingView::EncodeLayered(
+          base_, taxonomy_, mentions_, PendingChanges(),
+          static_cast<size_t>(base_bytes * kFoldFraction));
+      if (view != nullptr) {
+        metrics.histogram("incremental.publish.layer_seconds")
+            ->Observe(layer_timer.ElapsedSeconds());
+        laid_out = view->delta_bytes().size();
+        max_layer_share_ = std::max(
+            max_layer_share_, static_cast<double>(laid_out) / base_bytes);
+      }
+    }
+    if (view == nullptr) {
+      view = taxonomy::ServingView::Encode(taxonomy_, mentions_);
+      laid_out = view->bytes().size();
+      base_ = view;
+      changed_nodes_.clear();
+      changed_mentions_.clear();
+      ++folds_;
+      metrics.counter("incremental.publish.folds")->Increment();
+    }
   }
+  // In megabytes: the histogram layout tops out at 256.
+  metrics.histogram("incremental.publish.megabytes")->Observe(laid_out / 1e6);
   return service->Publish(std::move(view));
 }
 

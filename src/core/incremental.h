@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/builder.h"
@@ -36,15 +37,18 @@ namespace cnpb::core {
 // verification revokes an existing edge: that batch rebuilds both
 // structures from the verified pool, exactly as the base build does, and
 // counts one `incremental.rebuilds`. With verification off a batch costs
-// O(delta) apart from the publish encode; with it on, the verification
-// pool still carries every edge, because its statistics cover the whole
-// taxonomy.
+// O(delta), publish included; with it on, the verification pool still
+// carries every edge, because its statistics cover the whole taxonomy.
 //
-// Serving: Publish() encodes the working taxonomy and mention index into
-// one immutable ServingView and installs it in a live ApiService in one
-// atomic swap, so queries keep flowing — against a coherent version —
-// while batches apply. snapshot() hands out a frozen deep copy for callers
-// that want a Taxonomy object.
+// Serving: Publish() turns the working taxonomy and mention index into one
+// immutable ServingView and installs it in a live ApiService in one atomic
+// swap, so queries keep flowing — against a coherent version — while
+// batches apply. A publish either folds, encoding the whole pair into a new
+// shared base view, or layers: it lays out only what changed since the last
+// fold (appended nodes and edges, promoted kinds, added or changed mention
+// rows) as a small delta over that base, in O(delta). Append and AddMention
+// record those changes as they make them. snapshot() hands out a frozen
+// deep copy for callers that want a Taxonomy object.
 class IncrementalUpdater {
  public:
   struct BatchReport {
@@ -78,11 +82,22 @@ class IncrementalUpdater {
       const std::vector<std::vector<std::string>>& new_corpus = {});
 
   // Publishes the current taxonomy and mention index to `service` as a new
-  // immutable version: both are encoded into one ServingView off to the
-  // side, then ApiService::Publish swaps it in. Queries in flight are never
-  // blocked and never observe a half-applied update. Returns the service's
-  // new version number.
-  uint64_t Publish(taxonomy::ApiService* service) const;
+  // immutable version: a ServingView is made off to the side, then
+  // ApiService::Publish swaps it in. Queries in flight are never blocked
+  // and never observe a half-applied update. Returns the service's new
+  // version number.
+  //
+  // The view folds — one full ServingView::Encode, which becomes the base
+  // later publishes layer over — on the first publish, on the first after
+  // a rebuilding batch, and when the delta since the last fold would lay
+  // out more than kFoldFraction of the base's bytes. Otherwise it is the
+  // base plus a delta laid out in O(delta). Either way it answers exactly
+  // as ServingView::Encode(taxonomy(), mentions) would. Like ApplyBatch,
+  // not to be called concurrently with another ApplyBatch or Publish.
+  uint64_t Publish(taxonomy::ApiService* service);
+
+  // A layered publish lays out at most this share of its base's bytes.
+  static constexpr double kFoldFraction = 1.0 / 8;
 
   // The working taxonomy. Valid until the next ApplyBatch, which mutates it
   // in place: do not hold it across batches or read it from another thread
@@ -98,6 +113,11 @@ class IncrementalUpdater {
   // Batches that revoked an existing edge and so rebuilt the taxonomy and
   // mention index from scratch (always 0 with verification off).
   uint64_t rebuilds() const { return rebuilds_; }
+  // Publishes that folded.
+  uint64_t folds() const { return folds_; }
+  // The largest share of its base's bytes that a layered publish laid out
+  // (0 before the first); at most kFoldFraction.
+  double max_layer_share() const { return max_layer_share_; }
   const kb::EncyclopediaDump& dump() const { return dump_; }
   const CnProbaseBuilder::Report& base_report() const { return base_report_; }
 
@@ -107,8 +127,9 @@ class IncrementalUpdater {
   // True when `candidate`'s edge is already in the working taxonomy.
   bool HasEdge(const generation::Candidate& candidate) const;
   // Appends `candidate`'s edge to the working taxonomy, interning missing
-  // endpoints and promoting an entity hypernym to concept. Self-loops are
-  // refused before anything is interned. Returns whether an edge was added.
+  // endpoints and promoting an entity hypernym to concept, and records the
+  // base rows it touched. Self-loops are refused before anything is
+  // interned. Returns whether an edge was added.
   bool Append(const generation::Candidate& candidate);
   // Runs verification over every existing edge plus `fresh`, then appends
   // the accepted fresh edges, or rebuilds from the verified pool when an
@@ -121,6 +142,8 @@ class IncrementalUpdater {
   void IndexNewMentions(size_t first_page, taxonomy::NodeId first_node);
   void AddMention(const std::string& mention, size_t page_index,
                   taxonomy::NodeId id);
+  // What changed since the last fold, for a layered publish.
+  taxonomy::LayerChanges PendingChanges() const;
 
   kb::EncyclopediaDump dump_;  // union of base + applied batches
   // Filled in part by generator_'s constructor, so declared before it.
@@ -137,6 +160,15 @@ class IncrementalUpdater {
   // snapshot()'s cached frozen copy; ApplyBatch drops it.
   mutable std::mutex snapshot_mu_;
   mutable std::shared_ptr<const taxonomy::Taxonomy> snapshot_;
+  // The last fold (null before the first publish and after a rebuild) and
+  // what changed since it: base nodes that were promoted or whose rows
+  // gained edges, and mentions whose rows were added or changed.
+  std::shared_ptr<const taxonomy::ServingView> base_;
+  std::unordered_set<taxonomy::NodeId> changed_nodes_;
+  std::unordered_set<const taxonomy::MentionIndex::value_type*>
+      changed_mentions_;
+  uint64_t folds_ = 0;
+  double max_layer_share_ = 0.0;
   uint64_t generation_ = 0;
   uint64_t rebuilds_ = 0;
   uint64_t next_page_id_ = 1;  // first id past the base dump's maximum

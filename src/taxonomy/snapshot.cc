@@ -29,8 +29,10 @@ constexpr size_t kOffNumMentions = 20;
 constexpr size_t kOffNumEdges = 24;
 constexpr size_t kOffTotalSize = 32;
 constexpr size_t kOffHeaderCrc = 40;
+// Delta images only: the node count of the base they layer over.
+constexpr size_t kOffBaseNodes = 44;
 
-// Section ids, in file order.
+// Section ids, in file order. A delta image appends the last two.
 enum SectionId : uint32_t {
   kKinds = 0,
   kNameOffsets,
@@ -49,29 +51,41 @@ enum SectionId : uint32_t {
   kMentionRows,
   kMentionIds,
   kMentionHash,
+  kRowIds,
+  kMentionReplaces,
 };
 
-using SectionSizes = std::array<uint64_t, kSnapshotSectionCount>;
+using SectionSizes = std::array<uint64_t, kSnapshotDeltaSectionCount>;
 
 constexpr size_t Align8(size_t x) { return (x + 7) & ~size_t{7}; }
 
+constexpr size_t PreludeSize(uint32_t sections) {
+  return kSnapshotHeaderSize + sections * kSnapshotSectionEntrySize;
+}
+
 // The size of every section, given the counts and the three arena sizes.
+// A folded image has one row per name and no patched rows; a delta image
+// has `patched` base rows before the rows of its `names` appended nodes.
 // The writer lays sections out with it and the loader requires it.
-SectionSizes ExpectedSectionSizes(uint64_t n, uint64_t e, uint64_t m,
-                                  uint64_t name_bytes, uint64_t mention_bytes,
+SectionSizes ExpectedSectionSizes(uint64_t names, uint64_t patched,
+                                  uint64_t e, uint64_t m, uint64_t name_bytes,
+                                  uint64_t mention_bytes,
                                   uint64_t candidates) {
+  const uint64_t rows = patched + names;
   return {
-      n,                             // kinds
-      8 * (n + 1),                   // name offsets
-      name_bytes,                    // name arena
-      4 * SnapshotHashSlots(n),      // name hash
-      8 * (n + 1), 4 * e, e, 4 * e,  // hyper rows/targets/sources/scores
-      8 * (n + 1), 4 * e, e, 4 * e,  // hypo rows/targets/sources/scores
-      8 * (m + 1),                   // mention offsets
-      mention_bytes,                 // mention arena
-      8 * (m + 1),                   // mention rows
-      4 * candidates,                // mention ids
-      4 * SnapshotHashSlots(m),      // mention hash
+      rows,                                // kinds
+      8 * (names + 1),                     // name offsets
+      name_bytes,                          // name arena
+      4 * SnapshotHashSlots(names),        // name hash
+      8 * (rows + 1), 4 * e, e, 4 * e,     // hyper rows/targets/sources/scores
+      8 * (rows + 1), 4 * e, e, 4 * e,     // hypo rows/targets/sources/scores
+      8 * (m + 1),                         // mention offsets
+      mention_bytes,                       // mention arena
+      8 * (m + 1),                         // mention rows
+      4 * candidates,                      // mention ids
+      4 * SnapshotHashSlots(m),            // mention hash
+      4 * patched,                         // row ids (delta)
+      m,                                   // mention replaces (delta)
   };
 }
 
@@ -102,20 +116,97 @@ void FillHashSection(uint32_t* slots, uint64_t num_slots, uint64_t num_keys,
 }
 
 // Header CRC over the prelude with the CRC field taken as zero.
-uint32_t PreludeCrc(const uint8_t* base) {
-  std::array<char, SnapshotPreludeSize()> prelude;
-  std::memcpy(prelude.data(), base, prelude.size());
+uint32_t PreludeCrc(const uint8_t* base, uint32_t sections) {
+  std::array<char, PreludeSize(kSnapshotDeltaSectionCount)> prelude;
+  const size_t size = PreludeSize(sections);
+  std::memcpy(prelude.data(), base, size);
   PutPod<uint32_t>(prelude.data() + kOffHeaderCrc, 0);
-  return util::Crc32c(std::string_view(prelude.data(), prelude.size()));
+  return util::Crc32c(std::string_view(prelude.data(), size));
+}
+
+// The section count an image with this magic has; 0 for neither magic.
+uint32_t SectionCountOf(std::string_view bytes) {
+  if (bytes.size() < kSnapshotHeaderSize) return 0;
+  const std::string_view magic = bytes.substr(0, kSnapshotMagic.size());
+  if (magic == kSnapshotMagic) return kSnapshotSectionCount;
+  if (magic == kSnapshotDeltaMagic) return kSnapshotDeltaSectionCount;
+  return 0;
 }
 
 }  // namespace
 
-std::shared_ptr<const ServingView> ServingView::Encode(
-    const Taxonomy& taxonomy, const MentionIndex& mentions) {
-  const uint64_t n = taxonomy.num_nodes();
-  const uint64_t e = taxonomy.num_edges();
-  CNPB_CHECK(n < kInvalidNode) << "taxonomy too large to encode";
+// Lays out folded and delta images; ServingView::Init validates them.
+class SnapshotCodec {
+ public:
+  // An image's bytes, in an owned buffer new[] aligns for the typed
+  // sections.
+  struct Buffer {
+    std::unique_ptr<unsigned char[]> bytes;
+    size_t size = 0;
+  };
+
+  // The folded image of (taxonomy, mentions) when `base` is null; else the
+  // delta image of what `changes` names, plus every appended node, over
+  // the folded `base`. Empty when it would exceed `max_bytes`.
+  static Buffer LayOut(const Taxonomy& taxonomy, const MentionIndex& mentions,
+                       const ServingView* base, const LayerChanges* changes,
+                       size_t max_bytes);
+
+  // Validates `image` (over `base` when not null) and serves it.
+  static util::Result<std::shared_ptr<const ServingView>> Serve(
+      Buffer image, std::shared_ptr<const ServingView> base) {
+    std::shared_ptr<ServingView> view(new ServingView());
+    view->owned_ = std::move(image.bytes);
+    view->data_ = view->owned_.get();
+    view->size_ = image.size;
+    view->base_ = std::move(base);
+    view->origin_ = view->layered() ? "<delta>" : "<encoded>";
+    // Validated inline: a publish shares the machine with the readers it
+    // serves, and at publish sizes fanning out onto their cores costs more
+    // than the checks.
+    CNPB_RETURN_IF_ERROR(view->Init(/*parallel=*/false));
+    return std::shared_ptr<const ServingView>(std::move(view));
+  }
+};
+
+SnapshotCodec::Buffer SnapshotCodec::LayOut(const Taxonomy& taxonomy,
+                                            const MentionIndex& mentions,
+                                            const ServingView* base,
+                                            const LayerChanges* changes,
+                                            size_t max_bytes) {
+  const bool delta = base != nullptr;
+  CNPB_CHECK(!delta || !base->layered()) << "a delta layers over a folded base";
+  const uint64_t base_nodes = delta ? base->num_nodes() : 0;
+  const uint64_t total_nodes = taxonomy.num_nodes();
+  CNPB_CHECK(total_nodes < kInvalidNode) << "taxonomy too large to encode";
+  CNPB_CHECK(total_nodes >= base_nodes) << "taxonomy lost nodes since its base";
+  // Rows: the patched base nodes in ascending id order, then one per node
+  // from base_nodes on. A folded image has no patched rows, so row i is
+  // node i.
+  std::vector<NodeId> patched;
+  if (delta) {
+    patched = changes->nodes;
+    std::sort(patched.begin(), patched.end());
+    patched.erase(std::unique(patched.begin(), patched.end()), patched.end());
+    CNPB_CHECK(patched.empty() || patched.back() < base_nodes)
+        << "a patched node is not a base node";
+  }
+  const uint64_t p = patched.size();
+  const uint64_t n = total_nodes - base_nodes;  // names this image holds
+  const uint64_t rows = p + n;
+  const auto node_of = [&](uint64_t row) -> NodeId {
+    return static_cast<NodeId>(row < p ? patched[row] : base_nodes + row - p);
+  };
+  const auto row_of = [&](NodeId id) -> uint64_t {
+    if (id >= base_nodes) return p + (id - base_nodes);
+    const auto it = std::lower_bound(patched.begin(), patched.end(), id);
+    CNPB_CHECK(it != patched.end() && *it == id)
+        << "an appended edge ends at an unlisted base node";
+    return static_cast<uint64_t>(it - patched.begin());
+  };
+  // Edges only append between folds, so a delta holds exactly the edges
+  // its base lacks.
+  const uint64_t e = taxonomy.num_edges() - (delta ? base->num_edges() : 0);
   // Mentions in byte order: the arena order VisitMentions promises. Each
   // entry carries its first 8 bytes as a big-endian integer, so most
   // comparisons settle without touching the scattered key strings (this
@@ -126,9 +217,9 @@ std::shared_ptr<const ServingView> ServingView::Encode(
     const std::vector<NodeId>* ids = nullptr;
   };
   std::vector<MentionEntry> sorted;
-  sorted.reserve(mentions.size());
-  for (const auto& [mention, ids] : mentions) {
-    MentionEntry entry{0, mention, &ids};
+  const auto add_mention = [&](const MentionIndex::value_type& indexed) {
+    const std::string& mention = indexed.first;
+    MentionEntry entry{0, mention, &indexed.second};
     for (size_t i = 0; i < 8; ++i) {
       entry.prefix = entry.prefix << 8 |
                      (i < mention.size()
@@ -136,93 +227,128 @@ std::shared_ptr<const ServingView> ServingView::Encode(
                           : 0u);
     }
     sorted.push_back(entry);
+  };
+  if (delta) {
+    sorted.reserve(changes->mentions.size());
+    for (const MentionIndex::value_type* indexed : changes->mentions) {
+      add_mention(*indexed);
+    }
+  } else {
+    sorted.reserve(mentions.size());
+    for (const MentionIndex::value_type& indexed : mentions) {
+      add_mention(indexed);
+    }
   }
   std::sort(sorted.begin(), sorted.end(),
             [](const MentionEntry& a, const MentionEntry& b) {
               return a.prefix != b.prefix ? a.prefix < b.prefix
                                           : a.mention < b.mention;
             });
+  if (delta) {  // a mention index has unique keys; a change list may not
+    sorted.erase(std::unique(sorted.begin(), sorted.end(),
+                             [](const MentionEntry& a, const MentionEntry& b) {
+                               return a.mention == b.mention;
+                             }),
+                 sorted.end());
+  }
   const uint64_t m = sorted.size();
   CNPB_CHECK(m < kInvalidNode) << "mention index too large to encode";
   uint64_t name_bytes = 0;
-  for (NodeId id = 0; id < n; ++id) name_bytes += taxonomy.Name(id).size();
+  for (uint64_t i = 0; i < n; ++i) {
+    name_bytes += taxonomy.Name(static_cast<NodeId>(base_nodes + i)).size();
+  }
   uint64_t mention_bytes = 0;
   uint64_t candidates = 0;
   for (const MentionEntry& entry : sorted) {
     mention_bytes += entry.mention.size();
-    for (const NodeId id : *entry.ids) candidates += id < n ? 1 : 0;
+    for (const NodeId id : *entry.ids) candidates += id < total_nodes ? 1 : 0;
   }
 
-  const SectionSizes sizes =
-      ExpectedSectionSizes(n, e, m, name_bytes, mention_bytes, candidates);
-  SectionSizes offsets;
-  uint64_t total = SnapshotPreludeSize();
-  for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
+  const uint32_t section_count =
+      delta ? kSnapshotDeltaSectionCount : kSnapshotSectionCount;
+  const SectionSizes sizes = ExpectedSectionSizes(
+      n, p, e, m, name_bytes, mention_bytes, candidates);
+  SectionSizes offsets{};
+  uint64_t total = PreludeSize(section_count);
+  for (uint32_t i = 0; i < section_count; ++i) {
     total = Align8(total);
     offsets[i] = total;
     total += sizes[i];
   }
-  std::shared_ptr<ServingView> view(new ServingView());
+  if (total > max_bytes) return {};
   // Value-initialised, so the padding between sections is zero.
-  view->owned_ = std::make_unique<unsigned char[]>(total);
-  uint8_t* const base = view->owned_.get();
-  CNPB_CHECK(reinterpret_cast<uintptr_t>(base) % 8 == 0);
+  Buffer image{std::make_unique<unsigned char[]>(total), total};
+  uint8_t* const bytes = image.bytes.get();
+  CNPB_CHECK(reinterpret_cast<uintptr_t>(bytes) % 8 == 0);
   const auto u64 = [&](SectionId id) {
-    return reinterpret_cast<uint64_t*>(base + offsets[id]);
+    return reinterpret_cast<uint64_t*>(bytes + offsets[id]);
   };
   const auto u32 = [&](SectionId id) {
-    return reinterpret_cast<uint32_t*>(base + offsets[id]);
+    return reinterpret_cast<uint32_t*>(bytes + offsets[id]);
   };
   const auto f32 = [&](SectionId id) {
-    return reinterpret_cast<float*>(base + offsets[id]);
+    return reinterpret_cast<float*>(bytes + offsets[id]);
   };
   const auto chars = [&](SectionId id) {
-    return reinterpret_cast<char*>(base + offsets[id]);
+    return reinterpret_cast<char*>(bytes + offsets[id]);
   };
 
-  // Nodes: kinds, the name arena with its offset index, the name hash.
+  // Nodes: kinds per row, the name arena with its offset index, the name
+  // hash.
+  for (uint64_t row = 0; row < rows; ++row) {
+    bytes[offsets[kKinds] + row] =
+        static_cast<uint8_t>(taxonomy.Kind(node_of(row)));
+  }
   uint64_t* const name_offsets = u64(kNameOffsets);
   uint64_t cursor = 0;
-  for (NodeId id = 0; id < n; ++id) {
-    base[offsets[kKinds] + id] = static_cast<uint8_t>(taxonomy.Kind(id));
-    const std::string& name = taxonomy.Name(id);
+  for (uint64_t i = 0; i < n; ++i) {
+    const std::string& name =
+        taxonomy.Name(static_cast<NodeId>(base_nodes + i));
     std::memcpy(chars(kNameBytes) + cursor, name.data(), name.size());
-    name_offsets[id] = cursor;
+    name_offsets[i] = cursor;
     cursor += name.size();
   }
   name_offsets[n] = cursor;
   FillHashSection(u32(kNameHash), sizes[kNameHash] / 4, n,
-                  [&](uint64_t id) -> std::string_view {
-                    return taxonomy.Name(static_cast<NodeId>(id));
+                  [&](uint64_t i) -> std::string_view {
+                    return taxonomy.Name(static_cast<NodeId>(base_nodes + i));
                   });
 
   // Canonical edge sequence (see snapshot.h): the hypernym CSR is the
-  // sequence itself; the hyponym CSR replays it bucketed by hypernym.
+  // sequence itself; the hyponym CSR replays it bucketed by hypernym. Rows
+  // run in ascending node order, so each hyponym row ascends too. A patched
+  // row holds only the edges appended after its base row.
   uint64_t* const hyper_rows = u64(kHyperRows);
   uint32_t* const hyper_targets = u32(kHyperTargets);
-  uint8_t* const hyper_sources = base + offsets[kHyperSources];
+  uint8_t* const hyper_sources = bytes + offsets[kHyperSources];
   float* const hyper_scores = f32(kHyperScores);
   uint64_t k = 0;
-  for (NodeId id = 0; id < n; ++id) {
-    for (const IsaEdge& edge : taxonomy.Hypernyms(id)) {
-      hyper_targets[k] = edge.hyper;
-      hyper_sources[k] = static_cast<uint8_t>(edge.source);
-      hyper_scores[k] = edge.score;
+  for (uint64_t row = 0; row < rows; ++row) {
+    const NodeId id = node_of(row);
+    const std::vector<IsaEdge>& edges = taxonomy.Hypernyms(id);
+    const size_t skip = row < p ? base->NumHypernyms(id) : 0;
+    CNPB_CHECK(skip <= edges.size()) << "a base row lost edges";
+    for (size_t i = skip; i < edges.size(); ++i) {
+      CNPB_CHECK(k < e) << "taxonomy edge count disagrees with its rows";
+      hyper_targets[k] = edges[i].hyper;
+      hyper_sources[k] = static_cast<uint8_t>(edges[i].source);
+      hyper_scores[k] = edges[i].score;
       ++k;
     }
-    hyper_rows[id + 1] = k;
+    hyper_rows[row + 1] = k;
   }
   CNPB_CHECK(k == e) << "taxonomy edge count disagrees with its rows";
   uint64_t* const hypo_rows = u64(kHypoRows);
-  for (uint64_t i = 0; i < e; ++i) ++hypo_rows[hyper_targets[i] + 1];
-  for (uint64_t i = 1; i <= n; ++i) hypo_rows[i] += hypo_rows[i - 1];
-  std::vector<uint64_t> next(hypo_rows, hypo_rows + n);
+  for (uint64_t i = 0; i < e; ++i) ++hypo_rows[row_of(hyper_targets[i]) + 1];
+  for (uint64_t i = 1; i <= rows; ++i) hypo_rows[i] += hypo_rows[i - 1];
+  std::vector<uint64_t> next(hypo_rows, hypo_rows + rows);
   uint32_t* const hypo_targets = u32(kHypoTargets);
-  uint8_t* const hypo_sources = base + offsets[kHypoSources];
+  uint8_t* const hypo_sources = bytes + offsets[kHypoSources];
   float* const hypo_scores = f32(kHypoScores);
-  for (NodeId id = 0; id < n; ++id) {
-    for (uint64_t i = hyper_rows[id]; i < hyper_rows[id + 1]; ++i) {
-      const uint64_t pos = next[hyper_targets[i]]++;
+  for (uint64_t row = 0; row < rows; ++row) {
+    const NodeId id = node_of(row);
+    for (uint64_t i = hyper_rows[row]; i < hyper_rows[row + 1]; ++i) {
+      const uint64_t pos = next[row_of(hyper_targets[i])]++;
       hypo_targets[pos] = id;
       hypo_sources[pos] = hyper_sources[i];
       hypo_scores[pos] = hyper_scores[i];
@@ -241,7 +367,7 @@ std::shared_ptr<const ServingView> ServingView::Encode(
     cursor += mention.size();
     mention_offsets[i + 1] = cursor;
     for (const NodeId id : *sorted[i].ids) {
-      if (id < n) mention_ids[ids++] = id;
+      if (id < total_nodes) mention_ids[ids++] = id;
     }
     mention_rows[i + 1] = ids;
   }
@@ -250,34 +376,77 @@ std::shared_ptr<const ServingView> ServingView::Encode(
                     return sorted[i].mention;
                   });
 
-  std::memcpy(base + kOffMagic, kSnapshotMagic.data(), kSnapshotMagic.size());
-  PutPod<uint32_t>(base + kOffVersion, kSnapshotFormatVersion);
-  PutPod<uint32_t>(base + kOffSectionCount, kSnapshotSectionCount);
-  PutPod<uint32_t>(base + kOffNumNodes, static_cast<uint32_t>(n));
-  PutPod<uint32_t>(base + kOffNumMentions, static_cast<uint32_t>(m));
-  PutPod<uint64_t>(base + kOffNumEdges, e);
-  PutPod<uint64_t>(base + kOffTotalSize, total);
-  for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
+  if (delta) {
+    std::copy(patched.begin(), patched.end(), u32(kRowIds));
+    uint8_t* const replaces = bytes + offsets[kMentionReplaces];
+    for (uint64_t i = 0; i < m; ++i) {
+      replaces[i] =
+          base->image_.FindMention(sorted[i].mention) != kInvalidNode;
+    }
+  }
+
+  const std::string_view magic = delta ? kSnapshotDeltaMagic : kSnapshotMagic;
+  std::memcpy(bytes + kOffMagic, magic.data(), magic.size());
+  PutPod<uint32_t>(bytes + kOffVersion, kSnapshotFormatVersion);
+  PutPod<uint32_t>(bytes + kOffSectionCount, section_count);
+  PutPod<uint32_t>(bytes + kOffNumNodes, static_cast<uint32_t>(n));
+  PutPod<uint32_t>(bytes + kOffNumMentions, static_cast<uint32_t>(m));
+  PutPod<uint64_t>(bytes + kOffNumEdges, e);
+  PutPod<uint64_t>(bytes + kOffTotalSize, total);
+  if (delta) {
+    PutPod<uint32_t>(bytes + kOffBaseNodes, static_cast<uint32_t>(base_nodes));
+  }
+  for (uint32_t i = 0; i < section_count; ++i) {
     uint8_t* const entry =
-        base + kSnapshotHeaderSize + i * kSnapshotSectionEntrySize;
+        bytes + kSnapshotHeaderSize + i * kSnapshotSectionEntrySize;
     PutPod<uint32_t>(entry, i);
     PutPod<uint32_t>(entry + 4,
                      util::Crc32c(std::string_view(
-                         reinterpret_cast<const char*>(base + offsets[i]),
+                         reinterpret_cast<const char*>(bytes + offsets[i]),
                          sizes[i])));
     PutPod<uint64_t>(entry + 8, offsets[i]);
     PutPod<uint64_t>(entry + 16, sizes[i]);
   }
-  PutPod<uint32_t>(base + kOffHeaderCrc, PreludeCrc(base));
+  PutPod<uint32_t>(bytes + kOffHeaderCrc, PreludeCrc(bytes, section_count));
+  return image;
+}
 
-  view->base_ = base;
-  view->size_ = total;
-  view->origin_ = "<encoded>";
-  // Validated inline: a publish shares the machine with the readers it
-  // serves, and at publish sizes fanning out onto their cores costs more
-  // than the checks.
-  CNPB_CHECK_OK(view->Init(/*parallel=*/false));
-  return view;
+std::shared_ptr<const ServingView> ServingView::Encode(
+    const Taxonomy& taxonomy, const MentionIndex& mentions) {
+  auto view = SnapshotCodec::Serve(
+      SnapshotCodec::LayOut(taxonomy, mentions, nullptr, nullptr, SIZE_MAX),
+      nullptr);
+  CNPB_CHECK_OK(view.status());
+  return std::move(view).value();
+}
+
+std::shared_ptr<const ServingView> ServingView::EncodeLayered(
+    std::shared_ptr<const ServingView> base, const Taxonomy& taxonomy,
+    const MentionIndex& mentions, const LayerChanges& changes,
+    size_t max_delta_bytes) {
+  SnapshotCodec::Buffer image = SnapshotCodec::LayOut(
+      taxonomy, mentions, base.get(), &changes, max_delta_bytes);
+  if (image.bytes == nullptr) return nullptr;
+  auto view = SnapshotCodec::Serve(std::move(image), std::move(base));
+  CNPB_CHECK_OK(view.status());
+  return std::move(view).value();
+}
+
+const ServingView& ServingView::Folded() const {
+  std::call_once(fold_once_, [this] {
+    util::Result<Taxonomy> taxonomy = MaterializeTaxonomy(*this);
+    CNPB_CHECK_OK(taxonomy.status());
+    MentionIndex mentions;
+    mentions.reserve(num_mentions_);
+    VisitMentions([&](std::string_view mention, const NodeId* ids,
+                      size_t num_ids) {
+      mentions.emplace(std::string(mention),
+                       std::vector<NodeId>(ids, ids + num_ids));
+      return true;
+    });
+    folded_ = Encode(*taxonomy, mentions);
+  });
+  return *folded_;
 }
 
 util::Result<std::shared_ptr<const ServingView>> ServingView::Load(
@@ -295,7 +464,7 @@ util::Result<std::shared_ptr<const ServingView>> ServingView::Load(
   if (!file.ok()) return fail(file.status());
   std::shared_ptr<ServingView> view(new ServingView());
   view->file_ = std::move(file).value();
-  view->base_ = view->file_.data();
+  view->data_ = view->file_.data();
   view->size_ = view->file_.size();
   view->origin_ = path;
   if (util::Status status = view->Init(/*parallel=*/true); !status.ok()) {
@@ -316,40 +485,43 @@ util::Status ServingView::Init(bool parallel) {
       for (size_t i = 0; i < count; ++i) task(i);
     }
   };
-  const uint8_t* base = base_;
+  const uint8_t* data = data_;
   const size_t file_size = size_;
   const char* origin = origin_.c_str();
+  // A delta image is checked as a folded one is, plus against its base.
+  const ServingView* const base = base_.get();
+  const bool delta = base != nullptr;
+  const std::string_view magic = delta ? kSnapshotDeltaMagic : kSnapshotMagic;
+  const uint32_t section_count =
+      delta ? kSnapshotDeltaSectionCount : kSnapshotSectionCount;
   if (file_size == 0) {
     return util::InvalidArgumentError("empty snapshot file: " + origin_);
   }
   if (file_size < kSnapshotHeaderSize ||
-      std::memcmp(base + kOffMagic, kSnapshotMagic.data(),
-                  kSnapshotMagic.size()) != 0) {
+      std::memcmp(data + kOffMagic, magic.data(), magic.size()) != 0) {
     return util::InvalidArgumentError("not a snapshot file (bad magic): " +
                                       origin_);
   }
-  const uint32_t version = GetPod<uint32_t>(base + kOffVersion);
+  const uint32_t version = GetPod<uint32_t>(data + kOffVersion);
   if (version != kSnapshotFormatVersion) {
     return util::InvalidArgumentError(util::StrFormat(
         "unsupported snapshot format version %u: %s", version, origin));
   }
-  if (GetPod<uint32_t>(base + kOffSectionCount) != kSnapshotSectionCount) {
+  if (GetPod<uint32_t>(data + kOffSectionCount) != section_count) {
     return util::InvalidArgumentError("bad snapshot section count: " +
                                       origin_);
   }
-  if (file_size < SnapshotPreludeSize()) {
+  if (file_size < PreludeSize(section_count)) {
     return util::DataLossError("snapshot truncated inside section table: " +
                                origin_);
   }
   // The header CRC seals the counts and the whole section table, so every
   // offset/size/section-CRC used below is integrity-checked before use.
-  if (PreludeCrc(base) != GetPod<uint32_t>(base + kOffHeaderCrc)) {
+  if (PreludeCrc(data, section_count) !=
+      GetPod<uint32_t>(data + kOffHeaderCrc)) {
     return util::DataLossError("snapshot header crc mismatch: " + origin_);
   }
-  num_nodes_ = GetPod<uint32_t>(base + kOffNumNodes);
-  num_mentions_ = GetPod<uint32_t>(base + kOffNumMentions);
-  num_edges_ = GetPod<uint64_t>(base + kOffNumEdges);
-  const uint64_t stated_size = GetPod<uint64_t>(base + kOffTotalSize);
+  const uint64_t stated_size = GetPod<uint64_t>(data + kOffTotalSize);
   if (stated_size != file_size) {
     return util::DataLossError(
         util::StrFormat("snapshot size mismatch (header says %llu, file has "
@@ -361,19 +533,30 @@ util::Status ServingView::Init(bool parallel) {
   // a kind byte and every edge a source byte, so anything larger than the
   // file is structurally impossible (and keeps the multiplications below far
   // from uint64 overflow).
-  const uint64_t n = num_nodes_;
-  const uint64_t m = num_mentions_;
-  const uint64_t e = num_edges_;
+  const uint64_t n = GetPod<uint32_t>(data + kOffNumNodes);
+  const uint64_t m = GetPod<uint32_t>(data + kOffNumMentions);
+  const uint64_t e = GetPod<uint64_t>(data + kOffNumEdges);
   if (n > file_size || e > file_size || m > file_size) {
     return util::InvalidArgumentError("snapshot counts exceed file size: " +
                                       origin_);
   }
+  // Node ids run over the base's nodes, then this image's names.
+  const uint64_t base_nodes = delta ? base->num_nodes_ : 0;
+  if (delta && GetPod<uint32_t>(data + kOffBaseNodes) != base_nodes) {
+    return util::InvalidArgumentError(
+        "snapshot delta was laid out over another base: " + origin_);
+  }
+  const uint64_t total_nodes = base_nodes + n;
+  if (total_nodes >= kInvalidNode) {
+    return util::InvalidArgumentError("snapshot node count out of range: " +
+                                      origin_);
+  }
 
-  std::array<SnapshotSectionInfo, kSnapshotSectionCount> table;
-  uint64_t prev_end = SnapshotPreludeSize();
-  for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
+  std::array<SnapshotSectionInfo, kSnapshotDeltaSectionCount> table;
+  uint64_t prev_end = PreludeSize(section_count);
+  for (uint32_t i = 0; i < section_count; ++i) {
     const uint8_t* entry =
-        base + kSnapshotHeaderSize + i * kSnapshotSectionEntrySize;
+        data + kSnapshotHeaderSize + i * kSnapshotSectionEntrySize;
     table[i].id = GetPod<uint32_t>(entry);
     table[i].crc = GetPod<uint32_t>(entry + 4);
     table[i].offset = GetPod<uint64_t>(entry + 8);
@@ -396,11 +579,17 @@ util::Status ServingView::Init(bool parallel) {
     return util::InvalidArgumentError(
         "snapshot mention-id section misaligned: " + origin_);
   }
+  if (delta && table[kRowIds].size % 4 != 0) {
+    return util::InvalidArgumentError(
+        "snapshot row-id section misaligned: " + origin_);
+  }
   const uint64_t candidates = table[kMentionIds].size / 4;
+  const uint64_t p = delta ? table[kRowIds].size / 4 : 0;
+  const uint64_t rows = p + n;
   const SectionSizes expected_sizes =
-      ExpectedSectionSizes(n, e, m, table[kNameBytes].size,
+      ExpectedSectionSizes(n, p, e, m, table[kNameBytes].size,
                            table[kMentionBytes].size, candidates);
-  for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
+  for (uint32_t i = 0; i < section_count; ++i) {
     if (table[i].size != expected_sizes[i]) {
       return util::InvalidArgumentError(util::StrFormat(
           "snapshot section %u has size %llu, expected %llu: %s", i,
@@ -412,10 +601,10 @@ util::Status ServingView::Init(bool parallel) {
   // own slot and the first failure in slot order wins, making the outcome
   // (and its message) identical for every CNPB_THREADS value.
   {
-    std::array<util::Status, kSnapshotSectionCount> crc_status;
-    run(kSnapshotSectionCount, [&](size_t i) {
+    std::array<util::Status, kSnapshotDeltaSectionCount> crc_status;
+    run(section_count, [&](size_t i) {
       const std::string_view payload(
-          reinterpret_cast<const char*>(base + table[i].offset),
+          reinterpret_cast<const char*>(data + table[i].offset),
           table[i].size);
       if (util::Crc32c(payload) != table[i].crc) {
         crc_status[i] = util::DataLossError(util::StrFormat(
@@ -432,29 +621,41 @@ util::Status ServingView::Init(bool parallel) {
   // both the owned buffer and mmap bases are 8-aligned, so the casts are
   // alignment-safe).
   const auto u64_at = [&](SectionId id) {
-    return reinterpret_cast<const uint64_t*>(base + table[id].offset);
+    return reinterpret_cast<const uint64_t*>(data + table[id].offset);
   };
   const auto u32_at = [&](SectionId id) {
-    return reinterpret_cast<const uint32_t*>(base + table[id].offset);
+    return reinterpret_cast<const uint32_t*>(data + table[id].offset);
   };
-  kinds_ = base + table[kKinds].offset;
-  name_offsets_ = u64_at(kNameOffsets);
-  name_bytes_ = reinterpret_cast<const char*>(base + table[kNameBytes].offset);
-  name_slots_ = u32_at(kNameHash);
-  name_mask_ = SnapshotHashSlots(n) - 1;
-  hyper_ = {u64_at(kHyperRows), u32_at(kHyperTargets),
-            base + table[kHyperSources].offset,
-            reinterpret_cast<const float*>(base + table[kHyperScores].offset)};
-  hypo_ = {u64_at(kHypoRows), u32_at(kHypoTargets),
-           base + table[kHypoSources].offset,
-           reinterpret_cast<const float*>(base + table[kHypoScores].offset)};
-  mention_offsets_ = u64_at(kMentionOffsets);
-  mention_bytes_ =
-      reinterpret_cast<const char*>(base + table[kMentionBytes].offset);
-  mention_rows_ = u64_at(kMentionRows);
-  mention_ids_ = u32_at(kMentionIds);
-  mention_slots_ = u32_at(kMentionHash);
-  mention_mask_ = SnapshotHashSlots(m) - 1;
+  Image& out = delta ? delta_ : image_;
+  out.num_names = static_cast<uint32_t>(n);
+  out.num_rows = static_cast<uint32_t>(rows);
+  out.num_patched = static_cast<uint32_t>(p);
+  out.num_mentions = static_cast<uint32_t>(m);
+  out.num_edges = e;
+  out.kinds = data + table[kKinds].offset;
+  out.name_offsets = u64_at(kNameOffsets);
+  out.name_bytes =
+      reinterpret_cast<const char*>(data + table[kNameBytes].offset);
+  out.name_slots = u32_at(kNameHash);
+  out.name_mask = SnapshotHashSlots(n) - 1;
+  out.hyper = {u64_at(kHyperRows), u32_at(kHyperTargets),
+               data + table[kHyperSources].offset,
+               reinterpret_cast<const float*>(data + table[kHyperScores].offset)};
+  out.hypo = {u64_at(kHypoRows), u32_at(kHypoTargets),
+              data + table[kHypoSources].offset,
+              reinterpret_cast<const float*>(data + table[kHypoScores].offset)};
+  out.mention_offsets = u64_at(kMentionOffsets);
+  out.mention_bytes =
+      reinterpret_cast<const char*>(data + table[kMentionBytes].offset);
+  out.mention_rows = u64_at(kMentionRows);
+  out.mention_ids = u32_at(kMentionIds);
+  out.mention_slots = u32_at(kMentionHash);
+  out.mention_mask = SnapshotHashSlots(m) - 1;
+  if (delta) {
+    out.row_ids = u32_at(kRowIds);
+    out.replaces = data + table[kMentionReplaces].offset;
+  }
+  const Image* const image = &out;
 
   // Structural validation: every index the query paths will ever follow is
   // checked once here, so serving needs no per-query bounds checks beyond
@@ -483,9 +684,9 @@ util::Status ServingView::Init(bool parallel) {
     return util::Status::Ok();
   };
   CNPB_RETURN_IF_ERROR(
-      check_arena(name_offsets_, n, table[kNameBytes].size, "name"));
-  CNPB_RETURN_IF_ERROR(
-      check_arena(mention_offsets_, m, table[kMentionBytes].size, "mention"));
+      check_arena(out.name_offsets, n, table[kNameBytes].size, "name"));
+  CNPB_RETURN_IF_ERROR(check_arena(out.mention_offsets, m,
+                                   table[kMentionBytes].size, "mention"));
 
   // The remaining whole-array scans are tasks too: each returns a Status
   // into its own slot, first failure in slot order wins (the same ladder
@@ -554,17 +755,19 @@ util::Status ServingView::Init(bool parallel) {
       };
     });
   };
-  check_hash(name_slots_, name_mask_, n,
-             [this](uint64_t id) { return NameAt(static_cast<NodeId>(id)); },
+  check_hash(out.name_slots, out.name_mask, n,
+             [image](uint64_t i) {
+               return image->NameAt(static_cast<uint32_t>(i));
+             },
              "name");
   const auto check_csr = [&](const Csr& csr, const char* what) {
     checks.push_back([=]() -> util::Status {
-      if (csr.rows[0] != 0 || csr.rows[n] != e) {
+      if (csr.rows[0] != 0 || csr.rows[rows] != e) {
         return util::InvalidArgumentError(util::StrFormat(
             "snapshot %s rows do not cover the edges: %s", what, origin));
       }
       bool non_monotonic = false;
-      for (uint64_t i = 0; i < n; ++i) {
+      for (uint64_t i = 0; i < rows; ++i) {
         non_monotonic |= csr.rows[i + 1] < csr.rows[i];
       }
       if (non_monotonic) {
@@ -572,7 +775,9 @@ util::Status ServingView::Init(bool parallel) {
             "snapshot %s rows not monotonic: %s", what, origin));
       }
       bool target_oor = false;
-      for (uint64_t k = 0; k < e; ++k) target_oor |= csr.targets[k] >= n;
+      for (uint64_t k = 0; k < e; ++k) {
+        target_oor |= csr.targets[k] >= total_nodes;
+      }
       if (target_oor) {
         return util::InvalidArgumentError(util::StrFormat(
             "snapshot %s target out of range: %s", what, origin));
@@ -588,57 +793,103 @@ util::Status ServingView::Init(bool parallel) {
       return util::Status::Ok();
     });
   };
-  check_csr(hyper_, "hypernym");
-  check_csr(hypo_, "hyponym");
+  check_csr(out.hyper, "hypernym");
+  check_csr(out.hypo, "hyponym");
   // Strictly increasing mentions: the arena order VisitMentions promises,
   // and uniqueness for the mention hash.
   if (m > 1) {
-    for_shards(1, m - 1, [this](uint64_t begin, uint64_t end) {
-      return [=, this]() -> util::Status {
+    for_shards(1, m - 1, [=](uint64_t begin, uint64_t end) {
+      return [=]() -> util::Status {
         for (uint64_t i = begin; i < end; ++i) {
-          if (MentionAt(static_cast<uint32_t>(i - 1)) >=
-              MentionAt(static_cast<uint32_t>(i))) {
-            return util::InvalidArgumentError(
-                "snapshot mentions not sorted: " + origin_);
+          if (image->MentionAt(static_cast<uint32_t>(i - 1)) >=
+              image->MentionAt(static_cast<uint32_t>(i))) {
+            return util::InvalidArgumentError(util::StrFormat(
+                "snapshot mentions not sorted: %s", origin));
           }
         }
         return util::Status::Ok();
       };
     });
   }
-  checks.push_back([=, this]() -> util::Status {
-    if (mention_rows_[0] != 0 || mention_rows_[m] != candidates) {
-      return util::InvalidArgumentError(
-          "snapshot mention rows do not cover the candidate ids: " + origin_);
+  checks.push_back([=]() -> util::Status {
+    if (image->mention_rows[0] != 0 || image->mention_rows[m] != candidates) {
+      return util::InvalidArgumentError(util::StrFormat(
+          "snapshot mention rows do not cover the candidate ids: %s",
+          origin));
     }
     bool rows_non_monotonic = false;
     for (uint64_t i = 0; i < m; ++i) {
-      rows_non_monotonic |= mention_rows_[i + 1] < mention_rows_[i];
+      rows_non_monotonic |= image->mention_rows[i + 1] < image->mention_rows[i];
     }
     if (rows_non_monotonic) {
-      return util::InvalidArgumentError(
-          "snapshot mention rows not monotonic: " + origin_);
+      return util::InvalidArgumentError(util::StrFormat(
+          "snapshot mention rows not monotonic: %s", origin));
     }
     bool candidate_oor = false;
     for (uint64_t k = 0; k < candidates; ++k) {
-      candidate_oor |= mention_ids_[k] >= n;
+      candidate_oor |= image->mention_ids[k] >= total_nodes;
     }
     if (candidate_oor) {
-      return util::InvalidArgumentError(
-          "snapshot mention candidate id out of range: " + origin_);
+      return util::InvalidArgumentError(util::StrFormat(
+          "snapshot mention candidate id out of range: %s", origin));
     }
     return util::Status::Ok();
   });
-  check_hash(mention_slots_, mention_mask_, m,
-             [this](uint64_t i) {
-               return MentionAt(static_cast<uint32_t>(i));
+  check_hash(out.mention_slots, out.mention_mask, m,
+             [image](uint64_t i) {
+               return image->MentionAt(static_cast<uint32_t>(i));
              },
              "mention");
+  // A delta against its base, in O(delta) probes: patched rows name base
+  // nodes in ascending order, appended names are new to the base, and each
+  // mention's replace mark says whether the base holds that mention.
+  uint64_t replaced = 0;
+  if (delta) {
+    checks.push_back([=]() -> util::Status {
+      for (uint64_t i = 0; i < p; ++i) {
+        if (image->row_ids[i] >= base_nodes ||
+            (i > 0 && image->row_ids[i] <= image->row_ids[i - 1])) {
+          return util::InvalidArgumentError(util::StrFormat(
+              "snapshot delta patches a row that is not a base node: %s",
+              origin));
+        }
+      }
+      return util::Status::Ok();
+    });
+    checks.push_back([=]() -> util::Status {
+      for (uint32_t i = 0; i < n; ++i) {
+        if (base->image_.FindName(image->NameAt(i)) != kInvalidNode) {
+          return util::InvalidArgumentError(util::StrFormat(
+              "snapshot delta names a base node again: %s", origin));
+        }
+      }
+      return util::Status::Ok();
+    });
+    checks.push_back([=, &replaced]() -> util::Status {
+      for (uint32_t i = 0; i < m; ++i) {
+        const bool in_base =
+            base->image_.FindMention(image->MentionAt(i)) != kInvalidNode;
+        if (image->replaces[i] != static_cast<uint8_t>(in_base)) {
+          return util::InvalidArgumentError(util::StrFormat(
+              "snapshot delta mention replace mark disagrees with its "
+              "base: %s",
+              origin));
+        }
+        replaced += in_base;
+      }
+      return util::Status::Ok();
+    });
+  }
   std::vector<util::Status> verdicts(checks.size());
   run(checks.size(), [&](size_t i) { verdicts[i] = checks[i](); });
   for (const util::Status& status : verdicts) {
     CNPB_RETURN_IF_ERROR(status);
   }
+  if (delta) image_ = base->image_;
+  num_nodes_ = static_cast<uint32_t>(total_nodes);
+  num_edges_ = image_.num_edges + (delta ? e : 0);
+  num_mentions_ =
+      static_cast<uint32_t>(image_.num_mentions + (delta ? m - replaced : 0));
   return util::Status::Ok();
 }
 
@@ -714,15 +965,35 @@ util::Result<Taxonomy> MaterializeTaxonomy(const ServingView& view) {
   return taxonomy;
 }
 
+std::string EncodeDeltaImage(const ServingView& base, const Taxonomy& taxonomy,
+                             const MentionIndex& mentions,
+                             const LayerChanges& changes) {
+  const SnapshotCodec::Buffer image =
+      SnapshotCodec::LayOut(taxonomy, mentions, &base, &changes, SIZE_MAX);
+  return std::string(reinterpret_cast<const char*>(image.bytes.get()),
+                     image.size);
+}
+
+util::Result<std::shared_ptr<const ServingView>> LayerDeltaImage(
+    std::shared_ptr<const ServingView> base, std::string_view bytes) {
+  if (base == nullptr || base->layered()) {
+    return util::InvalidArgumentError("a delta layers over a folded base");
+  }
+  SnapshotCodec::Buffer image{
+      std::make_unique<unsigned char[]>(bytes.size()), bytes.size()};
+  std::memcpy(image.bytes.get(), bytes.data(), bytes.size());
+  return SnapshotCodec::Serve(std::move(image), std::move(base));
+}
+
 util::Result<std::vector<SnapshotSectionInfo>> ReadSnapshotSections(
     std::string_view bytes) {
-  if (bytes.size() < SnapshotPreludeSize() ||
-      bytes.substr(0, kSnapshotMagic.size()) != kSnapshotMagic) {
+  const uint32_t count = SectionCountOf(bytes);
+  if (count == 0 || bytes.size() < PreludeSize(count)) {
     return util::InvalidArgumentError(
         "bytes do not contain a snapshot prelude");
   }
-  std::vector<SnapshotSectionInfo> sections(kSnapshotSectionCount);
-  for (uint32_t i = 0; i < kSnapshotSectionCount; ++i) {
+  std::vector<SnapshotSectionInfo> sections(count);
+  for (uint32_t i = 0; i < count; ++i) {
     const uint8_t* entry = reinterpret_cast<const uint8_t*>(bytes.data()) +
                            kSnapshotHeaderSize + i * kSnapshotSectionEntrySize;
     sections[i].id = GetPod<uint32_t>(entry);
@@ -734,22 +1005,28 @@ util::Result<std::vector<SnapshotSectionInfo>> ReadSnapshotSections(
 }
 
 util::Status ResealSnapshotHeader(std::string* bytes) {
-  if (bytes->size() < SnapshotPreludeSize()) {
+  // Bytes of neither magic (a test may have patched it) reseal as a
+  // folded snapshot.
+  const uint32_t count =
+      SectionCountOf(*bytes) == kSnapshotDeltaSectionCount
+          ? kSnapshotDeltaSectionCount
+          : kSnapshotSectionCount;
+  if (bytes->size() < PreludeSize(count)) {
     return util::InvalidArgumentError("bytes too short to reseal");
   }
   uint8_t* const base = reinterpret_cast<uint8_t*>(bytes->data());
-  PutPod<uint32_t>(base + kOffHeaderCrc, PreludeCrc(base));
+  PutPod<uint32_t>(base + kOffHeaderCrc, PreludeCrc(base, count));
   return util::Status::Ok();
 }
 
 util::Status ResealSnapshotSection(std::string* bytes, uint32_t id) {
   CNPB_RETURN_IF_ERROR(ResealSnapshotHeader(bytes));  // validates the prelude
-  if (id >= kSnapshotSectionCount) {
-    return util::InvalidArgumentError("no such snapshot section");
-  }
   util::Result<std::vector<SnapshotSectionInfo>> sections =
       ReadSnapshotSections(*bytes);
   CNPB_RETURN_IF_ERROR(sections.status());
+  if (id >= sections->size()) {
+    return util::InvalidArgumentError("no such snapshot section");
+  }
   const SnapshotSectionInfo& info = sections.value()[id];
   if (info.offset > bytes->size() ||
       info.size > bytes->size() - info.offset) {

@@ -17,7 +17,9 @@ namespace cnpb::taxonomy {
 
 // The CNPBSNP binary format (DESIGN.md §10): the one representation every
 // published ServingView serves from, whether encoded in memory at publish
-// time (ServingView::Encode) or mmap'd from disk (ServingView::Load).
+// time (ServingView::Encode) or mmap'd from disk (ServingView::Load), and
+// the one taxonomy file format: a layered view's delta image (below) stays
+// in memory.
 //
 // A snapshot holds node kinds, an offset-indexed string arena,
 // structure-of-arrays CSR adjacency for both edge directions, a sorted
@@ -69,6 +71,27 @@ namespace cnpb::taxonomy {
 // structure MaterializeTaxonomy rebuilds, so a freshly built taxonomy and
 // its materialized copy encode to identical bytes.
 //
+// Delta images: a layered ServingView (view.h) serves a folded image plus
+// an in-memory delta image with magic "CNPBDLT1", which is never written
+// to disk. It has the same header (num_nodes counts the appended nodes it
+// names, and the 4 bytes at offset 44 hold its base's num_nodes) and the
+// same 17 sections, followed by two more:
+//
+//   17  row ids             u32[patched]             patched base nodes,
+//                                                    ascending
+//   18  mention replaces    u8[num_mentions]         1 when the base holds
+//                                                    the mention
+//
+// Its rows are the patched base nodes, then its appended nodes (ids base
+// num_nodes + i), so the kinds and both CSR row arrays have patched +
+// num_nodes entries. A patched row holds the edges appended to that base
+// row, and the kind it has now. Edge targets and mention candidates are
+// node ids below base + appended nodes. Mention rows are whole and replace
+// the base's row of the same mention. A delta passes every check below on
+// its own sections, plus O(delta) checks against its base: the base node
+// count matches, patched ids are ascending base ids, appended names are
+// absent from the base, and every replace mark matches the base.
+//
 // Integrity: a load validates magic/version/counts, the header CRC (which
 // seals the section table, so a corrupted offset or stored section CRC is
 // caught), per-section CRC-32C over every payload, and full structure
@@ -84,6 +107,8 @@ namespace cnpb::taxonomy {
 inline constexpr std::string_view kSnapshotMagic = "CNPBSNP1";
 inline constexpr uint32_t kSnapshotFormatVersion = 2;
 inline constexpr uint32_t kSnapshotSectionCount = 17;
+inline constexpr std::string_view kSnapshotDeltaMagic = "CNPBDLT1";
+inline constexpr uint32_t kSnapshotDeltaSectionCount = 19;
 inline constexpr size_t kSnapshotHeaderSize = 48;
 inline constexpr size_t kSnapshotSectionEntrySize = 24;
 
@@ -106,7 +131,8 @@ struct SnapshotSectionInfo {
   uint64_t size = 0;
 };
 
-// Writes view.bytes() via util::AtomicFileWriter: the destination only
+// Writes view.bytes() — the folded image, also for a layered view — via
+// util::AtomicFileWriter: the destination only
 // ever holds a previous complete snapshot or the new complete one, never a
 // torn prefix. Fault points: snapshot.write / snapshot.fsync /
 // snapshot.rename.
@@ -133,8 +159,21 @@ util::Result<Taxonomy> MaterializeTaxonomy(const ServingView& view);
 
 // --- Format tooling (used by the corruption tests and snapshot tools) ---
 
-// Parses the section table without verifying checksums. Fails only when
-// `bytes` is too short to contain a prelude or the magic is wrong.
+// Lays out the delta image ServingView::EncodeLayered would validate and
+// serve, without validating it.
+std::string EncodeDeltaImage(const ServingView& base, const Taxonomy& taxonomy,
+                             const MentionIndex& mentions,
+                             const LayerChanges& changes);
+
+// Validates `bytes` as a delta image over the folded `base`, as
+// EncodeLayered does, and serves it layered (the bytes are copied). Errors:
+// kInvalidArgument / kDataLoss as ServingView::Load's.
+util::Result<std::shared_ptr<const ServingView>> LayerDeltaImage(
+    std::shared_ptr<const ServingView> base, std::string_view bytes);
+
+// Parses the section table (of a snapshot or a delta image) without
+// verifying checksums. Fails only when `bytes` is too short to contain a
+// prelude or the magic is wrong.
 util::Result<std::vector<SnapshotSectionInfo>> ReadSnapshotSections(
     std::string_view bytes);
 

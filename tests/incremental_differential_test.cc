@@ -7,12 +7,21 @@
 // after every batch the two must agree on every name-level fact: nodes and
 // kinds, edges with source and score, each hyponym's hypernym row order,
 // the batch report, the mention index, and the served answers.
+//
+// After every batch the published view — layered over the last fold, or a
+// fold — and the view a layered publish would serve at any delta size must
+// also read exactly like a one-shot ServingView::Encode of the updater's
+// taxonomy and mention index: every node, every row in order, every
+// mention, every served answer, and the bytes WriteSnapshot writes.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <tuple>
 #include <unordered_set>
@@ -26,8 +35,10 @@
 #include "synth/world.h"
 #include "synth/world_data.h"
 #include "taxonomy/api_service.h"
+#include "taxonomy/snapshot.h"
 #include "taxonomy/taxonomy.h"
 #include "taxonomy/view.h"
+#include "util/atomic_file.h"
 
 namespace cnpb::core {
 
@@ -45,6 +56,15 @@ class IncrementalUpdaterTestPeer {
   static const taxonomy::MentionIndex& Mentions(
       const IncrementalUpdater& updater) {
     return updater.mentions_;
+  }
+  // The view a layered publish would serve now, whatever the delta's size;
+  // null when the next publish must fold.
+  static std::shared_ptr<const taxonomy::ServingView> Layered(
+      const IncrementalUpdater& updater) {
+    if (updater.base_ == nullptr) return nullptr;
+    return taxonomy::ServingView::EncodeLayered(
+        updater.base_, updater.taxonomy_, updater.mentions_,
+        updater.PendingChanges(), SIZE_MAX);
   }
 };
 
@@ -165,14 +185,124 @@ void ExpectSameAnswers(const taxonomy::ApiService& got,
   }
 }
 
+using ViewRow = std::vector<std::tuple<taxonomy::NodeId, int, float>>;
+
+template <typename Visit>
+ViewRow CollectRow(const Visit& visit) {
+  ViewRow row;
+  visit([&](const taxonomy::HalfEdge& edge) {
+    row.emplace_back(edge.node, static_cast<int>(edge.source), edge.score);
+    return true;
+  });
+  return row;
+}
+
+std::vector<std::pair<std::string, std::vector<taxonomy::NodeId>>>
+VisitedMentions(const taxonomy::ServingView& view) {
+  std::vector<std::pair<std::string, std::vector<taxonomy::NodeId>>> out;
+  view.VisitMentions([&](std::string_view mention,
+                         const taxonomy::NodeId* ids, size_t num_ids) {
+    out.emplace_back(std::string(mention),
+                     std::vector<taxonomy::NodeId>(ids, ids + num_ids));
+    return true;
+  });
+  return out;
+}
+
+// Parallel test processes share the temp dir: the path carries the pid.
+std::string WrittenBytes(const taxonomy::ServingView& view) {
+  const std::string path = ::testing::TempDir() + "/layered." +
+                           std::to_string(getpid()) + ".snap";
+  EXPECT_TRUE(taxonomy::WriteSnapshot(view, path).ok());
+  auto bytes = util::ReadFileToString(path);
+  std::remove(path.c_str());
+  return bytes.ok() ? *bytes : std::string();
+}
+
+// Asserts `got` reads exactly like `want`, a one-shot Encode of `live` and
+// its mention index: node by node, row by row in order, mention by mention
+// in visiting order, every served answer with ids and order, and the bytes
+// WriteSnapshot writes.
+void ExpectSameView(const std::shared_ptr<const taxonomy::ServingView>& got,
+                    const std::shared_ptr<const taxonomy::ServingView>& want,
+                    const taxonomy::Taxonomy& live) {
+  ASSERT_EQ(got->num_nodes(), want->num_nodes());
+  EXPECT_EQ(got->num_edges(), want->num_edges());
+  EXPECT_EQ(got->num_mentions(), want->num_mentions());
+  for (taxonomy::NodeId id = 0; id < want->num_nodes(); ++id) {
+    const std::string_view name = want->Name(id);
+    EXPECT_EQ(got->Name(id), name);
+    EXPECT_EQ(got->Find(name), id);
+    EXPECT_EQ(got->Kind(id), want->Kind(id)) << name;
+    EXPECT_EQ(got->NumHypernyms(id), want->NumHypernyms(id)) << name;
+    EXPECT_EQ(got->NumHyponyms(id), want->NumHyponyms(id)) << name;
+    EXPECT_EQ(CollectRow([&](auto fn) { got->VisitHypernyms(id, fn); }),
+              CollectRow([&](auto fn) { want->VisitHypernyms(id, fn); }))
+        << name;
+    EXPECT_EQ(CollectRow([&](auto fn) { got->VisitHyponyms(id, fn); }),
+              CollectRow([&](auto fn) { want->VisitHyponyms(id, fn); }))
+        << name;
+    EXPECT_EQ(got->TransitiveHypernyms(id), live.TransitiveHypernyms(id))
+        << name;
+  }
+  EXPECT_EQ(got->Find("no-such-node"), taxonomy::kInvalidNode);
+  const auto mentions = VisitedMentions(*want);
+  EXPECT_EQ(VisitedMentions(*got), mentions);
+  for (const auto& [mention, ids] : mentions) {
+    const std::span<const taxonomy::NodeId> candidates =
+        got->MentionCandidates(mention);
+    EXPECT_EQ(std::vector<taxonomy::NodeId>(candidates.begin(),
+                                            candidates.end()),
+              ids)
+        << mention;
+  }
+  EXPECT_TRUE(got->MentionCandidates("no-such-mention").empty());
+
+  const taxonomy::ApiService got_api(got);
+  const taxonomy::ApiService want_api(want);
+  for (const auto& [mention, ids] : mentions) {
+    const auto a = got_api.TryMen2EntResolved(mention);
+    const auto b = want_api.TryMen2EntResolved(mention);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a->entities.size(), b->entities.size()) << mention;
+    for (size_t i = 0; i < a->entities.size(); ++i) {
+      EXPECT_EQ(a->entities[i].id, b->entities[i].id) << mention;
+      EXPECT_EQ(a->entities[i].name, b->entities[i].name) << mention;
+      EXPECT_EQ(a->entities[i].num_hypernyms, b->entities[i].num_hypernyms);
+    }
+  }
+  for (taxonomy::NodeId id = 0; id < want->num_nodes(); ++id) {
+    const std::string name(want->Name(id));
+    for (const bool transitive : {false, true}) {
+      const auto a = got_api.TryGetConceptResolved(name, transitive);
+      const auto b = want_api.TryGetConceptResolved(name, transitive);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(a->names, b->names) << name << " transitive=" << transitive;
+    }
+    const auto a = got_api.TryGetEntityResolved(name, SIZE_MAX);
+    const auto b = want_api.TryGetEntityResolved(name, SIZE_MAX);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a->names, b->names) << name;
+  }
+
+  EXPECT_TRUE(got->bytes() == want->bytes());
+  EXPECT_TRUE(WrittenBytes(*got) == want->bytes());
+}
+
 struct Batch {
   std::vector<kb::EncyclopediaPage> pages;
   std::vector<std::vector<std::string>> corpus;
 };
 
+struct Outcome {
+  uint64_t rebuilds = 0;
+  uint64_t folds = 0;
+  size_t publishes = 0;
+};
+
 // Applies `batches` to a fresh updater and to the rebuild reference,
-// comparing after every batch. Returns the updater's rebuild count.
-uint64_t RunDifferential(const kb::EncyclopediaDump& base,
+// comparing after every batch.
+Outcome RunDifferential(const kb::EncyclopediaDump& base,
                          const text::Lexicon* lexicon,
                          const std::vector<std::vector<std::string>>& corpus,
                          const CnProbaseBuilder::Config& config,
@@ -180,6 +310,14 @@ uint64_t RunDifferential(const kb::EncyclopediaDump& base,
   IncrementalUpdater updater(base, lexicon, corpus, config);
   taxonomy::Taxonomy reference = updater.taxonomy().Clone();
   taxonomy::ApiService served(updater.snapshot());
+  // The base build's publish folds; batch 0 layers over it.
+  updater.Publish(&served);
+  EXPECT_EQ(updater.folds(), 1u);
+  ExpectSameView(served.CurrentView(),
+                 taxonomy::ServingView::Encode(
+                     updater.taxonomy(),
+                     IncrementalUpdaterTestPeer::Mentions(updater)),
+                 updater.taxonomy());
   for (size_t b = 0; b < batches.size(); ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));
     const size_t first_page = updater.dump().size();
@@ -215,7 +353,26 @@ uint64_t RunDifferential(const kb::EncyclopediaDump& base,
     EXPECT_EQ(mentions,
               CnProbaseBuilder::BuildMentionIndex(updater.dump(), live));
 
+    // Before Publish, which may fold: the layered view over the last fold.
+    const auto layered = IncrementalUpdaterTestPeer::Layered(updater);
+    const auto folded = taxonomy::ServingView::Encode(live, mentions);
+    if (layered != nullptr) {
+      SCOPED_TRACE("layered over the last fold");
+      EXPECT_TRUE(layered->layered());
+      ExpectSameView(layered, folded, live);
+    }
+    const uint64_t folds_before = updater.folds();
     updater.Publish(&served);
+    {
+      SCOPED_TRACE("published");
+      const auto published = served.CurrentView();
+      // Only the first publish and the first after a rebuild must fold.
+      if (layered == nullptr) {
+        EXPECT_EQ(updater.folds(), folds_before + 1);
+      }
+      EXPECT_EQ(published->layered(), updater.folds() == folds_before);
+      ExpectSameView(published, folded, live);
+    }
     const taxonomy::ApiService rebuilt(
         taxonomy::Taxonomy::Freeze(reference.Clone()), want_mentions);
     std::set<std::string> names;
@@ -225,7 +382,8 @@ uint64_t RunDifferential(const kb::EncyclopediaDump& base,
     for (const auto& [mention, ids] : want_mentions) surfaces.insert(mention);
     ExpectSameAnswers(served, rebuilt, names, surfaces);
   }
-  return updater.rebuilds();
+  EXPECT_LE(updater.max_layer_share(), IncrementalUpdater::kFoldFraction);
+  return {updater.rebuilds(), updater.folds(), batches.size() + 1};
 }
 
 kb::EncyclopediaPage Page(const std::string& name,
@@ -287,9 +445,11 @@ TEST_P(ControlledWorld, MatchesFullRebuildBatchByBatch) {
   batches[3].corpus = {{"位于", "goodconcept"}};
   // Appending again after that rebuild.
   batches[4].pages = {Page("w", {"y", "oldpage"}), Page("v", {"w"})};
-  const uint64_t rebuilds =
+  const Outcome outcome =
       RunDifferential(base_, &lexicon_, {}, Config(), batches);
-  EXPECT_EQ(rebuilds, GetParam() ? 1u : 0u);
+  EXPECT_EQ(outcome.rebuilds, GetParam() ? 1u : 0u);
+  // The first publish and, with verification on, the revoking batch fold.
+  EXPECT_GE(outcome.folds, 1u + outcome.rebuilds);
 }
 
 INSTANTIATE_TEST_SUITE_P(Verification, ControlledWorld, ::testing::Bool());
@@ -311,15 +471,15 @@ struct SynthData {
     dump_config.seed = seed + 100;
     const auto output =
         synth::EncyclopediaGenerator::Generate(world, dump_config);
-    if (verify) {
-      text::Segmenter segmenter(&world.lexicon());
-      for (const auto& sentence : synth::CorpusGenerator::Generate(
-                                      world, output.dump, segmenter, {})
-                                      .sentences) {
-        std::vector<std::string> words;
-        for (const auto& token : sentence) words.push_back(token.word);
-        corpus.push_back(std::move(words));
-      }
+    // Verification on or off, construction sees the corpus: it seeds the
+    // n-gram table the bracket separation's PMI evidence comes from.
+    text::Segmenter segmenter(&world.lexicon());
+    for (const auto& sentence : synth::CorpusGenerator::Generate(
+                                    world, output.dump, segmenter, {})
+                                    .sentences) {
+      std::vector<std::string> words;
+      for (const auto& token : sentence) words.push_back(token.word);
+      corpus.push_back(std::move(words));
     }
     const size_t n = output.dump.size();
     for (size_t i = 0; i < n; ++i) {
@@ -353,11 +513,13 @@ class SynthWorld
 TEST_P(SynthWorld, MatchesFullRebuildBatchByBatch) {
   const auto [seed, verify] = GetParam();
   const SynthData data(seed, verify);
-  const uint64_t rebuilds = RunDifferential(
+  const Outcome outcome = RunDifferential(
       data.base, &data.world.lexicon(), data.corpus, data.config,
       data.batches);
   if (!verify) {
-    EXPECT_EQ(rebuilds, 0u);
+    EXPECT_EQ(outcome.rebuilds, 0u);
+    // Each batch adds ~11% of the base's pages: some publishes layer.
+    EXPECT_LT(outcome.folds, outcome.publishes);
   }
 }
 

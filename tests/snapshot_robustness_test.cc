@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -516,6 +517,139 @@ TEST(SnapshotRobustnessTest, InjectedReadFaultIsIoError) {
   auto snap = taxonomy::ServingView::Load(path);
   EXPECT_TRUE(snap.ok()) << snap.status().ToString();
   std::remove(path.c_str());
+}
+
+// --- Delta images (layered views): never on disk, validated in memory ---
+
+// A folded base of two nodes, a -> c, and the pair it grows into: b -> c
+// appends node b and patches base row c, and mention "m" is added.
+struct DeltaWorld {
+  DeltaWorld() {
+    before.AddIsa("a", "c", taxonomy::Source::kTag, 0.5f);
+    base = taxonomy::ServingView::Encode(before, {});
+    after = before.Clone();
+    after.AddIsa("b", "c", taxonomy::Source::kInfobox, 0.7f);
+    mentions["m"] = {after.Find("b")};
+    changes.nodes = {after.Find("c")};
+    changes.mentions = {&*mentions.find("m")};
+  }
+  std::string Bytes() const {
+    return taxonomy::EncodeDeltaImage(*base, after, mentions, changes);
+  }
+
+  taxonomy::Taxonomy before;
+  std::shared_ptr<const taxonomy::ServingView> base;
+  taxonomy::Taxonomy after;
+  taxonomy::MentionIndex mentions;
+  taxonomy::LayerChanges changes;
+};
+
+// Layers `bytes` over `base` and requires a clean refusal with `why` in
+// the message.
+void ExpectDeltaRefused(const std::shared_ptr<const taxonomy::ServingView>& base,
+                        const std::string& bytes, util::StatusCode want,
+                        const std::string& why) {
+  auto layered = taxonomy::LayerDeltaImage(base, bytes);
+  ASSERT_FALSE(layered.ok()) << why << ": layered successfully";
+  EXPECT_EQ(layered.status().code(), want) << layered.status().ToString();
+  EXPECT_NE(layered.status().message().find(why), std::string::npos)
+      << layered.status().ToString();
+}
+
+TEST(SnapshotRobustnessTest, ValidDeltaLayers) {
+  const DeltaWorld world;
+  auto layered = taxonomy::LayerDeltaImage(world.base, world.Bytes());
+  ASSERT_TRUE(layered.ok()) << layered.status().ToString();
+  EXPECT_TRUE((*layered)->layered());
+  EXPECT_EQ((*layered)->num_nodes(), 3u);
+  EXPECT_EQ((*layered)->num_edges(), 2u);
+  EXPECT_EQ((*layered)->bytes(),
+            taxonomy::ServingView::Encode(world.after, world.mentions)
+                ->bytes());
+}
+
+TEST(SnapshotRobustnessTest, DeltaNamingABaseNodeAgainRefused) {
+  // A pair whose appended id range holds a name the base already has.
+  const DeltaWorld world;
+  taxonomy::Taxonomy renamed;
+  renamed.AddNode("a", taxonomy::NodeKind::kEntity);
+  renamed.AddNode("x", taxonomy::NodeKind::kConcept);
+  renamed.AddNode("c", taxonomy::NodeKind::kConcept);
+  renamed.AddIsa(0, 2, taxonomy::Source::kTag, 0.5f);
+  ExpectDeltaRefused(
+      world.base,
+      taxonomy::EncodeDeltaImage(*world.base, renamed, {}, {}),
+      util::StatusCode::kInvalidArgument, "names a base node again");
+}
+
+TEST(SnapshotRobustnessTest, DeltaTargetPastTotalNodesRefused) {
+  // Sections 5 and 9 are the hypernym and hyponym targets; the layered
+  // view has 3 nodes, so target 3 is one past the end.
+  const DeltaWorld world;
+  for (const uint32_t id : {5u, 9u}) {
+    std::string bytes = world.Bytes();
+    const auto sections = taxonomy::ReadSnapshotSections(bytes);
+    ASSERT_TRUE(sections.ok());
+    ASSERT_EQ(sections->size(), taxonomy::kSnapshotDeltaSectionCount);
+    Patch<uint32_t>(&bytes, (*sections)[id].offset, 3u);
+    ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, id).ok());
+    ExpectDeltaRefused(world.base, bytes, util::StatusCode::kInvalidArgument,
+                       "target out of range");
+  }
+}
+
+TEST(SnapshotRobustnessTest, DeltaCrossChecksAgainstItsBase) {
+  const DeltaWorld world;
+  const std::string valid = world.Bytes();
+  const auto sections = *taxonomy::ReadSnapshotSections(valid);
+  {
+    // Mention candidate ids (section 15) stop below the total too.
+    std::string bytes = valid;
+    Patch<uint32_t>(&bytes, sections[15].offset, 3u);
+    ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, 15).ok());
+    ExpectDeltaRefused(world.base, bytes, util::StatusCode::kInvalidArgument,
+                       "candidate id out of range");
+  }
+  {
+    // Row ids (section 17) must be base nodes: the base has 2.
+    std::string bytes = valid;
+    Patch<uint32_t>(&bytes, sections[17].offset, 2u);
+    ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, 17).ok());
+    ExpectDeltaRefused(world.base, bytes, util::StatusCode::kInvalidArgument,
+                       "not a base node");
+  }
+  {
+    // "m" is new to the base, so its replace mark (section 18) must be 0.
+    std::string bytes = valid;
+    Patch<uint8_t>(&bytes, sections[18].offset, 1);
+    ASSERT_TRUE(taxonomy::ResealSnapshotSection(&bytes, 18).ok());
+    ExpectDeltaRefused(world.base, bytes, util::StatusCode::kInvalidArgument,
+                       "replace mark");
+  }
+  {
+    // The header records the base's node count (offset 44).
+    std::string bytes = valid;
+    Patch<uint32_t>(&bytes, 44, 7u);
+    ASSERT_TRUE(taxonomy::ResealSnapshotHeader(&bytes).ok());
+    ExpectDeltaRefused(world.base, bytes, util::StatusCode::kInvalidArgument,
+                       "another base");
+  }
+  {
+    // A flipped payload byte without a reseal fails its section CRC.
+    std::string bytes = valid;
+    bytes[sections[2].offset] ^= 0x20;
+    ExpectDeltaRefused(world.base, bytes, util::StatusCode::kDataLoss,
+                       "crc mismatch");
+  }
+  // A folded image is not a delta, and a delta does not load as a file.
+  ExpectDeltaRefused(world.base, std::string(world.base->bytes()),
+                     util::StatusCode::kInvalidArgument, "bad magic");
+  ExpectRejectedWith("delta.snap", valid, util::StatusCode::kInvalidArgument);
+  // Every truncation is refused without an out-of-bounds read.
+  for (size_t cut = 0; cut < valid.size(); cut += 7) {
+    auto layered = taxonomy::LayerDeltaImage(world.base, valid.substr(0, cut));
+    EXPECT_FALSE(layered.ok()) << "cut at " << cut;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/builder.h"
@@ -265,6 +267,165 @@ void ExpectServicesAnswerIdentically(const taxonomy::ApiService& a,
               b.TryGetEntityResolved(name, 50)->names)
         << "getEntity(" << name << ")";
   }
+}
+
+using Row = std::vector<std::tuple<taxonomy::NodeId, int, float>>;
+
+Row HypernymRow(const taxonomy::ServingView& view, taxonomy::NodeId id) {
+  Row row;
+  view.VisitHypernyms(id, [&](const taxonomy::HalfEdge& edge) {
+    row.emplace_back(edge.node, static_cast<int>(edge.source), edge.score);
+    return true;
+  });
+  return row;
+}
+
+Row HyponymRow(const taxonomy::ServingView& view, taxonomy::NodeId id) {
+  Row row;
+  view.VisitHyponyms(id, [&](const taxonomy::HalfEdge& edge) {
+    row.emplace_back(edge.node, static_cast<int>(edge.source), edge.score);
+    return true;
+  });
+  return row;
+}
+
+std::vector<std::pair<std::string, std::vector<taxonomy::NodeId>>> Mentions(
+    const taxonomy::ServingView& view) {
+  std::vector<std::pair<std::string, std::vector<taxonomy::NodeId>>> out;
+  view.VisitMentions([&](std::string_view mention,
+                         const taxonomy::NodeId* ids, size_t num_ids) {
+    out.emplace_back(std::string(mention),
+                     std::vector<taxonomy::NodeId>(ids, ids + num_ids));
+    return true;
+  });
+  return out;
+}
+
+// The built world grown the ways a batch grows it: appended nodes, a base
+// entity gaining a hypernym (so a base concept gains a hyponym below its
+// newest one), a promoted base entity, a changed and a new mention row.
+struct GrownWorld {
+  GrownWorld() : taxonomy(SharedWorld().taxonomy.Clone()) {
+    mentions = MentionsOf(SharedWorld());
+    base = taxonomy::ServingView::Encode(taxonomy, mentions);
+    // The hub, the concept with the most hyponyms, and the first entity
+    // not under it: the new edge lands in the middle of the hub's row.
+    for (taxonomy::NodeId id = 0; id < taxonomy.num_nodes(); ++id) {
+      if (hub == taxonomy::kInvalidNode ||
+          taxonomy.Hyponyms(id).size() > taxonomy.Hyponyms(hub).size()) {
+        hub = id;
+      }
+    }
+    for (taxonomy::NodeId id = 0; id < taxonomy.num_nodes(); ++id) {
+      if (taxonomy.Kind(id) == taxonomy::NodeKind::kEntity &&
+          !taxonomy.HasIsa(id, hub)) {
+        (entity == taxonomy::kInvalidNode ? entity : promoted) = id;
+        if (promoted != taxonomy::kInvalidNode) break;
+      }
+    }
+    const std::string concept_name = taxonomy.Name(hub);
+    taxonomy.AddIsa("新实体甲", concept_name, taxonomy::Source::kTag, 0.4f);
+    EXPECT_TRUE(taxonomy.AddIsa(entity, hub, taxonomy::Source::kInfobox,
+                                0.6f));
+    taxonomy.PromoteToConcept(promoted);
+    taxonomy.AddIsa("新实体乙", taxonomy.Name(promoted),
+                    taxonomy::Source::kBracket, 0.3f);
+    taxonomy.AddIsa("新实体乙", "新概念", taxonomy::Source::kAbstract, 0.2f);
+    changed_mention = mentions.begin()->first;
+    mentions[changed_mention].push_back(taxonomy.Find("新实体甲"));
+    mentions["新称呼"] = {taxonomy.Find("新实体乙"), entity};
+    changes.nodes = {hub, entity, promoted, hub};
+    changes.mentions = {&*mentions.find(changed_mention),
+                        &*mentions.find("新称呼")};
+  }
+
+  std::shared_ptr<const taxonomy::ServingView> Layered(size_t max_bytes) const {
+    return taxonomy::ServingView::EncodeLayered(base, taxonomy, mentions,
+                                                changes, max_bytes);
+  }
+
+  taxonomy::Taxonomy taxonomy;
+  taxonomy::MentionIndex mentions;
+  std::shared_ptr<const taxonomy::ServingView> base;
+  taxonomy::NodeId hub = taxonomy::kInvalidNode;
+  taxonomy::NodeId entity = taxonomy::kInvalidNode;
+  taxonomy::NodeId promoted = taxonomy::kInvalidNode;
+  std::string changed_mention;
+  taxonomy::LayerChanges changes;
+};
+
+// A layered view reads exactly like the folded encoding of the same pair,
+// and persists as that folded image.
+TEST(SnapshotTest, LayeredViewReadsLikeItsFoldedEncoding) {
+  const GrownWorld world;
+  const auto layered = world.Layered(SIZE_MAX);
+  const auto folded =
+      taxonomy::ServingView::Encode(world.taxonomy, world.mentions);
+  ASSERT_TRUE(layered->layered());
+  EXPECT_FALSE(folded->layered());
+  EXPECT_LT(layered->delta_bytes().size(), world.base->bytes().size() / 8);
+
+  ASSERT_EQ(layered->num_nodes(), folded->num_nodes());
+  EXPECT_EQ(layered->num_edges(), folded->num_edges());
+  EXPECT_EQ(layered->num_mentions(), folded->num_mentions());
+  for (taxonomy::NodeId id = 0; id < folded->num_nodes(); ++id) {
+    SCOPED_TRACE("node " + world.taxonomy.Name(id));
+    EXPECT_EQ(layered->Name(id), folded->Name(id));
+    EXPECT_EQ(layered->Find(folded->Name(id)), id);
+    EXPECT_EQ(layered->Kind(id), folded->Kind(id));
+    EXPECT_EQ(layered->NumHypernyms(id), folded->NumHypernyms(id));
+    EXPECT_EQ(layered->NumHyponyms(id), folded->NumHyponyms(id));
+    EXPECT_EQ(HypernymRow(*layered, id), HypernymRow(*folded, id));
+    EXPECT_EQ(HyponymRow(*layered, id), HyponymRow(*folded, id));
+  }
+  EXPECT_EQ(layered->Kind(world.promoted), taxonomy::NodeKind::kConcept);
+  EXPECT_EQ(layered->Find("__definitely_not_a_node__"),
+            taxonomy::kInvalidNode);
+  EXPECT_EQ(Mentions(*layered), Mentions(*folded));
+  for (const auto& [mention, ids] : Mentions(*folded)) {
+    const auto got = layered->MentionCandidates(mention);
+    EXPECT_EQ(std::vector<taxonomy::NodeId>(got.begin(), got.end()), ids);
+  }
+  EXPECT_TRUE(layered->MentionCandidates("__not_a_mention__").empty());
+  ExpectServicesAnswerIdentically(taxonomy::ApiService(layered),
+                                  taxonomy::ApiService(folded), *folded);
+
+  // On disk it is the folded image, byte for byte.
+  EXPECT_TRUE(layered->bytes() == folded->bytes());
+  const std::string path = TempPath("snapshot_layered.snap");
+  ASSERT_TRUE(taxonomy::WriteSnapshot(*layered, path).ok());
+  auto on_disk = util::ReadFileToString(path);
+  ASSERT_TRUE(on_disk.ok());
+  EXPECT_TRUE(*on_disk == folded->bytes());
+  std::remove(path.c_str());
+
+  // A delta past the caller's bound is not laid out.
+  EXPECT_EQ(world.Layered(layered->delta_bytes().size() - 1), nullptr);
+  EXPECT_NE(world.Layered(layered->delta_bytes().size()), nullptr);
+}
+
+// getConcept?transitive walks the view; its order is the taxonomy's, on a
+// folded view and on a layered one.
+TEST(SnapshotTest, TransitiveHypernymsFollowTheTaxonomyOnEveryView) {
+  const GrownWorld world;
+  const auto layered = world.Layered(SIZE_MAX);
+  const auto folded =
+      taxonomy::ServingView::Encode(world.taxonomy, world.mentions);
+  size_t multi_step = 0;
+  for (taxonomy::NodeId id = 0; id < world.taxonomy.num_nodes(); ++id) {
+    const std::vector<taxonomy::NodeId> want =
+        world.taxonomy.TransitiveHypernyms(id);
+    multi_step += want.size() > world.taxonomy.Hypernyms(id).size();
+    EXPECT_EQ(folded->TransitiveHypernyms(id), want);
+    EXPECT_EQ(layered->TransitiveHypernyms(id), want);
+    EXPECT_EQ(layered->TransitiveHypernyms(id, 2),
+              world.taxonomy.TransitiveHypernyms(id, 2));
+  }
+  EXPECT_GT(multi_step, 0u);
+  EXPECT_TRUE(
+      layered->TransitiveHypernyms(
+          static_cast<taxonomy::NodeId>(layered->num_nodes()))
+          .empty());
 }
 
 TEST(SnapshotTest, SnapshotBackedServiceAnswersIdenticallyToMaterialized) {
