@@ -3,13 +3,15 @@
 # worlds) in one process, end to end.
 #
 #   1. boot cnprobase_serve with a fresh --root, --collection site_a
-#      (read-only) and --ingest site_b
+#      (read-only), --ingest site_b and a result cache (--cache-mb)
 #   2. reasoning queries (isa / lca / similar / expand) on BOTH collections,
 #      version-stamped; bare paths must answer byte-identically to the
-#      /v1/c/site_a/ prefix (site_a is the default collection)
+#      /v1/c/site_a/ prefix (site_a is the default collection), with the
+#      second answer served from the cache; a repeated site_a men2ent must
+#      report X-Cache: miss, then hit
 #   3. ingest pages into site_b only, wait for apply + publish
-#   4. isolation: site_b's version moved, site_a's did not — and the new
-#      pages are visible only under site_b
+#   4. isolation: site_b's version moved, site_a's did not — the new pages
+#      are visible only under site_b, and site_a's cached men2ent still hits
 #   5. SIGTERM: graceful drain must exit 0
 #
 # Usage: ci/collections_smoke.sh <path-to-cnprobase_serve>
@@ -23,7 +25,7 @@ trap 'kill -9 "$PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 : >"$LOG"
 "$BIN" --root "$WORK/root" --collection site_a --ingest site_b \
-  --entities 500 --threads 2 \
+  --entities 500 --threads 2 --cache-mb 4 \
   --publish-min-pages 2 --publish-max-delay-ms 50 >"$LOG" 2>&1 &
 PID=$!
 for _ in $(seq 1 240); do
@@ -64,6 +66,21 @@ require() {
   esac
 }
 
+# xcache <path> [curl args...]: the response's X-Cache header (hit/miss).
+xcache() {
+  local path=$1; shift
+  curl -sS -G -D - -o /dev/null "$@" "$BASE$path" \
+    | { grep -i '^X-Cache:' || true; } | tr -d '[:space:]' | cut -d: -f2
+}
+
+# require_cache <label> <hit|miss> <path> [curl args...]
+require_cache() {
+  local label=$1 want=$2 path=$3; shift 3
+  local got
+  got=$(xcache "$path" "$@")
+  [ "$got" = "$want" ] || { echo "FAIL $label: X-Cache '$got' (want $want)" >&2; exit 1; }
+}
+
 # version <collection>: the collection's current version stamp.
 version() {
   get "/v1/c/$1" | sed -n 's/.*"version":\([0-9]*\).*/\1/p'
@@ -93,11 +110,11 @@ for SITE in site_a site_b; do
   # Every reasoning answer is version-stamped from the pinned snapshot.
   STAMP=$(curl -sS -G -D - -o /dev/null "$BASE/v1/c/$SITE/isa" \
     --data-urlencode "entity=$ENTITY" --data-urlencode "concept=$CONCEPT" \
-    | grep -i '^X-Taxonomy-Version:' | tr -d '[:space:]' | cut -d: -f2)
+    | { grep -i '^X-Taxonomy-Version:' || true; } | tr -d '[:space:]' | cut -d: -f2)
   [ -n "$STAMP" ] || { echo "FAIL: $SITE isa has no version stamp" >&2; exit 1; }
 done
 
-echo "phase 3: bare paths == /v1/c/site_a/ prefix (default collection)"
+echo "phase 3: bare paths == /v1/c/site_a/ prefix (default collection), cached"
 ENTITY=$(sample site_a 4)
 CONCEPT=$(sample site_a 5)
 BARE=$(get /v1/isa --data-urlencode "entity=$ENTITY" --data-urlencode "concept=$CONCEPT")
@@ -108,6 +125,11 @@ if [ "$BARE" != "$PREFIXED" ]; then
   echo "  prefixed: $PREFIXED" >&2
   exit 1
 fi
+MENTION=$(sample site_a 3)
+require_cache "site_a men2ent first" miss /v1/c/site_a/men2ent \
+  --data-urlencode "mention=$MENTION"
+require_cache "site_a men2ent repeat" hit /v1/c/site_a/men2ent \
+  --data-urlencode "mention=$MENTION"
 
 A_BEFORE=$(version site_a)
 B_BEFORE=$(version site_b)
@@ -140,6 +162,9 @@ require "site_a isolation" 404 'unknown entity' /v1/c/site_a/isa \
   --data-urlencode "entity=smoke_x1" --data-urlencode "concept=smoke_cat"
 require "site_b reasoning over ingested page" 200 '"isa":true' /v1/c/site_b/isa \
   --data-urlencode "entity=smoke_x1" --data-urlencode "concept=smoke_cat"
+# site_b's publish left site_a's version, and so its cache entries, intact.
+require_cache "site_a men2ent after site_b ingest" hit /v1/c/site_a/men2ent \
+  --data-urlencode "mention=$MENTION"
 
 echo "phase 6: SIGTERM drain"
 kill -TERM "$PID"

@@ -360,8 +360,7 @@ int RunServer(const Flags& f) {
   collections::CollectionManager::Options options;
   options.root_dir = f.root;
   options.default_collection = f.collections.front().first;
-  options.enable_cache = f.cache_mb > 0;
-  options.cache_config.max_bytes = f.cache_mb << 20;
+  options.cache_bytes = f.cache_mb << 20;
   // Updaters are borrowed by the manager's daemons: declared first, so
   // they outlive it.
   std::unique_ptr<World> world;

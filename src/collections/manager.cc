@@ -13,24 +13,13 @@ namespace cnpb::collections {
 
 namespace {
 
+using server::ApiEndpoints;
 using util::JsonString;
 using util::JsonUInt;
 
 constexpr char kRegistryFile[] = "collections.reg";
 constexpr char kSnapshotFile[] = "snapshot.bin";
 constexpr size_t kMaxNameLength = 64;
-
-// Same wire error shape as ApiEndpoints (DESIGN.md §9), built locally so
-// the routing layer does not need a friend handle into the server library.
-HttpResponse ErrorResponse(int status, util::StatusCode code,
-                           const std::string& message) {
-  HttpResponse response;
-  response.status = status;
-  response.body = std::string("{\"error\":{\"code\":") +
-                  JsonString(util::StatusCodeName(code)) +
-                  ",\"message\":" + JsonString(message) + "}}\n";
-  return response;
-}
 
 bool ValidNameChar(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -95,10 +84,21 @@ std::shared_ptr<CollectionManager::Collection> CollectionManager::Find(
 }
 
 std::shared_ptr<CollectionManager::Collection>
-CollectionManager::MakeCollection(const std::string& name, Quotas quotas) {
+CollectionManager::MakeCollection(
+    const std::string& name, Quotas quotas,
+    std::unique_ptr<taxonomy::ApiService> service) {
   auto collection = std::make_shared<Collection>();
   collection->name = name;
   collection->quotas = quotas;
+  collection->service = std::move(service);
+  collection->service->SetServingLimits(
+      {quotas.max_in_flight, quotas.deadline});
+  collection->endpoints =
+      options_.cache_bytes > 0
+          ? std::make_unique<ApiEndpoints>(
+                collection->service.get(),
+                server::ResultCache::Config{.max_bytes = options_.cache_bytes})
+          : std::make_unique<ApiEndpoints>(collection->service.get());
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   collection->requests =
       registry.counter("coll." + name + ".http.requests");
@@ -124,15 +124,8 @@ util::Status CollectionManager::AddCollection(
     CNPB_RETURN_IF_ERROR(
         taxonomy::WriteSnapshot(*view, dir + "/" + kSnapshotFile));
   }
-  std::shared_ptr<Collection> collection = MakeCollection(name, quotas);
-  collection->service = std::make_unique<taxonomy::ApiService>(view);
-  collection->service->SetServingLimits(
-      {quotas.max_in_flight, quotas.deadline});
-  collection->endpoints =
-      options_.enable_cache
-          ? std::make_unique<server::ApiEndpoints>(collection->service.get(),
-                                                   options_.cache_config)
-          : std::make_unique<server::ApiEndpoints>(collection->service.get());
+  std::shared_ptr<Collection> collection = MakeCollection(
+      name, quotas, std::make_unique<taxonomy::ApiService>(std::move(view)));
   std::unique_lock<std::shared_mutex> lock(mu_);
   collections_.push_back(std::move(collection));
   return PersistRegistryLocked();
@@ -163,17 +156,10 @@ util::Status CollectionManager::AddIngestCollection(
         CollectionDir(options_.root_dir, name) + "/wal";
   }
   CNPB_RETURN_IF_ERROR(ingest::EnsureDir(daemon_options.wal_dir));
-  std::shared_ptr<Collection> collection = MakeCollection(name, quotas);
+  std::shared_ptr<Collection> collection = MakeCollection(
+      name, quotas,
+      std::make_unique<taxonomy::ApiService>(updater->snapshot()));
   collection->ingest = true;
-  collection->service =
-      std::make_unique<taxonomy::ApiService>(updater->snapshot());
-  collection->service->SetServingLimits(
-      {quotas.max_in_flight, quotas.deadline});
-  collection->endpoints =
-      options_.enable_cache
-          ? std::make_unique<server::ApiEndpoints>(collection->service.get(),
-                                                   options_.cache_config)
-          : std::make_unique<server::ApiEndpoints>(collection->service.get());
   collection->daemon = std::make_unique<ingest::IngestDaemon>(
       updater, collection->service.get(), std::move(daemon_options));
   // Recovery before registration: the collection only becomes routable
@@ -277,18 +263,9 @@ util::Status CollectionManager::Open() {
     util::Result<std::shared_ptr<const taxonomy::ServingView>> snapshot =
         taxonomy::ServingView::Load(snapshot_path);
     CNPB_RETURN_IF_ERROR(snapshot.status());
-    std::shared_ptr<Collection> collection =
-        MakeCollection(fields[0], quotas);
-    collection->service =
-        std::make_unique<taxonomy::ApiService>(*std::move(snapshot));
-    collection->service->SetServingLimits(
-        {quotas.max_in_flight, quotas.deadline});
-    collection->endpoints =
-        options_.enable_cache
-            ? std::make_unique<server::ApiEndpoints>(
-                  collection->service.get(), options_.cache_config)
-            : std::make_unique<server::ApiEndpoints>(
-                  collection->service.get());
+    std::shared_ptr<Collection> collection = MakeCollection(
+        fields[0], quotas,
+        std::make_unique<taxonomy::ApiService>(*std::move(snapshot)));
     std::unique_lock<std::shared_mutex> lock(mu_);
     collections_.push_back(std::move(collection));
   }
@@ -355,8 +332,8 @@ HttpResponse CollectionManager::Handle(const HttpRequest& request) {
   if (path == "/v1/collections") {
     if (request.method != "GET" && request.method != "HEAD") {
       HttpResponse response =
-          ErrorResponse(405, util::StatusCode::kInvalidArgument,
-                        "method not allowed: " + request.method);
+          ApiEndpoints::ErrorResponse(405, util::StatusCode::kInvalidArgument,
+                                      "method not allowed: " + request.method);
       response.headers.emplace_back("Allow", "GET, HEAD");
       return response;
     }
@@ -369,8 +346,9 @@ HttpResponse CollectionManager::Handle(const HttpRequest& request) {
         slash == std::string_view::npos ? rest : rest.substr(0, slash);
     const std::shared_ptr<Collection> collection = Find(name);
     if (collection == nullptr) {
-      return ErrorResponse(404, util::StatusCode::kNotFound,
-                           "no such collection: " + std::string(name));
+      return ApiEndpoints::ErrorResponse(
+          404, util::StatusCode::kNotFound,
+          "no such collection: " + std::string(name));
     }
     const std::string_view suffix =
         slash == std::string_view::npos ? std::string_view()
@@ -391,9 +369,9 @@ HttpResponse CollectionManager::Handle(const HttpRequest& request) {
   const std::shared_ptr<Collection> fallback =
       Find(options_.default_collection);
   if (fallback == nullptr) {
-    return ErrorResponse(503, util::StatusCode::kIoError,
-                         "default collection not registered: " +
-                             options_.default_collection);
+    return ApiEndpoints::ErrorResponse(
+        503, util::StatusCode::kIoError,
+        "default collection not registered: " + options_.default_collection);
   }
   return fallback->Handle(request);
 }

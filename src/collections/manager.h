@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "server/http.h"
 #include "server/ingest_endpoints.h"
-#include "server/result_cache.h"
 #include "server/server.h"
 #include "server/service.h"
 #include "taxonomy/api_service.h"
@@ -79,10 +78,9 @@ class CollectionManager {
     std::string root_dir;
     // The collection bare (un-prefixed) paths route to.
     std::string default_collection = "default";
-    // When true, every collection's endpoints run a private ResultCache
-    // built from cache_config.
-    bool enable_cache = false;
-    server::ResultCache::Config cache_config;
+    // Byte budget of the private ResultCache each collection's endpoints
+    // run; 0 serves uncached.
+    size_t cache_bytes = 0;
   };
 
   explicit CollectionManager(Options options);
@@ -158,8 +156,12 @@ class CollectionManager {
 
   util::Status ValidateName(const std::string& name) const;
   std::shared_ptr<Collection> Find(std::string_view name) const;
-  std::shared_ptr<Collection> MakeCollection(const std::string& name,
-                                             Quotas quotas);
+  // Builds a collection's serving stack in one place: `service` with the
+  // quotas as its serving limits, its ApiEndpoints (cached per
+  // Options::cache_bytes) and its per-collection instruments.
+  std::shared_ptr<Collection> MakeCollection(
+      const std::string& name, Quotas quotas,
+      std::unique_ptr<taxonomy::ApiService> service);
   // Serialises + atomically rewrites the registry. Caller holds mu_.
   util::Status PersistRegistryLocked();
   HttpResponse ListCollections();

@@ -19,15 +19,12 @@ namespace cnpb::router {
 
 namespace {
 
+using server::ApiEndpoints;
 using server::HttpClient;
 using server::HttpRequest;
 using server::HttpResponse;
 using util::JsonString;
 using util::JsonUInt;
-
-// Mirrors the backend cap (service.cc): the router enforces it up front so
-// an oversized batch costs one 400, not a fan-out.
-constexpr size_t kMaxBatchItems = 256;
 
 // Bounds of the adaptive hedge delay (see Options::hedge_initial).
 constexpr int64_t kHedgeMinMs = 1;
@@ -35,18 +32,6 @@ constexpr int64_t kHedgeMaxMs = 100;
 
 // Idle keep-alive connections pooled per backend.
 constexpr size_t kMaxIdlePerBackend = 8;
-
-// Same JSON error shape the backends emit, so router-originated errors are
-// indistinguishable on the wire from backend-originated ones.
-HttpResponse ErrorResponse(int status, util::StatusCode code,
-                           const std::string& message) {
-  HttpResponse response;
-  response.status = status;
-  response.body = std::string("{\"error\":{\"code\":") +
-                  JsonString(util::StatusCodeName(code)) +
-                  ",\"message\":" + JsonString(message) + "}}\n";
-  return response;
-}
 
 uint64_t VersionOf(const HttpClient::Response& response) {
   uint64_t version = 0;
@@ -409,7 +394,7 @@ HttpResponse Router::ForwardSingle(size_t shard,
     exclude = replica;
   }
   no_backend_.fetch_add(1, std::memory_order_relaxed);
-  return ErrorResponse(
+  return ApiEndpoints::ErrorResponse(
       503, util::StatusCode::kIoError,
       util::StrFormat("shard %zu unavailable: %s", shard,
                       std::string(last.message()).c_str()));
@@ -417,31 +402,12 @@ HttpResponse Router::ForwardSingle(size_t shard,
 
 HttpResponse Router::ForwardBatch(const HttpRequest& request,
                                   std::string_view param) {
-  // Collect items exactly like the backend does (service.cc BatchItems).
+  // The backend's own item reader and cap, enforced up front so a bad
+  // batch costs one 400, not a fan-out.
   std::vector<std::string> items;
-  if (request.method == "POST") {
-    for (const std::string& line : util::Split(request.body, '\n')) {
-      std::string_view term = line;
-      if (!term.empty() && term.back() == '\r') term.remove_suffix(1);
-      if (!term.empty()) items.emplace_back(term);
-    }
-  } else {
-    for (const auto& [key, value] : request.params) {
-      if (key == param) items.push_back(value);
-    }
-  }
-  if (items.empty()) {
-    return ErrorResponse(
-        400, util::StatusCode::kInvalidArgument,
-        "no " + std::string(param) + " given (repeat ?" + std::string(param) +
-            "= or POST one per line)");
-  }
-  if (items.size() > kMaxBatchItems) {
-    return ErrorResponse(
-        400, util::StatusCode::kInvalidArgument,
-        "batch too large: " + std::to_string(items.size()) + " items (max " +
-            std::to_string(kMaxBatchItems) + ")");
-  }
+  const util::Status collected =
+      ApiEndpoints::BatchItems(request, param, &items);
+  if (!collected.ok()) return ApiEndpoints::StatusResponse(collected);
 
   // Pass-through query params (transitive, limit, ...) ride on every
   // sub-batch; the items themselves travel as a POST body.
@@ -536,7 +502,7 @@ HttpResponse Router::ForwardBatch(const HttpRequest& request,
     util::Result<HttpClient::Response> response = fetch_group(s);
     if (!response.ok()) {
       no_backend_.fetch_add(1, std::memory_order_relaxed);
-      return ErrorResponse(
+      return ApiEndpoints::ErrorResponse(
           503, util::StatusCode::kIoError,
           util::StrFormat("shard %zu unavailable: %s", s,
                           std::string(response.status().message()).c_str()));
@@ -581,7 +547,7 @@ HttpResponse Router::ForwardBatch(const HttpRequest& request,
   for (size_t s = 0; s < num_shards; ++s) {
     if (responses[s].has_value() && VersionOf(*responses[s]) != max_version) {
       mixed_refusals_.fetch_add(1, std::memory_order_relaxed);
-      return ErrorResponse(
+      return ApiEndpoints::ErrorResponse(
           503, util::StatusCode::kIoError,
           util::StrFormat(
               "mixed snapshot generations across shards (want %llu, shard "
@@ -598,13 +564,13 @@ HttpResponse Router::ForwardBatch(const HttpRequest& request,
     if (!responses[s].has_value()) continue;
     std::string_view array;
     if (!FindJsonArray(responses[s]->body, "results", &array)) {
-      return ErrorResponse(503, util::StatusCode::kDataLoss,
-                           util::StrFormat(
-                               "shard %zu returned no results array", s));
+      return ApiEndpoints::ErrorResponse(
+          503, util::StatusCode::kDataLoss,
+          util::StrFormat("shard %zu returned no results array", s));
     }
     const std::vector<std::string_view> elements = SplitTopLevelJson(array);
     if (elements.size() != groups[s].size()) {
-      return ErrorResponse(
+      return ApiEndpoints::ErrorResponse(
           503, util::StatusCode::kDataLoss,
           util::StrFormat("shard %zu returned %zu results for %zu items", s,
                           elements.size(), groups[s].size()));
@@ -726,8 +692,8 @@ HttpResponse Router::Handle(const HttpRequest& request) {
   } else if (util::StartsWith(path, "/v1/")) {
     route = std::string_view(path).substr(3);
   } else {
-    return ErrorResponse(404, util::StatusCode::kNotFound,
-                         "no such endpoint: " + path);
+    return ApiEndpoints::ErrorResponse(404, util::StatusCode::kNotFound,
+                                       "no such endpoint: " + path);
   }
   if (route == "/men2ent") {
     return ForwardSingle(ShardForParam(request, "mention"), request);
@@ -745,8 +711,8 @@ HttpResponse Router::Handle(const HttpRequest& request) {
   if (route == "/getConcept_batch") return ForwardBatch(request, "entity");
   if (route == "/getEntity_batch") return ForwardBatch(request, "concept");
   if (prefixed) return ForwardSingle(0, request);
-  return ErrorResponse(404, util::StatusCode::kNotFound,
-                       "no such endpoint: " + path);
+  return ApiEndpoints::ErrorResponse(404, util::StatusCode::kNotFound,
+                                     "no such endpoint: " + path);
 }
 
 void Router::ObserveForwardLatency(std::chrono::microseconds elapsed) {

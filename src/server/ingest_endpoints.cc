@@ -6,22 +6,11 @@
 
 #include "kb/page.h"
 #include "server/service.h"
-#include "util/json.h"
 #include "util/strings.h"
 
 namespace cnpb::server {
 
 namespace {
-
-HttpResponse ErrorResponse(int status, util::StatusCode code,
-                           const std::string& message) {
-  HttpResponse response;
-  response.status = status;
-  response.body = std::string("{\"error\":{\"code\":\"") +
-                  util::StatusCodeName(code) +
-                  "\",\"message\":" + util::JsonString(message) + "}}\n";
-  return response;
-}
 
 // One "k=v;k=v"-style cell into parts; empty cell -> no parts.
 std::vector<std::string> SplitCell(std::string_view cell) {
@@ -36,8 +25,9 @@ bool ParseLine(std::string_view line, size_t line_number, bool* is_delete,
                HttpResponse* error) {
   const std::vector<std::string> fields = util::Split(line, '\t');
   auto fail = [&](const std::string& what) {
-    *error = ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                           "line " + std::to_string(line_number) + ": " + what);
+    *error = ApiEndpoints::ErrorResponse(
+        400, util::StatusCode::kInvalidArgument,
+        "line " + std::to_string(line_number) + ": " + what);
     return false;
   };
   if (fields.empty() || fields[0].empty()) return fail("missing op");
@@ -87,7 +77,7 @@ IngestEndpoints::IngestEndpoints(ingest::IngestDaemon* daemon,
 HttpResponse IngestEndpoints::Handle(const HttpRequest& request) {
   if (request.path == "/v1/ingest") {
     if (request.method != "POST") {
-      HttpResponse response = ErrorResponse(
+      HttpResponse response = ApiEndpoints::ErrorResponse(
           405, util::StatusCode::kInvalidArgument, "POST required");
       response.headers.emplace_back("Allow", "POST");
       return response;
@@ -107,8 +97,8 @@ HttpResponse IngestEndpoints::Ingest(const HttpRequest& request) {
   if (request.HasParam("priority")) {
     if (!util::ParseUint64(request.Param("priority"), &priority) ||
         priority > 255) {
-      return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                           "priority must be 0..255");
+      return ApiEndpoints::ErrorResponse(
+          400, util::StatusCode::kInvalidArgument, "priority must be 0..255");
     }
   }
 
@@ -140,8 +130,8 @@ HttpResponse IngestEndpoints::Ingest(const HttpRequest& request) {
     ops.push_back(std::move(op));
   }
   if (ops.empty()) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "empty ingest body");
+    return ApiEndpoints::ErrorResponse(
+        400, util::StatusCode::kInvalidArgument, "empty ingest body");
   }
 
   const auto pri = static_cast<uint8_t>(priority);
@@ -171,8 +161,7 @@ HttpResponse IngestEndpoints::Ingest(const HttpRequest& request) {
     }
   }
   if (!status.ok()) {
-    return ErrorResponse(ApiEndpoints::HttpStatusForCode(status.code()),
-                         status.code(), status.message());
+    return ApiEndpoints::StatusResponse(status);
   }
 
   HttpResponse response;

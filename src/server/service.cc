@@ -1,5 +1,6 @@
 #include "server/service.h"
 
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -19,50 +20,37 @@ using util::JsonUInt;
 // the benches, so a denser sample still costs nothing measurable).
 constexpr uint32_t kLatencySampleMask = 63;
 
-// Upper bound on items per batch request: bounds per-request work and
-// response size the same way parser limits bound the request itself.
-constexpr size_t kMaxBatchItems = 256;
-
 bool SampleLatency() {
   thread_local uint32_t tick = 0;
   return (++tick & kLatencySampleMask) == 0;
 }
 
-// Strict limit=N parse shared by /v1/getEntity and its batch form: an
-// integer in [1, 100000], digits only — "+5" and "%205" (leading space) are
-// 400s, per the documented contract.
-bool ParseLimit(std::string_view raw, size_t* limit) {
+HttpResponse MissingParameter(std::string_view name) {
+  return ApiEndpoints::ErrorResponse(
+      400, util::StatusCode::kInvalidArgument,
+      "missing required parameter: " + std::string(name));
+}
+
+// Strict parse of an optional numeric knob (limit, max_depth, k): absent
+// keeps *value; present must be an integer in [1, max], digits only — "+5"
+// and "%205" (leading space) are 400s, per the documented contract.
+util::Status ParseBounded(const HttpRequest& request, std::string_view name,
+                          uint64_t max, size_t* value) {
+  if (!request.HasParam(name)) return util::Status::Ok();
   uint64_t parsed = 0;
-  if (!util::ParseUint64(raw, &parsed) || parsed == 0 || parsed > 100000) {
-    return false;
+  if (!util::ParseUint64(request.Param(name), &parsed) || parsed == 0 ||
+      parsed > max) {
+    return util::InvalidArgumentError(std::string(name) +
+                                      " must be an integer in [1, " +
+                                      std::to_string(max) + "]");
   }
-  *limit = static_cast<size_t>(parsed);
-  return true;
+  *value = static_cast<size_t>(parsed);
+  return util::Status::Ok();
 }
 
 bool ParseTransitive(const HttpRequest& request) {
   const std::string_view raw = request.Param("transitive", "0");
   return raw == "1" || raw == "true";
-}
-
-// Reasoning knobs, strict like ParseLimit: max_depth in [1, 16], k in
-// [1, 100] (the ReasonService limits' ceilings).
-bool ParseMaxDepth(std::string_view raw, size_t* depth) {
-  uint64_t parsed = 0;
-  if (!util::ParseUint64(raw, &parsed) || parsed == 0 || parsed > 16) {
-    return false;
-  }
-  *depth = static_cast<size_t>(parsed);
-  return true;
-}
-
-bool ParseTopK(std::string_view raw, size_t* k) {
-  uint64_t parsed = 0;
-  if (!util::ParseUint64(raw, &parsed) || parsed == 0 || parsed > 100) {
-    return false;
-  }
-  *k = static_cast<size_t>(parsed);
-  return true;
 }
 
 // Length-prefixes a second query argument for use inside a cache-key
@@ -71,9 +59,8 @@ std::string PackArg(std::string_view arg) {
   return std::to_string(arg.size()) + ":" + std::string(arg);
 }
 
-// The shared per-item fragments (see ItemFragment in service.h): the inner
-// JSON array both the single-shot envelope and the batch item envelope
-// splice in, byte-identical between the two paths.
+// The JSON arrays the envelopes splice in, byte-identical between the
+// single-shot and batch forms.
 std::string Men2EntFragment(
     const std::vector<taxonomy::ApiService::ResolvedEntity>& entities) {
   std::string out = "[";
@@ -114,6 +101,66 @@ std::string ScoredNamesFragment(
   }
   out += "]";
   return out;
+}
+
+// The cacheable unit of one answer: `status` is the single-shot HTTP status
+// and `fragment` the JSON its envelope wraps — the per-item array of a
+// paper endpoint, shared with its batch form (which ignores the status:
+// men2ent's 404 for an unknown mention becomes an empty list in position),
+// or the whole body of a reasoning endpoint.
+struct ItemFragment {
+  int status = 200;
+  std::string fragment;
+};
+
+// Units together with the snapshot version they were resolved against.
+using Resolved = util::Result<std::pair<uint64_t, ItemFragment>>;
+using BatchResolved =
+    util::Result<std::pair<uint64_t, std::vector<ItemFragment>>>;
+
+ItemFragment Men2EntItem(
+    const std::vector<taxonomy::ApiService::ResolvedEntity>& entities) {
+  // A mention resolving to nothing means the mention itself is unknown —
+  // unlike getConcept/getEntity, where a known term can legitimately have
+  // an empty answer. Still snapshot-derived, still cacheable.
+  return {entities.empty() ? 404 : 200, Men2EntFragment(entities)};
+}
+
+Resolved NamesItem(const util::Result<taxonomy::ApiService::NamesResolved>&
+                       result) {
+  if (!result.ok()) return result.status();
+  return std::make_pair(result->version,
+                        ItemFragment{200, NamesFragment(result->names)});
+}
+
+BatchResolved NamesItems(
+    const util::Result<taxonomy::ApiService::NamesBatchResolved>& result) {
+  if (!result.ok()) return result.status();
+  std::vector<ItemFragment> items;
+  items.reserve(result->results.size());
+  for (const auto& names : result->results) {
+    items.push_back({200, NamesFragment(names)});
+  }
+  return std::make_pair(result->version, std::move(items));
+}
+
+// A reasoning answer: the unit is the whole body.
+Resolved WholeBody(uint64_t version, std::string body) {
+  return std::make_pair(version, ItemFragment{200, std::move(body)});
+}
+
+Resolved UnknownName(uint64_t version, const std::string& message) {
+  return std::make_pair(
+      version, ItemFragment{404, ApiEndpoints::ErrorResponse(
+                                     404, util::StatusCode::kNotFound, message)
+                                     .body});
+}
+
+HttpResponse WholeBodyEnvelope(uint64_t /*version*/, ItemFragment&& unit) {
+  HttpResponse response;
+  response.status = unit.status;
+  response.body = std::move(unit.fragment);
+  return response;
 }
 
 bool HasVersionHeader(const HttpResponse& response) {
@@ -177,190 +224,185 @@ HttpResponse ApiEndpoints::StatusResponse(const util::Status& status) {
                        status.message());
 }
 
-template <typename Compute>
+const std::vector<ApiEndpoints::Route>& ApiEndpoints::Routes() {
+  static const std::vector<Route> routes = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+    const auto requests = [&](std::string_view endpoint) {
+      return registry.counter("http.requests." + std::string(endpoint));
+    };
+    obs::BucketHistogram* const men2ent =
+        registry.histogram("http.latency.men2ent_seconds");
+    obs::BucketHistogram* const get_concept =
+        registry.histogram("http.latency.get_concept_seconds");
+    obs::BucketHistogram* const get_entity =
+        registry.histogram("http.latency.get_entity_seconds");
+    obs::BucketHistogram* const reason =
+        registry.histogram("http.latency.reason_seconds");
+    return std::vector<Route>{
+        {"/v1/men2ent", &ApiEndpoints::Men2Ent, requests("men2ent"), men2ent,
+         false},
+        {"/v1/getConcept", &ApiEndpoints::GetConcept,
+         requests("get_concept"), get_concept, false},
+        {"/v1/getEntity", &ApiEndpoints::GetEntity, requests("get_entity"),
+         get_entity, false},
+        {"/v1/men2ent_batch", &ApiEndpoints::Men2EntBatch,
+         requests("men2ent_batch"), men2ent, true},
+        {"/v1/getConcept_batch", &ApiEndpoints::GetConceptBatch,
+         requests("get_concept_batch"), get_concept, true},
+        {"/v1/getEntity_batch", &ApiEndpoints::GetEntityBatch,
+         requests("get_entity_batch"), get_entity, true},
+        {"/v1/isa", &ApiEndpoints::Isa, requests("isa"), reason, false},
+        {"/v1/lca", &ApiEndpoints::Lca, requests("lca"), reason, false},
+        {"/v1/similar", &ApiEndpoints::Similar, requests("similar"), reason,
+         false},
+        {"/v1/expand", &ApiEndpoints::Expand, requests("expand"), reason,
+         false},
+        {"/healthz", &ApiEndpoints::Healthz, requests("healthz"), nullptr,
+         false},
+        {"/metrics", &ApiEndpoints::Metrics, requests("metrics"), nullptr,
+         false},
+    };
+  }();
+  return routes;
+}
+
+template <typename Resolve, typename Envelope>
 HttpResponse ApiEndpoints::Cached(std::string_view endpoint,
                                   std::string_view arg,
-                                  std::string_view options,
-                                  Compute&& compute) {
-  if (cache_ == nullptr) {
-    uint64_t resolved_version = 0;
-    HttpResponse response = compute(&resolved_version);
-    if (resolved_version != 0) StampVersion(&response, resolved_version);
-    return response;
+                                  std::string_view options, Resolve&& resolve,
+                                  Envelope&& envelope) {
+  std::string key;
+  if (cache_ != nullptr) {
+    key = ResultCache::Key(endpoint, arg, options);
+    ResultCache::CachedResponse hit;
+    if (cache_->Lookup(key, api_->version(), &hit)) {
+      // Serving a version-V answer while V is (or moments ago was) current
+      // is indistinguishable from the request having arrived earlier: the
+      // stamp inside the body still names the snapshot the data came from.
+      HttpResponse response =
+          envelope(hit.version, ItemFragment{hit.status, std::move(hit.body)});
+      response.headers.emplace_back("X-Cache", "hit");
+      StampVersion(&response, hit.version);
+      return response;
+    }
   }
-  const std::string key = ResultCache::Key(endpoint, arg, options);
-  ResultCache::CachedResponse hit;
-  if (cache_->Lookup(key, api_->version(), &hit)) {
-    // Serving a version-V body while V is (or moments ago was) current is
-    // indistinguishable from the request having arrived earlier: the stamp
-    // inside the body still names the snapshot the data came from.
-    HttpResponse response;
-    response.status = hit.status;
-    response.body = std::move(hit.body);
-    response.headers.emplace_back("X-Cache", "hit");
-    StampVersion(&response, hit.version);
-    return response;
+  // Only snapshot-derived answers are cacheable: transient errors
+  // (429/503/504) must be re-evaluated per request.
+  Resolved resolved = resolve();
+  if (!resolved.ok()) return StatusResponse(resolved.status());
+  auto& [version, unit] = *resolved;
+  if (cache_ != nullptr) {
+    cache_->Insert(key, version, unit.status, unit.fragment);
   }
-  uint64_t resolved_version = 0;
-  HttpResponse response = compute(&resolved_version);
-  if (resolved_version != 0) {
-    // Only snapshot-derived answers are cacheable (compute signals that by
-    // setting the version): transient errors (429/503/504) and malformed
-    // arguments must be re-evaluated per request.
-    cache_->Insert(key, resolved_version, response.status, response.body);
-    response.headers.emplace_back("X-Cache", "miss");
-    StampVersion(&response, resolved_version);
-  }
+  HttpResponse response = envelope(version, std::move(unit));
+  if (cache_ != nullptr) response.headers.emplace_back("X-Cache", "miss");
+  StampVersion(&response, version);
   return response;
 }
 
 template <typename Resolve>
-ApiEndpoints::BatchOutcome ApiEndpoints::ResolveBatchCached(
+HttpResponse ApiEndpoints::ResolveBatchCached(
     const std::vector<std::string>& items, std::string_view endpoint,
-    std::string_view options, Resolve&& resolve) {
-  BatchOutcome out;
-  out.fragments.resize(items.size());
-  std::vector<char> have(items.size(), 0);
-  uint64_t hit_version = 0;
-  if (cache_ != nullptr) {
-    // One version read for the whole sweep: every hit carries exactly this
-    // version (Lookup only hits on equality), so the hits are mutually
-    // coherent by construction.
-    const uint64_t lookup_version = api_->version();
-    for (size_t i = 0; i < items.size(); ++i) {
-      ResultCache::CachedResponse hit;
-      if (cache_->Lookup(ResultCache::Key(endpoint, items[i], options),
-                         lookup_version, &hit)) {
-        out.fragments[i] = std::move(hit.body);
-        have[i] = 1;
-        ++out.hits;
-        hit_version = hit.version;
-      }
-    }
-  }
+    std::string_view options, std::string_view head,
+    std::string_view item_key, std::string_view list_key, Resolve&& resolve) {
+  std::vector<std::string> fragments(items.size());
   std::vector<std::string> misses;
   std::vector<size_t> miss_index;
+  size_t hits = 0;
+  uint64_t version = 0;  // the hits' version, then the response's
+  // One version read for the whole sweep: every hit carries exactly this
+  // version (Lookup only hits on equality), so the hits are mutually
+  // coherent by construction.
+  const uint64_t lookup_version = api_->version();
   for (size_t i = 0; i < items.size(); ++i) {
-    if (have[i] == 0) {
+    ResultCache::CachedResponse hit;
+    if (cache_ != nullptr &&
+        cache_->Lookup(ResultCache::Key(endpoint, items[i], options),
+                       lookup_version, &hit)) {
+      fragments[i] = std::move(hit.body);
+      ++hits;
+      version = hit.version;
+    } else {
       misses.push_back(items[i]);
       miss_index.push_back(i);
     }
   }
-  if (misses.empty()) {
-    out.version = hit_version;
-    return out;
-  }
-  auto result = resolve(misses);
-  if (!result.ok()) {
-    out.failed = true;
-    out.error = StatusResponse(result.status());
-    return out;
-  }
-  if (out.hits > 0 && result->first != hit_version) {
-    // A publish landed between the cache sweep and the resolve: the hits
-    // are stamped with the retired version, the misses with the new one.
-    // Re-resolve the whole batch against the current snapshot so the
-    // response keeps its single-version contract (rare — publish-frequency
-    // rare — so the double resolve does not matter).
-    auto redo = resolve(items);
-    if (!redo.ok()) {
-      out.failed = true;
-      out.error = StatusResponse(redo.status());
-      return out;
+  if (!misses.empty()) {
+    BatchResolved result = resolve(misses);
+    if (result.ok() && hits > 0 && result->first != version) {
+      // A publish landed between the cache sweep and the resolve: the hits
+      // are stamped with the retired version, the misses with the new one.
+      // Re-resolve the whole batch against the current snapshot so the
+      // response keeps its single-version contract (rare — publish-frequency
+      // rare — so the double resolve does not matter).
+      result = resolve(items);
+      hits = 0;
+      misses = items;
+      miss_index.resize(items.size());
+      std::iota(miss_index.begin(), miss_index.end(), size_t{0});
     }
-    out.hits = 0;
-    out.version = redo->first;
-    for (size_t i = 0; i < items.size(); ++i) {
-      ItemFragment& item = redo->second[i];
+    if (!result.ok()) return StatusResponse(result.status());
+    version = result->first;
+    for (size_t j = 0; j < misses.size(); ++j) {
+      ItemFragment& item = result->second[j];
       if (cache_ != nullptr) {
-        cache_->Insert(ResultCache::Key(endpoint, items[i], options),
-                       out.version, item.status, item.fragment);
+        cache_->Insert(ResultCache::Key(endpoint, misses[j], options),
+                       version, item.status, item.fragment);
       }
-      out.fragments[i] = std::move(item.fragment);
+      fragments[miss_index[j]] = std::move(item.fragment);
     }
-    return out;
   }
-  out.version = result->first;
-  for (size_t j = 0; j < miss_index.size(); ++j) {
-    ItemFragment& item = result->second[j];
-    if (cache_ != nullptr) {
-      cache_->Insert(ResultCache::Key(endpoint, misses[j], options),
-                     out.version, item.status, item.fragment);
-    }
-    out.fragments[miss_index[j]] = std::move(item.fragment);
+  const std::string item_open = "{\"" + std::string(item_key) + "\":";
+  const std::string list_open = ",\"" + std::string(list_key) + "\":";
+  std::string body = "{\"version\":" + JsonUInt(version) + std::string(head) +
+                     ",\"count\":" + JsonUInt(items.size()) +
+                     ",\"results\":[";
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) body += ',';
+    body += item_open + JsonString(items[i]) + list_open + fragments[i] + "}";
   }
-  return out;
+  body += "]}\n";
+  HttpResponse response;
+  response.body = std::move(body);
+  if (cache_ != nullptr) {
+    response.headers.emplace_back("X-Cache-Hits", std::to_string(hits));
+  }
+  StampVersion(&response, version);
+  return response;
 }
 
 HttpResponse ApiEndpoints::Handle(const HttpRequest& request) {
-  const bool is_batch = request.path == "/v1/men2ent_batch" ||
-                        request.path == "/v1/getConcept_batch" ||
-                        request.path == "/v1/getEntity_batch";
-  const bool method_ok =
-      request.method == "GET" || request.method == "HEAD" ||
-      (is_batch && request.method == "POST");
-  if (!method_ok) {
+  const Route* route = nullptr;
+  for (const Route& candidate : routes_) {
+    if (candidate.path == request.path) {
+      route = &candidate;
+      break;
+    }
+  }
+  const bool post_ok = route != nullptr && route->post;
+  if (request.method != "GET" && request.method != "HEAD" &&
+      !(post_ok && request.method == "POST")) {
     req_other_->Increment();
     resp_4xx_->Increment();
     HttpResponse response = ErrorResponse(
         405, util::StatusCode::kInvalidArgument,
         "method not allowed: " + request.method);
     response.headers.emplace_back("Allow",
-                                  is_batch ? "GET, HEAD, POST" : "GET, HEAD");
+                                  post_ok ? "GET, HEAD, POST" : "GET, HEAD");
     return response;
   }
-  HttpResponse response;
-  if (request.path == "/v1/men2ent") {
-    req_men2ent_->Increment();
-    obs::ScopedTimer timer(SampleLatency() ? lat_men2ent_ : nullptr);
-    response = Men2Ent(request);
-  } else if (request.path == "/v1/getConcept") {
-    req_get_concept_->Increment();
-    obs::ScopedTimer timer(SampleLatency() ? lat_get_concept_ : nullptr);
-    response = GetConcept(request);
-  } else if (request.path == "/v1/getEntity") {
-    req_get_entity_->Increment();
-    obs::ScopedTimer timer(SampleLatency() ? lat_get_entity_ : nullptr);
-    response = GetEntity(request);
-  } else if (request.path == "/v1/men2ent_batch") {
-    req_men2ent_batch_->Increment();
-    obs::ScopedTimer timer(SampleLatency() ? lat_men2ent_ : nullptr);
-    response = Men2EntBatch(request);
-  } else if (request.path == "/v1/getConcept_batch") {
-    req_get_concept_batch_->Increment();
-    obs::ScopedTimer timer(SampleLatency() ? lat_get_concept_ : nullptr);
-    response = GetConceptBatch(request);
-  } else if (request.path == "/v1/getEntity_batch") {
-    req_get_entity_batch_->Increment();
-    obs::ScopedTimer timer(SampleLatency() ? lat_get_entity_ : nullptr);
-    response = GetEntityBatch(request);
-  } else if (request.path == "/v1/isa") {
-    req_isa_->Increment();
-    obs::ScopedTimer timer(SampleLatency() ? lat_reason_ : nullptr);
-    response = Isa(request);
-  } else if (request.path == "/v1/lca") {
-    req_lca_->Increment();
-    obs::ScopedTimer timer(SampleLatency() ? lat_reason_ : nullptr);
-    response = Lca(request);
-  } else if (request.path == "/v1/similar") {
-    req_similar_->Increment();
-    obs::ScopedTimer timer(SampleLatency() ? lat_reason_ : nullptr);
-    response = Similar(request);
-  } else if (request.path == "/v1/expand") {
-    req_expand_->Increment();
-    obs::ScopedTimer timer(SampleLatency() ? lat_reason_ : nullptr);
-    response = Expand(request);
-  } else if (request.path == "/healthz") {
-    req_healthz_->Increment();
-    response = Healthz();
-  } else if (request.path == "/metrics") {
-    req_metrics_->Increment();
-    response = Metrics();
-  } else {
-    req_other_->Increment();
-    response = ErrorResponse(404, util::StatusCode::kNotFound,
-                             "no such endpoint: " + request.path);
-  }
+  HttpResponse response = [&] {
+    if (route == nullptr) {
+      req_other_->Increment();
+      return ErrorResponse(404, util::StatusCode::kNotFound,
+                           "no such endpoint: " + request.path);
+    }
+    route->requests->Increment();
+    obs::ScopedTimer timer(route->latency != nullptr && SampleLatency()
+                               ? route->latency
+                               : nullptr);
+    return (this->*route->handler)(request);
+  }();
   if (response.status >= 500) {
     resp_5xx_->Increment();
   } else if (response.status >= 400) {
@@ -377,146 +419,71 @@ HttpResponse ApiEndpoints::Handle(const HttpRequest& request) {
 }
 
 HttpResponse ApiEndpoints::Men2Ent(const HttpRequest& request) {
-  if (!request.HasParam("mention")) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "missing required parameter: mention");
-  }
+  if (!request.HasParam("mention")) return MissingParameter("mention");
   const std::string_view mention = request.Param("mention");
-  // The cache entry is the per-item *fragment* (plus the single-shot
-  // status), not the whole body, so batch requests for the same mention at
-  // the same version hit this entry and vice versa.
-  const auto envelope = [&](uint64_t version, int status,
-                            const std::string& fragment) {
-    if (status == 404) {
-      // Unlike getConcept/getEntity (where a known term can legitimately
-      // have an empty answer), a mention resolving to nothing means the
-      // mention itself is unknown. Still snapshot-derived, still cacheable.
-      return ErrorResponse(404, util::StatusCode::kNotFound,
-                           "unknown mention: " + std::string(mention));
-    }
-    HttpResponse response;
-    response.body = "{\"mention\":" + JsonString(mention) +
-                    ",\"version\":" + JsonUInt(version) +
-                    ",\"entities\":" + fragment + "}\n";
-    return response;
-  };
-  if (cache_ != nullptr) {
-    ResultCache::CachedResponse hit;
-    if (cache_->Lookup(ResultCache::Key("men2ent", mention, {}),
-                       api_->version(), &hit)) {
-      HttpResponse response = envelope(hit.version, hit.status, hit.body);
-      response.headers.emplace_back("X-Cache", "hit");
-      StampVersion(&response, hit.version);
-      return response;
-    }
-  }
-  const util::Result<taxonomy::ApiService::Men2EntResolved> result =
-      api_->TryMen2EntResolved(mention);
-  if (!result.ok()) return StatusResponse(result.status());
-  const int status = result->entities.empty() ? 404 : 200;
-  const std::string fragment = Men2EntFragment(result->entities);
-  if (cache_ != nullptr) {
-    cache_->Insert(ResultCache::Key("men2ent", mention, {}), result->version,
-                   status, fragment);
-  }
-  HttpResponse response = envelope(result->version, status, fragment);
-  if (cache_ != nullptr) response.headers.emplace_back("X-Cache", "miss");
-  StampVersion(&response, result->version);
-  return response;
+  return Cached(
+      "men2ent", mention, {},
+      [&]() -> Resolved {
+        const auto result = api_->TryMen2EntResolved(mention);
+        if (!result.ok()) return result.status();
+        return std::make_pair(result->version, Men2EntItem(result->entities));
+      },
+      [&](uint64_t version, ItemFragment&& item) {
+        if (item.status == 404) {
+          return ErrorResponse(404, util::StatusCode::kNotFound,
+                               "unknown mention: " + std::string(mention));
+        }
+        HttpResponse response;
+        response.body = "{\"mention\":" + JsonString(mention) +
+                        ",\"version\":" + JsonUInt(version) +
+                        ",\"entities\":" + item.fragment + "}\n";
+        return response;
+      });
 }
 
 HttpResponse ApiEndpoints::GetConcept(const HttpRequest& request) {
-  if (!request.HasParam("entity")) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "missing required parameter: entity");
-  }
+  if (!request.HasParam("entity")) return MissingParameter("entity");
   const std::string_view entity = request.Param("entity");
   const bool transitive = ParseTransitive(request);
-  const std::string options = transitive ? "|t1" : "|t0";
-  const auto envelope = [&](uint64_t version, const std::string& fragment) {
-    HttpResponse response;
-    // The stamp comes from the snapshot that resolved the names — reading
-    // api_->version() here instead would race a concurrent publish and
-    // claim a version this data was never resolved against.
-    response.body = "{\"entity\":" + JsonString(entity) +
-                    ",\"version\":" + JsonUInt(version) +
-                    ",\"transitive\":" +
-                    std::string(transitive ? "true" : "false") +
-                    ",\"concepts\":" + fragment + "}\n";
-    return response;
-  };
-  if (cache_ != nullptr) {
-    ResultCache::CachedResponse hit;
-    if (cache_->Lookup(ResultCache::Key("getConcept", entity, options),
-                       api_->version(), &hit)) {
-      HttpResponse response = envelope(hit.version, hit.body);
-      response.headers.emplace_back("X-Cache", "hit");
-      StampVersion(&response, hit.version);
-      return response;
-    }
-  }
-  const util::Result<taxonomy::ApiService::NamesResolved> result =
-      api_->TryGetConceptResolved(entity, transitive);
-  if (!result.ok()) return StatusResponse(result.status());
-  const std::string fragment = NamesFragment(result->names);
-  if (cache_ != nullptr) {
-    cache_->Insert(ResultCache::Key("getConcept", entity, options),
-                   result->version, 200, fragment);
-  }
-  HttpResponse response = envelope(result->version, fragment);
-  if (cache_ != nullptr) response.headers.emplace_back("X-Cache", "miss");
-  StampVersion(&response, result->version);
-  return response;
+  return Cached(
+      "getConcept", entity, transitive ? "|t1" : "|t0",
+      [&] {
+        return NamesItem(api_->TryGetConceptResolved(entity, transitive));
+      },
+      [&](uint64_t version, ItemFragment&& item) {
+        HttpResponse response;
+        response.body = "{\"entity\":" + JsonString(entity) +
+                        ",\"version\":" + JsonUInt(version) +
+                        ",\"transitive\":" +
+                        std::string(transitive ? "true" : "false") +
+                        ",\"concepts\":" + item.fragment + "}\n";
+        return response;
+      });
 }
 
 HttpResponse ApiEndpoints::GetEntity(const HttpRequest& request) {
-  if (!request.HasParam("concept")) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "missing required parameter: concept");
-  }
+  if (!request.HasParam("concept")) return MissingParameter("concept");
   const std::string_view concept_name = request.Param("concept");
   size_t limit = 100;
-  if (request.HasParam("limit") &&
-      !ParseLimit(request.Param("limit"), &limit)) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "limit must be an integer in [1, 100000]");
-  }
-  const std::string options = "|l" + std::to_string(limit);
-  const auto envelope = [&](uint64_t version, const std::string& fragment) {
-    HttpResponse response;
-    response.body = "{\"concept\":" + JsonString(concept_name) +
-                    ",\"version\":" + JsonUInt(version) +
-                    ",\"entities\":" + fragment + "}\n";
-    return response;
-  };
-  if (cache_ != nullptr) {
-    ResultCache::CachedResponse hit;
-    if (cache_->Lookup(ResultCache::Key("getEntity", concept_name, options),
-                       api_->version(), &hit)) {
-      HttpResponse response = envelope(hit.version, hit.body);
-      response.headers.emplace_back("X-Cache", "hit");
-      StampVersion(&response, hit.version);
-      return response;
-    }
-  }
-  const util::Result<taxonomy::ApiService::NamesResolved> result =
-      api_->TryGetEntityResolved(concept_name, limit);
-  if (!result.ok()) return StatusResponse(result.status());
-  const std::string fragment = NamesFragment(result->names);
-  if (cache_ != nullptr) {
-    cache_->Insert(ResultCache::Key("getEntity", concept_name, options),
-                   result->version, 200, fragment);
-  }
-  HttpResponse response = envelope(result->version, fragment);
-  if (cache_ != nullptr) response.headers.emplace_back("X-Cache", "miss");
-  StampVersion(&response, result->version);
-  return response;
+  const util::Status parsed = ParseBounded(request, "limit", 100000, &limit);
+  if (!parsed.ok()) return StatusResponse(parsed);
+  return Cached(
+      "getEntity", concept_name, "|l" + std::to_string(limit),
+      [&] {
+        return NamesItem(api_->TryGetEntityResolved(concept_name, limit));
+      },
+      [&](uint64_t version, ItemFragment&& item) {
+        HttpResponse response;
+        response.body = "{\"concept\":" + JsonString(concept_name) +
+                        ",\"version\":" + JsonUInt(version) +
+                        ",\"entities\":" + item.fragment + "}\n";
+        return response;
+      });
 }
 
-bool ApiEndpoints::BatchItems(const HttpRequest& request,
-                              std::string_view param,
-                              std::vector<std::string>* items,
-                              HttpResponse* error) {
+util::Status ApiEndpoints::BatchItems(const HttpRequest& request,
+                                      std::string_view param,
+                                      std::vector<std::string>* items) {
   if (request.method == "POST") {
     // One term per line, raw UTF-8, no escaping; blank lines are skipped.
     for (const std::string& line : util::Split(request.body, '\n')) {
@@ -530,226 +497,120 @@ bool ApiEndpoints::BatchItems(const HttpRequest& request,
     }
   }
   if (items->empty()) {
-    *error = ErrorResponse(
-        400, util::StatusCode::kInvalidArgument,
+    return util::InvalidArgumentError(
         "no " + std::string(param) + " given (repeat ?" + std::string(param) +
-            "= or POST one per line)");
-    return false;
+        "= or POST one per line)");
   }
   if (items->size() > kMaxBatchItems) {
-    *error = ErrorResponse(
-        400, util::StatusCode::kInvalidArgument,
+    return util::InvalidArgumentError(
         "batch too large: " + std::to_string(items->size()) + " items (max " +
-            std::to_string(kMaxBatchItems) + ")");
-    return false;
+        std::to_string(kMaxBatchItems) + ")");
   }
-  batch_items_->Increment(items->size());
-  return true;
+  return util::Status::Ok();
 }
 
 HttpResponse ApiEndpoints::Men2EntBatch(const HttpRequest& request) {
   std::vector<std::string> mentions;
-  HttpResponse error;
-  if (!BatchItems(request, "mention", &mentions, &error)) return error;
-  BatchOutcome outcome = ResolveBatchCached(
-      mentions, "men2ent", {},
-      [&](const std::vector<std::string>& subset)
-          -> util::Result<std::pair<uint64_t, std::vector<ItemFragment>>> {
-        const util::Result<taxonomy::ApiService::Men2EntBatchResolved>
-            result = api_->TryMen2EntBatchResolved(subset);
+  const util::Status collected = BatchItems(request, "mention", &mentions);
+  if (!collected.ok()) return StatusResponse(collected);
+  batch_items_->Increment(mentions.size());
+  return ResolveBatchCached(
+      mentions, "men2ent", {}, {}, "mention", "entities",
+      [&](const std::vector<std::string>& subset) -> BatchResolved {
+        const auto result = api_->TryMen2EntBatchResolved(subset);
         if (!result.ok()) return result.status();
-        std::vector<ItemFragment> fragments;
-        fragments.reserve(subset.size());
+        std::vector<ItemFragment> items;
+        items.reserve(subset.size());
         for (const auto& entities : result->results) {
-          // The single-shot form 404s an unknown mention; record that in
-          // the shared entry so it can serve that path too. The batch
-          // envelope ignores the status and splices the empty list.
-          fragments.push_back(
-              {entities.empty() ? 404 : 200, Men2EntFragment(entities)});
+          items.push_back(Men2EntItem(entities));
         }
-        return std::make_pair(result->version, std::move(fragments));
+        return std::make_pair(result->version, std::move(items));
       });
-  if (outcome.failed) return outcome.error;
-  std::string body = "{\"version\":" + JsonUInt(outcome.version) +
-                     ",\"count\":" + JsonUInt(mentions.size()) +
-                     ",\"results\":[";
-  for (size_t i = 0; i < mentions.size(); ++i) {
-    if (i > 0) body += ',';
-    body += "{\"mention\":" + JsonString(mentions[i]) +
-            ",\"entities\":" + outcome.fragments[i] + "}";
-  }
-  body += "]}\n";
-  HttpResponse response;
-  response.body = std::move(body);
-  if (cache_ != nullptr) {
-    response.headers.emplace_back("X-Cache-Hits",
-                                  std::to_string(outcome.hits));
-  }
-  StampVersion(&response, outcome.version);
-  return response;
 }
 
 HttpResponse ApiEndpoints::GetConceptBatch(const HttpRequest& request) {
   std::vector<std::string> entities;
-  HttpResponse error;
-  if (!BatchItems(request, "entity", &entities, &error)) return error;
+  const util::Status collected = BatchItems(request, "entity", &entities);
+  if (!collected.ok()) return StatusResponse(collected);
+  batch_items_->Increment(entities.size());
   const bool transitive = ParseTransitive(request);
-  BatchOutcome outcome = ResolveBatchCached(
+  return ResolveBatchCached(
       entities, "getConcept", transitive ? "|t1" : "|t0",
-      [&](const std::vector<std::string>& subset)
-          -> util::Result<std::pair<uint64_t, std::vector<ItemFragment>>> {
-        const util::Result<taxonomy::ApiService::NamesBatchResolved> result =
-            api_->TryGetConceptBatchResolved(subset, transitive);
-        if (!result.ok()) return result.status();
-        std::vector<ItemFragment> fragments;
-        fragments.reserve(subset.size());
-        for (const auto& names : result->results) {
-          fragments.push_back({200, NamesFragment(names)});
-        }
-        return std::make_pair(result->version, std::move(fragments));
+      transitive ? ",\"transitive\":true" : ",\"transitive\":false",
+      "entity", "concepts", [&](const std::vector<std::string>& subset) {
+        return NamesItems(api_->TryGetConceptBatchResolved(subset, transitive));
       });
-  if (outcome.failed) return outcome.error;
-  std::string body = "{\"version\":" + JsonUInt(outcome.version) +
-                     ",\"transitive\":" + (transitive ? "true" : "false") +
-                     ",\"count\":" + JsonUInt(entities.size()) +
-                     ",\"results\":[";
-  for (size_t i = 0; i < entities.size(); ++i) {
-    if (i > 0) body += ',';
-    body += "{\"entity\":" + JsonString(entities[i]) +
-            ",\"concepts\":" + outcome.fragments[i] + "}";
-  }
-  body += "]}\n";
-  HttpResponse response;
-  response.body = std::move(body);
-  if (cache_ != nullptr) {
-    response.headers.emplace_back("X-Cache-Hits",
-                                  std::to_string(outcome.hits));
-  }
-  StampVersion(&response, outcome.version);
-  return response;
 }
 
 HttpResponse ApiEndpoints::GetEntityBatch(const HttpRequest& request) {
   std::vector<std::string> concepts;
-  HttpResponse error;
-  if (!BatchItems(request, "concept", &concepts, &error)) return error;
+  const util::Status collected = BatchItems(request, "concept", &concepts);
+  if (!collected.ok()) return StatusResponse(collected);
+  batch_items_->Increment(concepts.size());
   size_t limit = 100;
-  if (request.HasParam("limit") &&
-      !ParseLimit(request.Param("limit"), &limit)) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "limit must be an integer in [1, 100000]");
-  }
-  BatchOutcome outcome = ResolveBatchCached(
+  const util::Status parsed = ParseBounded(request, "limit", 100000, &limit);
+  if (!parsed.ok()) return StatusResponse(parsed);
+  return ResolveBatchCached(
       concepts, "getEntity", "|l" + std::to_string(limit),
-      [&](const std::vector<std::string>& subset)
-          -> util::Result<std::pair<uint64_t, std::vector<ItemFragment>>> {
-        const util::Result<taxonomy::ApiService::NamesBatchResolved> result =
-            api_->TryGetEntityBatchResolved(subset, limit);
-        if (!result.ok()) return result.status();
-        std::vector<ItemFragment> fragments;
-        fragments.reserve(subset.size());
-        for (const auto& names : result->results) {
-          fragments.push_back({200, NamesFragment(names)});
-        }
-        return std::make_pair(result->version, std::move(fragments));
+      ",\"limit\":" + JsonUInt(limit), "concept", "entities",
+      [&](const std::vector<std::string>& subset) {
+        return NamesItems(api_->TryGetEntityBatchResolved(subset, limit));
       });
-  if (outcome.failed) return outcome.error;
-  std::string body = "{\"version\":" + JsonUInt(outcome.version) +
-                     ",\"limit\":" + JsonUInt(limit) +
-                     ",\"count\":" + JsonUInt(concepts.size()) +
-                     ",\"results\":[";
-  for (size_t i = 0; i < concepts.size(); ++i) {
-    if (i > 0) body += ',';
-    body += "{\"concept\":" + JsonString(concepts[i]) +
-            ",\"entities\":" + outcome.fragments[i] + "}";
-  }
-  body += "]}\n";
-  HttpResponse response;
-  response.body = std::move(body);
-  if (cache_ != nullptr) {
-    response.headers.emplace_back("X-Cache-Hits",
-                                  std::to_string(outcome.hits));
-  }
-  StampVersion(&response, outcome.version);
-  return response;
 }
 
 HttpResponse ApiEndpoints::Isa(const HttpRequest& request) {
-  if (!request.HasParam("entity")) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "missing required parameter: entity");
-  }
-  if (!request.HasParam("concept")) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "missing required parameter: concept");
-  }
+  if (!request.HasParam("entity")) return MissingParameter("entity");
+  if (!request.HasParam("concept")) return MissingParameter("concept");
   const std::string_view entity = request.Param("entity");
   const std::string_view concept_name = request.Param("concept");
   size_t max_depth = 4;
-  if (request.HasParam("max_depth") &&
-      !ParseMaxDepth(request.Param("max_depth"), &max_depth)) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "max_depth must be an integer in [1, 16]");
-  }
+  const util::Status parsed =
+      ParseBounded(request, "max_depth", 16, &max_depth);
+  if (!parsed.ok()) return StatusResponse(parsed);
   return Cached(
-      "isa", entity,
-      PackArg(concept_name) + "|d" + std::to_string(max_depth),
-      [&](uint64_t* resolved_version) {
-        const util::Result<reason::ReasonService::IsaResolved> result =
-            reason_.TryIsa(entity, concept_name, max_depth);
-        if (!result.ok()) return StatusResponse(result.status());
-        *resolved_version = result->version;
+      "isa", entity, PackArg(concept_name) + "|d" + std::to_string(max_depth),
+      [&]() -> Resolved {
+        const auto result = reason_.TryIsa(entity, concept_name, max_depth);
+        if (!result.ok()) return result.status();
         if (!result->entity_known) {
-          return ErrorResponse(404, util::StatusCode::kNotFound,
-                               "unknown entity: " + std::string(entity));
+          return UnknownName(result->version,
+                             "unknown entity: " + std::string(entity));
         }
         if (!result->concept_known) {
-          return ErrorResponse(
-              404, util::StatusCode::kNotFound,
-              "unknown concept: " + std::string(concept_name));
+          return UnknownName(result->version,
+                             "unknown concept: " + std::string(concept_name));
         }
-        HttpResponse response;
-        response.body = "{\"entity\":" + JsonString(entity) +
-                        ",\"concept\":" + JsonString(concept_name) +
-                        ",\"version\":" + JsonUInt(result->version) +
-                        ",\"max_depth\":" + JsonUInt(max_depth) +
-                        ",\"isa\":" +
-                        std::string(result->isa ? "true" : "false") +
-                        ",\"depth\":" + std::to_string(result->depth) +
-                        ",\"path\":" + NamesFragment(result->path) + "}\n";
-        return response;
-      });
+        return WholeBody(
+            result->version,
+            "{\"entity\":" + JsonString(entity) +
+                ",\"concept\":" + JsonString(concept_name) +
+                ",\"version\":" + JsonUInt(result->version) +
+                ",\"max_depth\":" + JsonUInt(max_depth) + ",\"isa\":" +
+                std::string(result->isa ? "true" : "false") +
+                ",\"depth\":" + std::to_string(result->depth) +
+                ",\"path\":" + NamesFragment(result->path) + "}\n");
+      },
+      WholeBodyEnvelope);
 }
 
 HttpResponse ApiEndpoints::Lca(const HttpRequest& request) {
-  if (!request.HasParam("a")) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "missing required parameter: a");
-  }
-  if (!request.HasParam("b")) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "missing required parameter: b");
-  }
+  if (!request.HasParam("a")) return MissingParameter("a");
+  if (!request.HasParam("b")) return MissingParameter("b");
   const std::string_view a = request.Param("a");
   const std::string_view b = request.Param("b");
   size_t max_depth = 8;
-  if (request.HasParam("max_depth") &&
-      !ParseMaxDepth(request.Param("max_depth"), &max_depth)) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "max_depth must be an integer in [1, 16]");
-  }
+  const util::Status parsed =
+      ParseBounded(request, "max_depth", 16, &max_depth);
+  if (!parsed.ok()) return StatusResponse(parsed);
   return Cached(
       "lca", a, PackArg(b) + "|d" + std::to_string(max_depth),
-      [&](uint64_t* resolved_version) {
-        const util::Result<reason::ReasonService::LcaResolved> result =
-            reason_.TryLca(a, b, max_depth);
-        if (!result.ok()) return StatusResponse(result.status());
-        *resolved_version = result->version;
+      [&]() -> Resolved {
+        const auto result = reason_.TryLca(a, b, max_depth);
+        if (!result.ok()) return result.status();
         if (!result->a_known || !result->b_known) {
-          return ErrorResponse(
-              404, util::StatusCode::kNotFound,
-              "unknown name: " +
-                  std::string(result->a_known ? b : a));
+          return UnknownName(result->version,
+                             "unknown name: " +
+                                 std::string(result->a_known ? b : a));
         }
         std::string body = "{\"a\":" + JsonString(a) +
                            ",\"b\":" + JsonString(b) +
@@ -763,76 +624,60 @@ HttpResponse ApiEndpoints::Lca(const HttpRequest& request) {
                   ",\"depth_b\":" + JsonUInt(result->depth_b);
         }
         body += "}\n";
-        HttpResponse response;
-        response.body = std::move(body);
-        return response;
-      });
+        return WholeBody(result->version, std::move(body));
+      },
+      WholeBodyEnvelope);
 }
 
 HttpResponse ApiEndpoints::Similar(const HttpRequest& request) {
-  if (!request.HasParam("entity")) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "missing required parameter: entity");
-  }
+  if (!request.HasParam("entity")) return MissingParameter("entity");
   const std::string_view entity = request.Param("entity");
   size_t k = 10;
-  if (request.HasParam("k") && !ParseTopK(request.Param("k"), &k)) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "k must be an integer in [1, 100]");
-  }
+  const util::Status parsed = ParseBounded(request, "k", 100, &k);
+  if (!parsed.ok()) return StatusResponse(parsed);
   return Cached(
       "similar", entity, "|k" + std::to_string(k),
-      [&](uint64_t* resolved_version) {
-        const util::Result<reason::ReasonService::RankedResolved> result =
-            reason_.TrySimilar(entity, k);
-        if (!result.ok()) return StatusResponse(result.status());
-        *resolved_version = result->version;
+      [&]() -> Resolved {
+        const auto result = reason_.TrySimilar(entity, k);
+        if (!result.ok()) return result.status();
         if (!result->known) {
-          return ErrorResponse(404, util::StatusCode::kNotFound,
-                               "unknown entity: " + std::string(entity));
+          return UnknownName(result->version,
+                             "unknown entity: " + std::string(entity));
         }
-        HttpResponse response;
-        response.body = "{\"entity\":" + JsonString(entity) +
-                        ",\"version\":" + JsonUInt(result->version) +
-                        ",\"k\":" + JsonUInt(k) + ",\"results\":" +
-                        ScoredNamesFragment(result->results) + "}\n";
-        return response;
-      });
+        return WholeBody(result->version,
+                         "{\"entity\":" + JsonString(entity) +
+                             ",\"version\":" + JsonUInt(result->version) +
+                             ",\"k\":" + JsonUInt(k) + ",\"results\":" +
+                             ScoredNamesFragment(result->results) + "}\n");
+      },
+      WholeBodyEnvelope);
 }
 
 HttpResponse ApiEndpoints::Expand(const HttpRequest& request) {
-  if (!request.HasParam("concept")) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "missing required parameter: concept");
-  }
+  if (!request.HasParam("concept")) return MissingParameter("concept");
   const std::string_view concept_name = request.Param("concept");
   size_t k = 10;
-  if (request.HasParam("k") && !ParseTopK(request.Param("k"), &k)) {
-    return ErrorResponse(400, util::StatusCode::kInvalidArgument,
-                         "k must be an integer in [1, 100]");
-  }
+  const util::Status parsed = ParseBounded(request, "k", 100, &k);
+  if (!parsed.ok()) return StatusResponse(parsed);
   return Cached(
       "expand", concept_name, "|k" + std::to_string(k),
-      [&](uint64_t* resolved_version) {
-        const util::Result<reason::ReasonService::RankedResolved> result =
-            reason_.TryExpand(concept_name, k);
-        if (!result.ok()) return StatusResponse(result.status());
-        *resolved_version = result->version;
+      [&]() -> Resolved {
+        const auto result = reason_.TryExpand(concept_name, k);
+        if (!result.ok()) return result.status();
         if (!result->known) {
-          return ErrorResponse(
-              404, util::StatusCode::kNotFound,
-              "unknown concept: " + std::string(concept_name));
+          return UnknownName(result->version,
+                             "unknown concept: " + std::string(concept_name));
         }
-        HttpResponse response;
-        response.body = "{\"concept\":" + JsonString(concept_name) +
-                        ",\"version\":" + JsonUInt(result->version) +
-                        ",\"k\":" + JsonUInt(k) + ",\"children\":" +
-                        ScoredNamesFragment(result->results) + "}\n";
-        return response;
-      });
+        return WholeBody(result->version,
+                         "{\"concept\":" + JsonString(concept_name) +
+                             ",\"version\":" + JsonUInt(result->version) +
+                             ",\"k\":" + JsonUInt(k) + ",\"children\":" +
+                             ScoredNamesFragment(result->results) + "}\n");
+      },
+      WholeBodyEnvelope);
 }
 
-HttpResponse ApiEndpoints::Healthz() {
+HttpResponse ApiEndpoints::Healthz(const HttpRequest& /*request*/) {
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     started_)
@@ -844,7 +689,7 @@ HttpResponse ApiEndpoints::Healthz() {
   return response;
 }
 
-HttpResponse ApiEndpoints::Metrics() {
+HttpResponse ApiEndpoints::Metrics(const HttpRequest& /*request*/) {
   // Serving-side gauges (per-version QPS, snapshot age) only exist at
   // export time; sync them before rendering.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();

@@ -50,6 +50,13 @@ namespace cnpb::server {
 // the fact — a concurrent publish between query and stamp must not make a
 // response claim a version its data did not come from.
 //
+// One route table (service.cc) maps each path to its handler, request
+// counter, latency histogram and allowed methods. Every query handler only
+// parses its arguments, says how to resolve them and how to wrap the
+// answer in its JSON envelope; the result cache is consulted in exactly two
+// places, Cached() for single-shot requests and ResolveBatchCached() for
+// batches (DESIGN.md §11).
+//
 // Responses are JSON (UTF-8). Failure is part of the contract
 // (DESIGN.md §9 has the full table):
 //
@@ -65,23 +72,28 @@ class ApiEndpoints {
   // router tier reads it to enforce cross-shard generation coherence.
   static constexpr const char kVersionHeader[] = "X-Taxonomy-Version";
 
+  // Upper bound on items per batch request: bounds per-request work and
+  // response size the same way parser limits bound the request itself.
+  static constexpr size_t kMaxBatchItems = 256;
+
   // `api` must outlive the endpoints (and the server using them). This
   // constructor serves uncached.
   explicit ApiEndpoints(taxonomy::ApiService* api);
 
-  // With a result cache (DESIGN.md §11): single-shot answers derived purely
-  // from a snapshot (200s, and men2ent's unknown-mention 404) are cached
-  // keyed by (endpoint, argument) and stamped with the snapshot version; a
-  // publish invalidates everything wholesale by bumping the version. Cached
-  // responses carry "X-Cache: hit", freshly inserted ones "X-Cache: miss".
+  // With a result cache (DESIGN.md §11): answers derived purely from a
+  // snapshot (200s, and the unknown-name 404s) are cached keyed by
+  // (endpoint, argument, options) and stamped with the snapshot version; a
+  // publish invalidates everything wholesale by bumping the version.
+  // Single-shot responses carry "X-Cache: hit" or "X-Cache: miss"; batch
+  // responses report how many items the cache served in "X-Cache-Hits: N".
   //
-  // The three paper endpoints cache per-item JSON *fragments* (the inner
-  // entities/concepts array) rather than whole bodies, and their batch
-  // forms consult and populate the very same entries under the batch's one
-  // pinned version — a hot mention warmed by single-shot traffic is a
-  // batch-item hit and vice versa. Batch responses report the per-item tally
-  // in an "X-Cache-Hits: N" header. Reasoning endpoints cache whole bodies
-  // (they have no batch form to share fragments with).
+  // What is cached is the unit both envelopes can be rebuilt from: for the
+  // three paper endpoints the per-item JSON *fragment* (the inner
+  // entities/concepts array, plus the single-shot status), which their
+  // batch forms consult and populate under the batch's one pinned version —
+  // a hot mention warmed by single-shot traffic is a batch-item hit and
+  // vice versa. The reasoning endpoints have no batch form, so their unit
+  // is the whole body.
   ApiEndpoints(taxonomy::ApiService* api,
                const ResultCache::Config& cache_config);
 
@@ -99,6 +111,22 @@ class ApiEndpoints {
   // Translates a non-OK Status into the wire contract above.
   static int HttpStatusForCode(util::StatusCode code);
 
+  // The JSON error body every serving tier emits ({"error":{"code":...,
+  // "message":...}}); a 429 also carries Retry-After.
+  static HttpResponse ErrorResponse(int status, util::StatusCode code,
+                                    const std::string& message);
+  // ErrorResponse for a non-OK `status`: its code mapped through
+  // HttpStatusForCode, its code name and its message.
+  static HttpResponse StatusResponse(const util::Status& status);
+
+  // Collects a batch request's items: every `param` query value (GET) or
+  // one term per POST body line (blank lines skipped). InvalidArgument when
+  // there are none or more than kMaxBatchItems. The router calls it too, to
+  // refuse a bad batch before fanning it out.
+  static util::Status BatchItems(const HttpRequest& request,
+                                 std::string_view param,
+                                 std::vector<std::string>* items);
+
   // The reasoning-side usage counters (for benches / examples).
   const reason::ReasonService& reason_service() const { return reason_; }
 
@@ -113,88 +141,60 @@ class ApiEndpoints {
   HttpResponse Lca(const HttpRequest& request);
   HttpResponse Similar(const HttpRequest& request);
   HttpResponse Expand(const HttpRequest& request);
-  HttpResponse Healthz();
-  HttpResponse Metrics();
+  HttpResponse Healthz(const HttpRequest& request);
+  HttpResponse Metrics(const HttpRequest& request);
 
-  // Collects batch inputs: every `param` query value (GET) or one term per
-  // POST body line. False (with *error filled) when empty or over the batch
-  // size cap.
-  bool BatchItems(const HttpRequest& request, std::string_view param,
-                  std::vector<std::string>* items, HttpResponse* error);
+  // One row of the route table Handle() dispatches on.
+  struct Route {
+    std::string_view path;
+    HttpResponse (ApiEndpoints::*handler)(const HttpRequest&);
+    obs::Counter* requests;         // http.requests.<endpoint>
+    obs::BucketHistogram* latency;  // sampled; null for health/metrics
+    bool post;                      // batch forms also take a POST body
+  };
+  // The table, built once per process (its instruments are registered when
+  // the first ApiEndpoints is constructed).
+  static const std::vector<Route>& Routes();
 
-  // Cache plumbing around a single-shot endpoint: Lookup at the current
-  // version, else run `compute` and Insert the response at the version its
-  // data was resolved against (`*resolved_version`, set by compute). Whole
-  // bodies; used by the reasoning endpoints.
-  template <typename Compute>
+  // The single-shot cache path. The cached unit is an ItemFragment
+  // (service.cc): the single-shot status plus the JSON the envelope wraps.
+  // Lookup at the current version, else `resolve()` and Insert the unit at
+  // the version it was resolved against. Hit or miss,
+  // `envelope(version, ItemFragment&&)` builds the response, which is
+  // stamped with that version. A failed resolve (shed, deadline, fault) is
+  // answered uncached.
+  template <typename Resolve, typename Envelope>
   HttpResponse Cached(std::string_view endpoint, std::string_view arg,
-                      std::string_view options, Compute&& compute);
+                      std::string_view options, Resolve&& resolve,
+                      Envelope&& envelope);
 
-  // One cacheable per-item unit shared by the single-shot and batch forms
-  // of a paper endpoint: `status` is the single-shot HTTP status (200, or
-  // 404 for men2ent's unknown mention — batch forms ignore it and splice
-  // the empty list) and `fragment` the inner JSON array both envelopes
-  // splice in.
-  struct ItemFragment {
-    int status = 200;
-    std::string fragment;
-  };
-
-  // The cache-aware batch core: per-item Lookup under one version, one
-  // batch resolve for the misses via `resolve`, per-item Insert at the
-  // resolved version. If a publish lands between the cache sweep and the
-  // resolve (hit and miss versions disagree), the whole batch is re-resolved
-  // at the new snapshot so the response keeps its single-version contract.
-  struct BatchOutcome {
-    bool failed = false;
-    HttpResponse error;               // set when failed
-    uint64_t version = 0;
-    size_t hits = 0;                  // items served from the cache
-    std::vector<std::string> fragments;  // one per input item
-  };
+  // The batch cache path: per-item Lookup under one version, one batch
+  // `resolve(subset)` (one ItemFragment per item) for the misses, per-item
+  // Insert at the resolved version. If a publish lands between the cache
+  // sweep and the resolve (hit and miss versions disagree), the whole
+  // batch is re-resolved at the new snapshot so the response keeps its
+  // single-version contract. The response is the one batch envelope,
+  // {"version":V<head>,"count":N,"results":[...]} with one
+  // {"<item_key>":item,"<list_key>":fragment} per input item.
   template <typename Resolve>
-  BatchOutcome ResolveBatchCached(const std::vector<std::string>& items,
+  HttpResponse ResolveBatchCached(const std::vector<std::string>& items,
                                   std::string_view endpoint,
                                   std::string_view options,
+                                  std::string_view head,
+                                  std::string_view item_key,
+                                  std::string_view list_key,
                                   Resolve&& resolve);
-
-  static HttpResponse ErrorResponse(int status, util::StatusCode code,
-                                    const std::string& message);
-  static HttpResponse StatusResponse(const util::Status& status);
 
   taxonomy::ApiService* api_;
   reason::ReasonService reason_;
   std::unique_ptr<ResultCache> cache_;
   const std::chrono::steady_clock::time_point started_;
+  const std::vector<Route>& routes_ = Routes();
 
-  // Per-endpoint wire-level instruments (the ApiService keeps its own
-  // in-process query metrics; these measure the HTTP layer around it).
-  obs::Counter* const req_men2ent_ =
-      obs::MetricsRegistry::Global().counter("http.requests.men2ent");
-  obs::Counter* const req_get_concept_ =
-      obs::MetricsRegistry::Global().counter("http.requests.get_concept");
-  obs::Counter* const req_get_entity_ =
-      obs::MetricsRegistry::Global().counter("http.requests.get_entity");
-  obs::Counter* const req_men2ent_batch_ =
-      obs::MetricsRegistry::Global().counter("http.requests.men2ent_batch");
-  obs::Counter* const req_get_concept_batch_ = obs::MetricsRegistry::Global()
-      .counter("http.requests.get_concept_batch");
-  obs::Counter* const req_get_entity_batch_ = obs::MetricsRegistry::Global()
-      .counter("http.requests.get_entity_batch");
+  // Wire-level instruments beyond the per-route ones (the ApiService keeps
+  // its own in-process query metrics; these measure the HTTP layer).
   obs::Counter* const batch_items_ =
       obs::MetricsRegistry::Global().counter("http.batch.items");
-  obs::Counter* const req_isa_ =
-      obs::MetricsRegistry::Global().counter("http.requests.isa");
-  obs::Counter* const req_lca_ =
-      obs::MetricsRegistry::Global().counter("http.requests.lca");
-  obs::Counter* const req_similar_ =
-      obs::MetricsRegistry::Global().counter("http.requests.similar");
-  obs::Counter* const req_expand_ =
-      obs::MetricsRegistry::Global().counter("http.requests.expand");
-  obs::Counter* const req_healthz_ =
-      obs::MetricsRegistry::Global().counter("http.requests.healthz");
-  obs::Counter* const req_metrics_ =
-      obs::MetricsRegistry::Global().counter("http.requests.metrics");
   obs::Counter* const req_other_ =
       obs::MetricsRegistry::Global().counter("http.requests.other");
   obs::Counter* const resp_2xx_ =
@@ -205,14 +205,6 @@ class ApiEndpoints {
       obs::MetricsRegistry::Global().counter("http.responses.5xx");
   obs::Counter* const resp_429_ =
       obs::MetricsRegistry::Global().counter("http.responses.429");
-  obs::BucketHistogram* const lat_men2ent_ = obs::MetricsRegistry::Global()
-      .histogram("http.latency.men2ent_seconds");
-  obs::BucketHistogram* const lat_get_concept_ = obs::MetricsRegistry::Global()
-      .histogram("http.latency.get_concept_seconds");
-  obs::BucketHistogram* const lat_get_entity_ = obs::MetricsRegistry::Global()
-      .histogram("http.latency.get_entity_seconds");
-  obs::BucketHistogram* const lat_reason_ = obs::MetricsRegistry::Global()
-      .histogram("http.latency.reason_seconds");
 };
 
 }  // namespace cnpb::server

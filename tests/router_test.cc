@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "router/json_merge.h"
 #include "router/shard_map.h"
 #include "server/client.h"
@@ -508,6 +509,27 @@ TEST_F(RouterTest, EmptyBatchIs400WithoutTouchingBackends) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 400);
   EXPECT_NE(response->body.find("no mention given"), std::string::npos);
+}
+
+TEST_F(RouterTest, OversizedBatchIs400WithoutTouchingBackends) {
+  StartCluster(2, 1);
+  HttpClient client = Connect();
+  std::string body;
+  for (size_t i = 0; i <= server::ApiEndpoints::kMaxBatchItems; ++i) {
+    body += "m" + std::to_string(i) + "\n";
+  }
+  // The backends run in this process, so a forwarded sub-batch would bump
+  // the shared per-route request counter.
+  const obs::Counter* backend_batches =
+      obs::MetricsRegistry::Global().counter("http.requests.men2ent_batch");
+  const uint64_t before = backend_batches->value();
+  auto response = client.Post("/v1/men2ent_batch", body, "text/plain");
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->status, 400);
+  EXPECT_NE(response->body.find("batch too large: 257 items (max 256)"),
+            std::string::npos)
+      << response->body;
+  EXPECT_EQ(backend_batches->value(), before);
 }
 
 TEST_F(RouterTest, FailsOverWhenAReplicaDies) {
