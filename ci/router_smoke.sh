@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Router smoke test for CI: launch cnprobase_serve in the router role with
-# 1 shard x 2 replica backends, query every endpoint through the router,
+# 1 shard x 2 replica backends, query every endpoint through the router
+# (bare and under /v1/c/default/, with the batch envelope's options head),
 # kill one backend mid-flight and verify the answers stay correct
 # (degraded, not down), check that a router failing to bind its port
 # leaves no backend or snapshot behind, then SIGTERM the whole tree and
@@ -57,6 +58,26 @@ fetch getEntity    '"entities":["'      -G "$BASE/v1/getEntity"  --data-urlencod
 fetch batch        '"results":['        -X POST --data-binary "$ENTITY" "$BASE/v1/getConcept_batch"
 fetch healthz      '"status":"ok"'      "$BASE/healthz"
 fetch metrics      'router_forwarded_total' "$BASE/metrics"
+
+# The /v1/c/<name>/ branch: a prefixed path through the router answers
+# byte-identically to its bare form, and a merged batch keeps the backend's
+# batch envelope, options head included.
+same() {
+  local name=$1 bare=$2 prefixed=$3; shift 3
+  local a b
+  a=$(curl -sS "$@" "$BASE$bare")
+  b=$(curl -sS "$@" "$BASE$prefixed")
+  if [ -z "$a" ] || [ "$a" != "$b" ]; then
+    echo "FAIL $name: bare and prefixed answers differ — '$a' vs '$b'" >&2; exit 1
+  fi
+  echo "ok   $name"
+}
+same prefixed-getConcept /v1/getConcept /v1/c/default/getConcept \
+  -G --data-urlencode "entity=$ENTITY"
+same prefixed-batch /v1/getConcept_batch /v1/c/default/getConcept_batch \
+  -G --data-urlencode "entity=$ENTITY" --data-urlencode "entity=$MENTION"
+fetch batch-head '"transitive":false' -G "$BASE/v1/getConcept_batch" \
+  --data-urlencode "entity=$ENTITY"
 
 # Every data answer must carry the generation stamp the coherence barrier
 # keys on.

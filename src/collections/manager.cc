@@ -328,40 +328,26 @@ HttpResponse CollectionManager::CollectionInfo(const Collection& collection) {
 }
 
 HttpResponse CollectionManager::Handle(const HttpRequest& request) {
-  const std::string_view path = request.path;
-  if (path == "/v1/collections") {
+  if (request.path == "/v1/collections") {
     if (request.method != "GET" && request.method != "HEAD") {
-      HttpResponse response =
-          ApiEndpoints::ErrorResponse(405, util::StatusCode::kInvalidArgument,
-                                      "method not allowed: " + request.method);
-      response.headers.emplace_back("Allow", "GET, HEAD");
-      return response;
+      return ApiEndpoints::MethodNotAllowed(request.method, "GET, HEAD");
     }
     return ListCollections();
   }
-  if (util::StartsWith(path, "/v1/c/")) {
-    const std::string_view rest = path.substr(6);
-    const size_t slash = rest.find('/');
-    const std::string_view name =
-        slash == std::string_view::npos ? rest : rest.substr(0, slash);
+  std::string_view name;
+  std::string bare;
+  if (ApiEndpoints::SplitCollectionPath(request.path, &name, &bare)) {
     const std::shared_ptr<Collection> collection = Find(name);
     if (collection == nullptr) {
       return ApiEndpoints::ErrorResponse(
           404, util::StatusCode::kNotFound,
           "no such collection: " + std::string(name));
     }
-    const std::string_view suffix =
-        slash == std::string_view::npos ? std::string_view()
-                                        : rest.substr(slash);
-    if (suffix.empty() || suffix == "/") return CollectionInfo(*collection);
+    if (bare.empty()) return CollectionInfo(*collection);
     // Rewrite to the bare path the collection's endpoint stack speaks;
     // params/body/method pass through untouched.
     HttpRequest rewritten = request;
-    if (suffix == "/healthz" || suffix == "/metrics") {
-      rewritten.path = std::string(suffix);
-    } else {
-      rewritten.path = "/v1" + std::string(suffix);
-    }
+    rewritten.path = std::move(bare);
     return collection->Handle(rewritten);
   }
   // Bare paths serve the default collection byte-compatibly with a

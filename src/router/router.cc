@@ -33,6 +33,26 @@ constexpr int64_t kHedgeMaxMs = 100;
 // Idle keep-alive connections pooled per backend.
 constexpr size_t kMaxIdlePerBackend = 8;
 
+// Batch coherence: rounds of laggard-shard re-fetches allowed before a
+// mixed-generation merge is refused with 503.
+constexpr int kCoherenceRetries = 2;
+
+// Every router counter: its name in /healthz's "stats" object (and, as
+// router_<name>_total, in /metrics) and its Stats field.
+constexpr struct {
+  const char* name;
+  uint64_t Router::Stats::*field;
+} kCounters[] = {
+    {"forwarded", &Router::Stats::forwarded},
+    {"batches", &Router::Stats::batches},
+    {"failovers", &Router::Stats::failovers},
+    {"hedges", &Router::Stats::hedges},
+    {"hedge_wins", &Router::Stats::hedge_wins},
+    {"coherence_retries", &Router::Stats::coherence_retries},
+    {"mixed_generation_refusals", &Router::Stats::mixed_generation_refusals},
+    {"no_backend", &Router::Stats::no_backend},
+};
+
 uint64_t VersionOf(const HttpClient::Response& response) {
   uint64_t version = 0;
   util::ParseUint64(response.Header(server::ApiEndpoints::kVersionHeader),
@@ -54,6 +74,27 @@ HttpResponse FromBackend(const HttpClient::Response& in) {
     if (!value.empty()) out.headers.emplace_back(name, std::string(value));
   }
   return out;
+}
+
+// Waits for the first of two sockets to turn readable: 0 or 1, or -1 when
+// neither does by `deadline`.
+int FirstReadable(int fd0, int fd1,
+                  std::chrono::steady_clock::time_point deadline) {
+  pollfd pfds[2] = {};
+  pfds[0].fd = fd0;
+  pfds[0].events = POLLIN;
+  pfds[1].fd = fd1;
+  pfds[1].events = POLLIN;
+  for (;;) {
+    const auto remaining =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+    if (remaining.count() <= 0) return -1;
+    const int rc = ::poll(pfds, 2, static_cast<int>(remaining.count()));
+    if (rc < 0 && errno != EINTR) return -1;
+    if (pfds[0].revents != 0) return 0;
+    if (pfds[1].revents != 0) return 1;
+  }
 }
 
 const char* StateName(ShardMap::State state) {
@@ -109,16 +150,16 @@ uint16_t Router::port() const {
 
 Router::Stats Router::stats() const {
   Stats stats;
-  stats.forwarded = forwarded_.load(std::memory_order_relaxed);
-  stats.batches = batches_.load(std::memory_order_relaxed);
-  stats.failovers = failovers_.load(std::memory_order_relaxed);
-  stats.hedges = hedges_.load(std::memory_order_relaxed);
-  stats.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
-  stats.coherence_retries = coherence_retries_.load(std::memory_order_relaxed);
-  stats.mixed_generation_refusals =
-      mixed_refusals_.load(std::memory_order_relaxed);
-  stats.no_backend = no_backend_.load(std::memory_order_relaxed);
+  for (const auto& [name, field] : kCounters) {
+    stats.*field = std::atomic_ref<uint64_t>(counts_.*field).load(
+        std::memory_order_relaxed);
+  }
   return stats;
+}
+
+void Router::Count(uint64_t Stats::*counter) {
+  std::atomic_ref<uint64_t>(counts_.*counter)
+      .fetch_add(1, std::memory_order_relaxed);
 }
 
 std::chrono::milliseconds Router::hedge_delay() const {
@@ -160,353 +201,239 @@ void Router::Release(Lease lease) {
   }
 }
 
-std::string Router::BuildRaw(const HttpClient& client, std::string_view method,
-                             std::string_view target, std::string_view body,
-                             std::string_view content_type) {
-  if (method == "GET" && body.empty()) return client.FormatGet(target);
-  if (method == "POST") return client.FormatPost(target, body, content_type);
+std::string Router::BuildRaw(const HttpClient& client, const Outbound& out) {
+  if (out.method == "GET") return client.FormatGet(out.target);
+  if (out.method == "POST") {
+    return client.FormatPost(out.target, out.body, out.content_type);
+  }
   // Anything else is forwarded verbatim so the backend's 405 contract shows
   // through the router unchanged.
   std::string raw;
-  raw.append(method);
+  raw.append(out.method);
   raw.push_back(' ');
-  raw.append(target);
+  raw.append(out.target);
   raw.append(" HTTP/1.1\r\nHost: router\r\n");
-  if (!body.empty()) {
-    raw.append(util::StrFormat("Content-Length: %zu\r\n", body.size()));
+  if (!out.body.empty()) {
+    raw.append(util::StrFormat("Content-Length: %zu\r\n", out.body.size()));
   }
   raw.append("\r\n");
-  raw.append(body);
+  raw.append(out.body);
   return raw;
 }
 
-util::Result<HttpClient::Response> Router::SendTo(
-    size_t shard, size_t replica, std::string_view method,
-    std::string_view target, std::string_view body,
-    std::string_view content_type) {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    util::Result<Lease> lease = Acquire(shard, replica, attempt == 0);
-    if (!lease.ok()) {
-      shard_map_->ReportFailure(shard, replica);
-      return lease.status();
-    }
-    const auto start = std::chrono::steady_clock::now();
-    util::Status sent = util::CheckFault("router.backend");
-    if (sent.ok()) {
-      sent = lease->client->SendRaw(
-          BuildRaw(*lease->client, method, target, body, content_type));
-    }
-    if (!sent.ok()) {
-      // A pooled keep-alive connection may have been idle-closed by the
-      // backend; retry once on a fresh socket before blaming it.
-      if (lease->reused && attempt == 0) continue;
-      shard_map_->ReportFailure(shard, replica);
-      return sent;
-    }
-    util::Result<HttpClient::Response> response =
-        lease->client->ReadResponse();
-    if (!response.ok()) {
-      if (lease->reused && attempt == 0 &&
-          response.status().code() == util::StatusCode::kIoError) {
-        continue;  // stale keep-alive race: the send won, the read lost
-      }
-      shard_map_->ReportFailure(shard, replica);
-      return response.status();
-    }
-    shard_map_->ReportSuccess(shard, replica, VersionOf(*response));
-    ObserveForwardLatency(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - start));
-    Release(std::move(*lease));
-    return response;
+util::Result<Router::InFlight> Router::Send(size_t shard, size_t replica,
+                                            const Outbound& out,
+                                            bool allow_reuse) {
+  util::Result<Lease> lease = Acquire(shard, replica, allow_reuse);
+  if (!lease.ok()) {
+    shard_map_->ReportFailure(shard, replica);
+    return lease.status();
   }
-  return util::IoError("unreachable");  // loop always returns
+  InFlight flight{std::move(*lease), std::chrono::steady_clock::now()};
+  util::Status sent = util::CheckFault("router.backend");
+  if (sent.ok()) {
+    sent = flight.lease.client->SendRaw(BuildRaw(*flight.lease.client, out));
+  }
+  if (sent.ok()) return flight;
+  // A pooled keep-alive connection may have been idle-closed by the
+  // backend; retry once on a fresh socket before blaming it.
+  if (flight.lease.reused) return Send(shard, replica, out, false);
+  shard_map_->ReportFailure(shard, replica);
+  return sent;
 }
 
-util::Result<HttpClient::Response> Router::SendHedged(
-    size_t shard, size_t replica, std::string_view method,
-    std::string_view target, int* used_replica) {
-  *used_replica = static_cast<int>(replica);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    util::Result<Lease> lease = Acquire(shard, replica, attempt == 0);
-    if (!lease.ok()) {
-      shard_map_->ReportFailure(shard, replica);
-      return lease.status();
-    }
-    const auto start = std::chrono::steady_clock::now();
-    util::Status sent = util::CheckFault("router.backend");
-    if (sent.ok()) {
-      sent = lease->client->SendRaw(
-          BuildRaw(*lease->client, method, target, {}, {}));
-    }
-    if (!sent.ok()) {
-      if (lease->reused && attempt == 0) continue;
-      shard_map_->ReportFailure(shard, replica);
-      return sent;
-    }
+util::Result<HttpClient::Response> Router::Receive(InFlight* flight,
+                                                   const Outbound& out) {
+  const size_t shard = flight->lease.shard;
+  const size_t replica = flight->lease.replica;
+  util::Result<HttpClient::Response> response =
+      flight->lease.client->ReadResponse();
+  if (!response.ok() && flight->lease.reused &&
+      response.status().code() == util::StatusCode::kIoError) {
+    // Stale keep-alive race: the send won, the read lost.
+    util::Result<InFlight> fresh = Send(shard, replica, out, false);
+    if (!fresh.ok()) return fresh.status();
+    *flight = std::move(*fresh);
+    response = flight->lease.client->ReadResponse();
+  }
+  if (!response.ok()) {
+    shard_map_->ReportFailure(shard, replica);
+    return response.status();
+  }
+  shard_map_->ReportSuccess(shard, replica, VersionOf(*response));
+  Release(std::move(flight->lease));
+  return response;
+}
 
-    // Hedging window: give the primary hedge_delay to produce the first
-    // byte; past that, race a duplicate on another replica.
-    std::optional<Lease> hedge;
-    if (shard_map_->num_replicas(shard) > 1) {
-      bool ready = false;
-      const util::Status waited =
-          util::WaitReadable(lease->client->fd(), hedge_delay(), &ready);
-      if (waited.ok() && !ready) {
-        const int second =
-            shard_map_->PickReplica(shard, static_cast<int>(replica));
-        if (second >= 0) {
-          util::Result<Lease> h =
-              Acquire(shard, static_cast<size_t>(second), true);
-          if (h.ok() &&
-              h->client->SendRaw(BuildRaw(*h->client, method, target, {}, {}))
-                  .ok()) {
-            hedges_.fetch_add(1, std::memory_order_relaxed);
-            hedge = std::move(*h);
-          } else {
-            shard_map_->ReportFailure(shard, static_cast<size_t>(second));
-          }
-        }
-      }
-    }
+util::Result<HttpClient::Response> Router::Exchange(size_t shard,
+                                                    size_t replica,
+                                                    const Outbound& out) {
+  util::Result<InFlight> primary = Send(shard, replica, out);
+  if (!primary.ok()) return primary.status();
 
-    if (hedge.has_value()) {
-      // First readable connection wins; the loser carries an outstanding
-      // response and cannot be pooled, so it is closed.
-      pollfd pfds[2] = {};
-      pfds[0].fd = lease->client->fd();
-      pfds[0].events = POLLIN;
-      pfds[1].fd = hedge->client->fd();
-      pfds[1].events = POLLIN;
-      const auto deadline = start + options_.recv_deadline;
-      int winner = -1;
-      for (;;) {
-        const auto remaining =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now());
-        if (remaining.count() <= 0) break;
-        int rc;
-        do {
-          rc = ::poll(pfds, 2, static_cast<int>(remaining.count()));
-        } while (rc < 0 && errno == EINTR);
-        if (rc < 0) break;
-        if (rc == 0) continue;  // re-check the deadline
-        if (pfds[0].revents != 0) {
-          winner = 0;
-          break;
-        }
-        if (pfds[1].revents != 0) {
-          winner = 1;
-          break;
-        }
+  // Hedging window: give the primary hedge_delay to produce the first
+  // byte; past that, race a duplicate on another replica.
+  std::optional<InFlight> hedge;
+  if (out.method == "GET" && shard_map_->num_replicas(shard) > 1) {
+    bool ready = false;
+    const util::Status waited =
+        util::WaitReadable(primary->lease.client->fd(), hedge_delay(), &ready);
+    const int second =
+        waited.ok() && !ready
+            ? shard_map_->PickReplica(shard, static_cast<int>(replica))
+            : -1;
+    if (second >= 0) {
+      util::Result<InFlight> duplicate =
+          Send(shard, static_cast<size_t>(second), out);
+      if (duplicate.ok()) {
+        Count(&Stats::hedges);
+        hedge = std::move(*duplicate);
       }
-      if (winner == 1) {
-        util::Result<HttpClient::Response> response =
-            hedge->client->ReadResponse();
-        if (response.ok()) {
-          hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-          // The primary blew its latency budget — count it as a soft
-          // failure so a dead-but-accepting backend trends into
-          // quarantine instead of eating a hedge on every request.
-          shard_map_->ReportFailure(shard, replica);
-          shard_map_->ReportSuccess(shard, hedge->replica,
-                                    VersionOf(*response));
-          *used_replica = static_cast<int>(hedge->replica);
-          lease->client->Close();
-          Release(std::move(*hedge));
-          return response;
-        }
-        // The duplicate answered first but unparseably; fall back to the
-        // primary, which may still be working on it.
-        shard_map_->ReportFailure(shard, hedge->replica);
-        hedge.reset();
-      } else if (winner == -1) {
-        // Neither produced a byte within recv_deadline: both dark.
-        shard_map_->ReportFailure(shard, replica);
-        shard_map_->ReportFailure(shard, hedge->replica);
-        lease->client->Close();
-        hedge->client->Close();
-        return util::DeadlineExceededError(util::StrFormat(
-            "shard %zu: no replica answered within %lld ms", shard,
-            static_cast<long long>(options_.recv_deadline.count())));
-      }
-      // winner == 0 falls through to the primary read below.
     }
+  }
 
-    util::Result<HttpClient::Response> response =
-        lease->client->ReadResponse();
-    if (hedge.has_value()) hedge->client->Close();
-    if (!response.ok()) {
-      if (!hedge.has_value() && lease->reused && attempt == 0 &&
-          response.status().code() == util::StatusCode::kIoError) {
-        continue;
-      }
-      shard_map_->ReportFailure(shard, replica);
-      return response.status();
-    }
-    shard_map_->ReportSuccess(shard, replica, VersionOf(*response));
-    if (!hedge.has_value()) {
+  if (!hedge.has_value()) {
+    util::Result<HttpClient::Response> response = Receive(&*primary, out);
+    if (response.ok()) {
       ObserveForwardLatency(
           std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start));
+              std::chrono::steady_clock::now() - primary->start));
     }
-    Release(std::move(*lease));
     return response;
   }
-  return util::IoError("unreachable");  // loop always returns
+
+  // First readable connection wins; the loser carries an outstanding
+  // response and cannot be pooled, so it is closed with its lease.
+  const int winner =
+      FirstReadable(primary->lease.client->fd(), hedge->lease.client->fd(),
+                    primary->start + options_.recv_deadline);
+  if (winner < 0) {
+    // Neither produced a byte within recv_deadline: both dark.
+    shard_map_->ReportFailure(shard, replica);
+    shard_map_->ReportFailure(shard, hedge->lease.replica);
+    return util::DeadlineExceededError(util::StrFormat(
+        "shard %zu: no replica answered within %lld ms", shard,
+        static_cast<long long>(options_.recv_deadline.count())));
+  }
+  if (winner == 1) {
+    util::Result<HttpClient::Response> response = Receive(&*hedge, out);
+    if (response.ok()) {
+      Count(&Stats::hedge_wins);
+      // The primary blew its latency budget — count it as a soft failure
+      // so a dead-but-accepting backend trends into quarantine instead of
+      // eating a hedge on every request.
+      shard_map_->ReportFailure(shard, replica);
+      return response;
+    }
+    // The duplicate answered first but unparseably; fall back to the
+    // primary, which may still be working on it.
+  }
+  hedge.reset();
+  return Receive(&*primary, out);
 }
 
-size_t Router::ShardForParam(const server::HttpRequest& request,
-                             std::string_view param) const {
-  const std::string_view key = request.Param(param);
-  // A missing argument routes to shard 0, whose backend produces the
-  // canonical 400 — the router never duplicates the parameter contract.
-  return key.empty() ? 0 : shard_map_->ShardForKey(key);
-}
-
-HttpResponse Router::ForwardSingle(size_t shard,
-                                   const HttpRequest& request) {
-  // HEAD is forwarded as GET: the frontend serializer strips the body, and
-  // a backend HEAD response (Content-Length with no body) would stall the
-  // pooled keep-alive connection.
-  const std::string_view method =
-      request.method == "HEAD" ? std::string_view("GET") : request.method;
+util::Result<HttpClient::Response> Router::Forward(size_t shard,
+                                                   const Outbound& out) {
   util::Status last = util::IoError("shard has no live replica");
   int exclude = -1;
   const size_t replicas = std::max<size_t>(shard_map_->num_replicas(shard), 1);
   for (size_t tries = 0; tries < replicas; ++tries) {
     const int replica = shard_map_->PickReplica(shard, exclude);
     if (replica < 0) break;
-    if (tries > 0) failovers_.fetch_add(1, std::memory_order_relaxed);
-    int used = replica;
+    if (tries > 0) Count(&Stats::failovers);
     util::Result<HttpClient::Response> response =
-        method == "GET"
-            ? SendHedged(shard, static_cast<size_t>(replica), method,
-                         request.target, &used)
-            : SendTo(shard, static_cast<size_t>(replica), method,
-                     request.target, request.body,
-                     request.Header("Content-Type"));
-    if (response.ok()) {
-      forwarded_.fetch_add(1, std::memory_order_relaxed);
-      return FromBackend(*response);
-    }
+        Exchange(shard, static_cast<size_t>(replica), out);
+    if (response.ok()) return response;
     last = response.status();
     exclude = replica;
   }
-  no_backend_.fetch_add(1, std::memory_order_relaxed);
-  return ApiEndpoints::ErrorResponse(
-      503, util::StatusCode::kIoError,
-      util::StrFormat("shard %zu unavailable: %s", shard,
-                      std::string(last.message()).c_str()));
+  return util::IoError(util::StrFormat("shard %zu unavailable: %s", shard,
+                                       std::string(last.message()).c_str()));
+}
+
+HttpResponse Router::Refuse(const util::Status& status) {
+  HttpResponse response = ApiEndpoints::StatusResponse(status);
+  response.headers.emplace_back(ApiEndpoints::kVersionHeader,
+                                std::to_string(shard_map_->MaxVersion()));
+  return response;
+}
+
+HttpResponse Router::ForwardSingle(size_t shard,
+                                   const HttpRequest& request) {
+  // HEAD is forwarded as GET: the frontend serializer strips the body, and
+  // a backend HEAD response (Content-Length with no body) would stall the
+  // pooled keep-alive connection. A GET forwards no body.
+  const bool get = request.method == "GET" || request.method == "HEAD";
+  const Outbound out{get ? std::string_view("GET") : request.method,
+                     request.target, get ? std::string_view() : request.body,
+                     get ? std::string_view()
+                         : request.Header("Content-Type")};
+  util::Result<HttpClient::Response> response = Forward(shard, out);
+  if (!response.ok()) {
+    Count(&Stats::no_backend);
+    return Refuse(response.status());
+  }
+  Count(&Stats::forwarded);
+  return FromBackend(*response);
 }
 
 HttpResponse Router::ForwardBatch(const HttpRequest& request,
-                                  std::string_view param) {
+                                  std::string_view key) {
   // The backend's own item reader and cap, enforced up front so a bad
   // batch costs one 400, not a fan-out.
   std::vector<std::string> items;
-  const util::Status collected =
-      ApiEndpoints::BatchItems(request, param, &items);
-  if (!collected.ok()) return ApiEndpoints::StatusResponse(collected);
+  const util::Status collected = ApiEndpoints::BatchItems(request, key, &items);
+  if (!collected.ok()) return Refuse(collected);
 
   // Pass-through query params (transitive, limit, ...) ride on every
   // sub-batch; the items themselves travel as a POST body.
   std::string target(request.path);
-  {
-    bool first = true;
-    for (const auto& [key, value] : request.params) {
-      if (key == param) continue;
-      target += first ? '?' : '&';
-      first = false;
-      target += server::PercentEncode(key);
-      target += '=';
-      target += server::PercentEncode(value);
-    }
+  for (const auto& [name, value] : request.params) {
+    if (name == key) continue;
+    target += target.size() == request.path.size() ? '?' : '&';
+    target += server::PercentEncode(name);
+    target += '=';
+    target += server::PercentEncode(value);
   }
 
   // Group items by owning shard, preserving input order within each group.
   const size_t num_shards = shard_map_->num_shards();
   std::vector<std::vector<size_t>> groups(num_shards);
-  for (size_t i = 0; i < items.size(); ++i) {
-    groups[shard_map_->ShardForKey(items[i])].push_back(i);
-  }
   std::vector<std::string> bodies(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    for (const size_t i : groups[s]) {
-      bodies[s] += items[i];
-      bodies[s] += '\n';
-    }
+  for (size_t i = 0; i < items.size(); ++i) {
+    const size_t s = shard_map_->ShardForKey(items[i]);
+    groups[s].push_back(i);
+    bodies[s] += items[i] + '\n';
   }
-
-  const auto fetch_group =
-      [&](size_t s) -> util::Result<HttpClient::Response> {
-    util::Status last = util::IoError("shard has no live replica");
-    int exclude = -1;
-    const size_t replicas = std::max<size_t>(shard_map_->num_replicas(s), 1);
-    for (size_t tries = 0; tries < replicas; ++tries) {
-      const int replica = shard_map_->PickReplica(s, exclude);
-      if (replica < 0) break;
-      if (tries > 0) failovers_.fetch_add(1, std::memory_order_relaxed);
-      util::Result<HttpClient::Response> response =
-          SendTo(s, static_cast<size_t>(replica), "POST", target, bodies[s],
-                 "text/plain; charset=utf-8");
-      if (response.ok()) return response;
-      last = response.status();
-      exclude = replica;
-    }
-    return last;
+  const auto sub_batch = [&](size_t s) {
+    return Outbound{"POST", target, bodies[s], "text/plain; charset=utf-8"};
   };
 
   // Fan-out: pipeline the sends (all sub-POSTs go out before any response
   // is read) so the shards compute concurrently, then read in send order.
-  // Any group that fails either phase falls back to sequential failover.
-  std::vector<std::optional<HttpClient::Response>> responses(num_shards);
-  {
-    std::vector<std::pair<size_t, Lease>> in_flight;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (groups[s].empty()) continue;
-      const int replica = shard_map_->PickReplica(s, -1);
-      if (replica < 0) continue;  // sequential fallback handles it
-      util::Result<Lease> lease =
-          Acquire(s, static_cast<size_t>(replica), true);
-      if (!lease.ok()) {
-        shard_map_->ReportFailure(s, static_cast<size_t>(replica));
-        continue;
-      }
-      util::Status sent = util::CheckFault("router.backend");
-      if (sent.ok()) {
-        sent = lease->client->SendRaw(BuildRaw(
-            *lease->client, "POST", target, bodies[s],
-            "text/plain; charset=utf-8"));
-      }
-      if (!sent.ok()) {
-        shard_map_->ReportFailure(s, static_cast<size_t>(replica));
-        continue;
-      }
-      in_flight.emplace_back(s, std::move(*lease));
-    }
-    for (auto& [s, lease] : in_flight) {
-      util::Result<HttpClient::Response> response =
-          lease.client->ReadResponse();
-      if (response.ok()) {
-        shard_map_->ReportSuccess(s, lease.replica, VersionOf(*response));
-        responses[s] = std::move(*response);
-        Release(std::move(lease));
-      } else {
-        shard_map_->ReportFailure(s, lease.replica);
-      }
-    }
-  }
+  // A group that fails either half falls back to the failover loop.
+  std::vector<std::optional<InFlight>> in_flight(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    if (groups[s].empty() || responses[s].has_value()) continue;
-    util::Result<HttpClient::Response> response = fetch_group(s);
-    if (!response.ok()) {
-      no_backend_.fetch_add(1, std::memory_order_relaxed);
-      return ApiEndpoints::ErrorResponse(
-          503, util::StatusCode::kIoError,
-          util::StrFormat("shard %zu unavailable: %s", s,
-                          std::string(response.status().message()).c_str()));
+    const int replica = groups[s].empty() ? -1 : shard_map_->PickReplica(s, -1);
+    if (replica < 0) continue;
+    util::Result<InFlight> sent =
+        Send(s, static_cast<size_t>(replica), sub_batch(s));
+    if (sent.ok()) in_flight[s] = std::move(*sent);
+  }
+  std::vector<std::optional<HttpClient::Response>> responses(num_shards);
+  uint64_t max_version = 0;
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (groups[s].empty()) continue;
+    util::Result<HttpClient::Response> response = util::IoError("not sent");
+    if (in_flight[s].has_value()) {
+      response = Receive(&*in_flight[s], sub_batch(s));
     }
+    if (!response.ok()) response = Forward(s, sub_batch(s));
+    if (!response.ok()) {
+      Count(&Stats::no_backend);
+      return Refuse(response.status());
+    }
+    max_version = std::max(max_version, VersionOf(*response));
     responses[s] = std::move(*response);
   }
 
@@ -523,20 +450,14 @@ HttpResponse Router::ForwardBatch(const HttpRequest& request,
   // a bounded number of times; a still-mixed merge is refused, never
   // served (a client must not observe shard A at version N merged with
   // shard B at N+1).
-  uint64_t max_version = 0;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (responses[s].has_value()) {
-      max_version = std::max(max_version, VersionOf(*responses[s]));
-    }
-  }
-  for (int round = 0; round < options_.coherence_retries; ++round) {
+  for (int round = 0; round < kCoherenceRetries; ++round) {
     bool mixed = false;
     for (size_t s = 0; s < num_shards; ++s) {
       if (!responses[s].has_value()) continue;
       if (VersionOf(*responses[s]) == max_version) continue;
       mixed = true;
-      coherence_retries_.fetch_add(1, std::memory_order_relaxed);
-      util::Result<HttpClient::Response> refetched = fetch_group(s);
+      Count(&Stats::coherence_retries);
+      util::Result<HttpClient::Response> refetched = Forward(s, sub_batch(s));
       if (refetched.ok()) {
         responses[s] = std::move(*refetched);
         max_version = std::max(max_version, VersionOf(*responses[s]));
@@ -546,50 +467,67 @@ HttpResponse Router::ForwardBatch(const HttpRequest& request,
   }
   for (size_t s = 0; s < num_shards; ++s) {
     if (responses[s].has_value() && VersionOf(*responses[s]) != max_version) {
-      mixed_refusals_.fetch_add(1, std::memory_order_relaxed);
-      return ApiEndpoints::ErrorResponse(
-          503, util::StatusCode::kIoError,
-          util::StrFormat(
-              "mixed snapshot generations across shards (want %llu, shard "
-              "%zu still at %llu) — retry",
-              static_cast<unsigned long long>(max_version), s,
-              static_cast<unsigned long long>(VersionOf(*responses[s]))));
+      Count(&Stats::mixed_generation_refusals);
+      return Refuse(util::IoError(util::StrFormat(
+          "mixed snapshot generations across shards (want %llu, shard "
+          "%zu still at %llu) — retry",
+          static_cast<unsigned long long>(max_version), s,
+          static_cast<unsigned long long>(VersionOf(*responses[s])))));
     }
   }
 
-  // Merge sub-results back into input order. The string_views point into
-  // the responses vector, which outlives the assembly below.
+  // Merge sub-results back into input order, under the backends' own
+  // envelope: like the version, its head (the batch's options) must agree
+  // across shards. The string_views point into `responses`, which outlives
+  // the assembly below.
   std::vector<std::string_view> merged(items.size());
+  std::optional<std::string_view> head;
+  uint64_t cache_hits = 0;
+  bool cached = false;
   for (size_t s = 0; s < num_shards; ++s) {
     if (!responses[s].has_value()) continue;
+    std::string_view sub_head;
     std::string_view array;
-    if (!FindJsonArray(responses[s]->body, "results", &array)) {
-      return ApiEndpoints::ErrorResponse(
-          503, util::StatusCode::kDataLoss,
-          util::StrFormat("shard %zu returned no results array", s));
+    if (!ApiEndpoints::BatchHead(responses[s]->body, &sub_head) ||
+        !FindJsonArray(responses[s]->body, "results", &array)) {
+      return Refuse(util::DataLossError(
+          util::StrFormat("shard %zu returned no batch envelope", s)));
     }
+    if (head.has_value() && *head != sub_head) {
+      return Refuse(util::DataLossError(util::StrFormat(
+          "shards disagree on the batch options (\"%s\" vs shard %zu's "
+          "\"%s\")",
+          std::string(*head).c_str(), s, std::string(sub_head).c_str())));
+    }
+    head = sub_head;
     const std::vector<std::string_view> elements = SplitTopLevelJson(array);
     if (elements.size() != groups[s].size()) {
-      return ApiEndpoints::ErrorResponse(
-          503, util::StatusCode::kDataLoss,
+      return Refuse(util::DataLossError(
           util::StrFormat("shard %zu returned %zu results for %zu items", s,
-                          elements.size(), groups[s].size()));
+                          elements.size(), groups[s].size())));
     }
     for (size_t j = 0; j < elements.size(); ++j) {
       merged[groups[s][j]] = elements[j];
     }
+    uint64_t hits = 0;
+    if (util::ParseUint64(responses[s]->Header("X-Cache-Hits"), &hits)) {
+      cached = true;
+      cache_hits += hits;
+    }
   }
-  std::string body = "{\"version\":" + JsonUInt(max_version) +
-                     ",\"count\":" + JsonUInt(items.size()) + ",\"results\":[";
+  std::string results;
   for (size_t i = 0; i < merged.size(); ++i) {
-    if (i > 0) body += ',';
-    body.append(merged[i]);
+    if (i > 0) results += ',';
+    results.append(merged[i]);
   }
-  body += "]}\n";
-  batches_.fetch_add(1, std::memory_order_relaxed);
+  Count(&Stats::batches);
   HttpResponse out;
-  out.body = std::move(body);
-  out.headers.emplace_back(server::ApiEndpoints::kVersionHeader,
+  out.body = ApiEndpoints::BatchEnvelope(max_version, head.value_or(""),
+                                         items.size(), results);
+  if (cached) {
+    out.headers.emplace_back("X-Cache-Hits", std::to_string(cache_hits));
+  }
+  out.headers.emplace_back(ApiEndpoints::kVersionHeader,
                            std::to_string(max_version));
   return out;
 }
@@ -619,23 +557,20 @@ HttpResponse Router::Healthz() {
   }
   backends += "]";
   const Stats stats = this->stats();
+  std::string counters;
+  for (const auto& [name, field] : kCounters) {
+    counters += counters.empty() ? '{' : ',';
+    counters += JsonString(name) + ":" + JsonUInt(stats.*field);
+  }
+  counters += '}';
   const uint64_t version = shard_map_->MaxVersion();
   HttpResponse response;
   response.body =
       std::string("{\"status\":") +
       JsonString(degraded ? "degraded" : "ok") +
       ",\"role\":\"router\",\"shards\":" + JsonUInt(shard_map_->num_shards()) +
-      ",\"version\":" + JsonUInt(version) +
-      ",\"stats\":{\"forwarded\":" + JsonUInt(stats.forwarded) +
-      ",\"batches\":" + JsonUInt(stats.batches) +
-      ",\"failovers\":" + JsonUInt(stats.failovers) +
-      ",\"hedges\":" + JsonUInt(stats.hedges) +
-      ",\"hedge_wins\":" + JsonUInt(stats.hedge_wins) +
-      ",\"coherence_retries\":" + JsonUInt(stats.coherence_retries) +
-      ",\"mixed_generation_refusals\":" +
-      JsonUInt(stats.mixed_generation_refusals) +
-      ",\"no_backend\":" + JsonUInt(stats.no_backend) +
-      "},\"backends\":" + backends + "}\n";
+      ",\"version\":" + JsonUInt(version) + ",\"stats\":" + counters +
+      ",\"backends\":" + backends + "}\n";
   response.headers.emplace_back(server::ApiEndpoints::kVersionHeader,
                                 std::to_string(version));
   return response;
@@ -644,19 +579,12 @@ HttpResponse Router::Healthz() {
 HttpResponse Router::Metrics() {
   const Stats stats = this->stats();
   std::string body;
-  const auto counter = [&body](const char* name, uint64_t value) {
-    body += util::StrFormat("# TYPE %s counter\n%s %llu\n", name, name,
-                            static_cast<unsigned long long>(value));
-  };
-  counter("router_forwarded_total", stats.forwarded);
-  counter("router_batches_total", stats.batches);
-  counter("router_failovers_total", stats.failovers);
-  counter("router_hedges_total", stats.hedges);
-  counter("router_hedge_wins_total", stats.hedge_wins);
-  counter("router_coherence_retries_total", stats.coherence_retries);
-  counter("router_mixed_generation_refusals_total",
-          stats.mixed_generation_refusals);
-  counter("router_no_backend_total", stats.no_backend);
+  for (const auto& [name, field] : kCounters) {
+    const std::string metric = std::string("router_") + name + "_total";
+    body += util::StrFormat("# TYPE %s counter\n%s %llu\n", metric.c_str(),
+                            metric.c_str(),
+                            static_cast<unsigned long long>(stats.*field));
+  }
   body += util::StrFormat(
       "# TYPE router_hedge_delay_ms gauge\nrouter_hedge_delay_ms %lld\n",
       static_cast<long long>(hedge_delay().count()));
@@ -667,52 +595,33 @@ HttpResponse Router::Metrics() {
 }
 
 HttpResponse Router::Handle(const HttpRequest& request) {
-  const std::string& path = request.path;
-  if (path == "/healthz") return Healthz();
-  if (path == "/metrics") return Metrics();
-  if (path == "/v1/collections") return ForwardSingle(0, request);
+  if (request.path == "/healthz") return Healthz();
+  if (request.path == "/metrics") return Metrics();
 
-  // Multi-collection prefix (/v1/c/<name>/<endpoint>): the router sees the
-  // same endpoint table behind a collection prefix and routes by the same
-  // key parameter, forwarding the prefixed target verbatim so the backend's
-  // CollectionManager resolves the collection. Suffix-less forms (the
-  // collection info page) and endpoints with no routing key go to shard 0 —
-  // the backend owns the endpoint contract, the router only picks a shard.
-  std::string_view route = path;
-  bool prefixed = false;
-  if (util::StartsWith(path, "/v1/c/")) {
-    prefixed = true;
-    const std::string_view rest = std::string_view(path).substr(6);
-    const size_t slash = rest.find('/');
-    if (slash == std::string_view::npos) return ForwardSingle(0, request);
-    route = rest.substr(slash);
-    if (route == "/" || route == "/healthz" || route == "/metrics") {
-      return ForwardSingle(0, request);
-    }
-  } else if (util::StartsWith(path, "/v1/")) {
-    route = std::string_view(path).substr(3);
-  } else {
-    return ApiEndpoints::ErrorResponse(404, util::StatusCode::kNotFound,
-                                       "no such endpoint: " + path);
+  // A collection-prefixed path routes like the bare path it stands for;
+  // the prefixed target is forwarded verbatim, and the backend's
+  // CollectionManager resolves the collection.
+  std::string_view collection;
+  std::string bare;
+  const bool prefixed =
+      ApiEndpoints::SplitCollectionPath(request.path, &collection, &bare);
+  const ApiEndpoints::Route* route =
+      ApiEndpoints::FindRoute(prefixed ? bare : request.path);
+  if (route != nullptr && !route->key.empty()) {
+    if (route->batch) return ForwardBatch(request, route->key);
+    // A missing argument routes to shard 0, whose backend produces the
+    // canonical 400 — the router never duplicates the parameter contract.
+    const std::string_view key = request.Param(route->key);
+    return ForwardSingle(key.empty() ? 0 : shard_map_->ShardForKey(key),
+                         request);
   }
-  if (route == "/men2ent") {
-    return ForwardSingle(ShardForParam(request, "mention"), request);
+  // Every other path a backend serves (the collection list, a
+  // collection's own pages and non-query endpoints) goes to shard 0: the
+  // backend owns the endpoint contract, the router only picks a shard.
+  if (prefixed || request.path == "/v1/collections") {
+    return ForwardSingle(0, request);
   }
-  if (route == "/getConcept" || route == "/isa" || route == "/similar") {
-    return ForwardSingle(ShardForParam(request, "entity"), request);
-  }
-  if (route == "/getEntity" || route == "/expand") {
-    return ForwardSingle(ShardForParam(request, "concept"), request);
-  }
-  if (route == "/lca") {
-    return ForwardSingle(ShardForParam(request, "a"), request);
-  }
-  if (route == "/men2ent_batch") return ForwardBatch(request, "mention");
-  if (route == "/getConcept_batch") return ForwardBatch(request, "entity");
-  if (route == "/getEntity_batch") return ForwardBatch(request, "concept");
-  if (prefixed) return ForwardSingle(0, request);
-  return ApiEndpoints::ErrorResponse(404, util::StatusCode::kNotFound,
-                                     "no such endpoint: " + path);
+  return Refuse(util::NotFoundError("no such endpoint: " + request.path));
 }
 
 void Router::ObserveForwardLatency(std::chrono::microseconds elapsed) {

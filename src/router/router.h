@@ -24,14 +24,15 @@ namespace cnpb::router {
 // ShardMap and merges the answers, so clients see a single endpoint with
 // the exact wire contract of a lone HttpServer.
 //
-//   - Single-shot endpoints hash their argument to a shard
-//     (hash-by-mention for /v1/men2ent, hash-by-argument for the rest) and
-//     forward to one replica, with failover across replicas and hedging: a
-//     duplicate request goes to a second replica once the first exceeds a
+//   - Single-shot endpoints, bare or under /v1/c/<name>/, hash the argument
+//     ApiEndpoints' route table names for them to a shard and forward to
+//     one replica, with failover across replicas and hedging: a duplicate
+//     request goes to a second replica once the first exceeds a
 //     p99-derived delay, and the first answer wins.
 //   - Batch endpoints fan out per-shard sub-batches over parallel
 //     keep-alive connections (all sends first, then all reads) and merge
-//     the sub-results back into input order.
+//     the sub-results back into input order, in the backends' own batch
+//     envelope (ApiEndpoints::BatchEnvelope).
 //   - Generation coherence: every backend response carries
 //     X-Taxonomy-Version (service.cc); a batch merge whose sub-responses
 //     straddle a publish re-fetches the laggard shards a bounded number of
@@ -46,7 +47,8 @@ namespace cnpb::router {
 // bounded by connect/recv deadlines on the hardened HttpClient.
 //
 // Fault points: `router.connect` (backend connection establishment) and
-// `router.backend` (request forwarding) — see the registry in DESIGN.md §8.
+// `router.backend` (every request sent to a backend, hedged duplicates
+// included) — see the registry in DESIGN.md §8.
 class Router {
  public:
   struct Options {
@@ -63,9 +65,6 @@ class Router {
     // forward latency, clamped to [1 ms, 100 ms]; hedge_initial seeds it
     // before enough samples exist.
     std::chrono::milliseconds hedge_initial{20};
-    // Batch coherence: rounds of laggard-shard re-fetches allowed before a
-    // mixed-generation merge is refused with 503.
-    int coherence_retries = 2;
   };
 
   struct Stats {
@@ -103,8 +102,8 @@ class Router {
  private:
   // A checked-out backend connection. `reused` distinguishes a pooled
   // keep-alive connection (whose peer may have idle-closed it) from a
-  // fresh one, so a first send failure on a reused connection retries on a
-  // fresh socket before counting as a backend failure.
+  // fresh one, so a failure on a reused connection retries on a fresh
+  // socket before counting as a backend failure.
   struct Lease {
     std::unique_ptr<server::HttpClient> client;
     size_t shard = 0;
@@ -117,48 +116,65 @@ class Router {
     std::vector<std::unique_ptr<server::HttpClient>> idle;
   };
 
+  // What one forward sends to whichever replica serves it.
+  struct Outbound {
+    std::string_view method;
+    std::string_view target;
+    std::string_view body;
+    std::string_view content_type;
+  };
+
+  // A request sent on one replica, its response not yet read.
+  struct InFlight {
+    Lease lease;
+    std::chrono::steady_clock::time_point start;
+  };
+
   size_t PoolIndex(size_t shard, size_t replica) const {
     return pool_offsets_[shard] + replica;
   }
   // `allow_reuse` false forces a fresh connection (the stale-pool retry).
   util::Result<Lease> Acquire(size_t shard, size_t replica, bool allow_reuse);
   void Release(Lease lease);
-
-  std::string HostPort(size_t shard, size_t replica) const;
-  // Request bytes for a forward to (shard, replica); GETs go through the
-  // client's own formatter, anything with a body is built here.
+  // Request bytes for `out` on `client`'s connection: GETs and POSTs go
+  // through the client's own formatter, anything else is built here.
   static std::string BuildRaw(const server::HttpClient& client,
-                              std::string_view method, std::string_view target,
-                              std::string_view body,
-                              std::string_view content_type);
+                              const Outbound& out);
 
-  // One request/response against one replica, no hedging: send (with the
-  // stale-pooled-connection retry), read, report the outcome to the shard
-  // map. On success the connection returns to the pool.
-  util::Result<server::HttpClient::Response> SendTo(
-      size_t shard, size_t replica, std::string_view method,
-      std::string_view target, std::string_view body,
-      std::string_view content_type);
-
-  // SendTo plus hedging: races a duplicate on a second replica when the
-  // primary exceeds the hedge delay. `used_replica` reports who answered.
-  util::Result<server::HttpClient::Response> SendHedged(
-      size_t shard, size_t replica, std::string_view method,
-      std::string_view target, int* used_replica);
+  // The exchange's send half: acquire a connection, pass the
+  // `router.backend` fault point, send — once more on a fresh socket when
+  // a pooled one fails. Failures are reported to the shard map.
+  util::Result<InFlight> Send(size_t shard, size_t replica,
+                              const Outbound& out, bool allow_reuse = true);
+  // The exchange's receive half: read the response, resending once on a
+  // fresh socket when a pooled connection's read fails with an I/O error.
+  // Reports the outcome to the shard map; pools the connection on success.
+  util::Result<server::HttpClient::Response> Receive(InFlight* flight,
+                                                     const Outbound& out);
+  // The one backend exchange: Send, then Receive. A GET on a multi-replica
+  // shard is hedged in between (a duplicate to a second replica past the
+  // hedge delay; the first answer wins). Unhedged successes feed the
+  // hedge-delay histogram.
+  util::Result<server::HttpClient::Response> Exchange(size_t shard,
+                                                      size_t replica,
+                                                      const Outbound& out);
+  // The failover loop: Exchange with each of the shard's replicas at most
+  // once, in ShardMap order, until one answers; IoError naming the shard
+  // when none does.
+  util::Result<server::HttpClient::Response> Forward(size_t shard,
+                                                     const Outbound& out);
 
   server::HttpResponse ForwardSingle(size_t shard,
                                      const server::HttpRequest& request);
   server::HttpResponse ForwardBatch(const server::HttpRequest& request,
-                                    std::string_view param);
+                                    std::string_view key);
+  // An error the router answers itself, stamped (like a backend's) with
+  // the newest version any backend has reported.
+  server::HttpResponse Refuse(const util::Status& status);
   server::HttpResponse Healthz();
   server::HttpResponse Metrics();
 
-  // Shard for a single-shot request: hash of the (decoded) routing
-  // argument; a missing argument routes to shard 0, whose backend then
-  // produces the canonical 400.
-  size_t ShardForParam(const server::HttpRequest& request,
-                       std::string_view param) const;
-
+  void Count(uint64_t Stats::*counter);
   void ObserveForwardLatency(std::chrono::microseconds elapsed);
 
   ShardMap* const shard_map_;
@@ -168,14 +184,8 @@ class Router {
   std::vector<size_t> pool_offsets_;        // shard -> index into pools_
   std::vector<std::unique_ptr<Pool>> pools_;  // one per backend
 
-  std::atomic<uint64_t> forwarded_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> failovers_{0};
-  std::atomic<uint64_t> hedges_{0};
-  std::atomic<uint64_t> hedge_wins_{0};
-  std::atomic<uint64_t> coherence_retries_{0};
-  std::atomic<uint64_t> mixed_refusals_{0};
-  std::atomic<uint64_t> no_backend_{0};
+  // The counters, read and bumped through std::atomic_ref (Count, stats()).
+  mutable Stats counts_;
 
   // Power-of-two microsecond buckets of successful forward latencies;
   // every 128 samples the p99 is re-derived into hedge_delay_ms_. Self-

@@ -92,12 +92,19 @@ std::string SerializeResponse(const HttpResponse& response, bool keep_alive,
   const bool alive = keep_alive && !response.close;
   std::string out = util::StrFormat("HTTP/1.1 %d %s\r\n", response.status,
                                     ReasonPhrase(response.status));
-  out += "Content-Type: " + response.content_type + "\r\n";
+  out += "Content-Type: ";
+  out += response.content_type.empty()
+             ? std::string_view("application/json")
+             : std::string_view(response.content_type);
+  out += "\r\n";
   out += util::StrFormat(
       "Content-Length: %zu\r\n", response.body.size());
   out += alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";
   for (const auto& [name, value] : response.headers) {
-    out += name + ": " + value + "\r\n";
+    out += name;
+    out += ": ";
+    out += value;
+    out += "\r\n";
   }
   out += "\r\n";
   if (!head_only) out += response.body;

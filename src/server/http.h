@@ -39,7 +39,9 @@ struct HttpRequest {
 
 struct HttpResponse {
   int status = 200;
-  std::string content_type = "application/json";
+  // Empty serializes as "application/json", which is one byte past the
+  // small-string buffer: the common case then costs no allocation.
+  std::string content_type;
   // Extra headers beyond Content-Type/Content-Length/Connection.
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;

@@ -77,10 +77,7 @@ IngestEndpoints::IngestEndpoints(ingest::IngestDaemon* daemon,
 HttpResponse IngestEndpoints::Handle(const HttpRequest& request) {
   if (request.path == "/v1/ingest") {
     if (request.method != "POST") {
-      HttpResponse response = ApiEndpoints::ErrorResponse(
-          405, util::StatusCode::kInvalidArgument, "POST required");
-      response.headers.emplace_back("Allow", "POST");
-      return response;
+      return ApiEndpoints::MethodNotAllowed(request.method, "POST");
     }
     return Ingest(request);
   }

@@ -1,5 +1,6 @@
 #include "server/service.h"
 
+#include <algorithm>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -224,6 +225,54 @@ HttpResponse ApiEndpoints::StatusResponse(const util::Status& status) {
                        status.message());
 }
 
+HttpResponse ApiEndpoints::MethodNotAllowed(std::string_view method,
+                                            std::string_view allow) {
+  HttpResponse response =
+      ErrorResponse(405, util::StatusCode::kInvalidArgument,
+                    "method not allowed: " + std::string(method));
+  response.headers.emplace_back("Allow", std::string(allow));
+  return response;
+}
+
+std::string ApiEndpoints::BatchEnvelope(uint64_t version,
+                                        std::string_view head, size_t count,
+                                        std::string_view results) {
+  std::string body = "{\"version\":" + JsonUInt(version);
+  body += head;
+  body += ",\"count\":" + JsonUInt(count) + ",\"results\":[";
+  body += results;
+  body += "]}\n";
+  return body;
+}
+
+bool ApiEndpoints::BatchHead(std::string_view body, std::string_view* head) {
+  // No head field holds a string, so the first ,"count": ends the head.
+  constexpr std::string_view kOpen = "{\"version\":";
+  const size_t begin = body.find_first_not_of("0123456789", kOpen.size());
+  const size_t end = body.find(",\"count\":");
+  if (!util::StartsWith(body, kOpen) || end == std::string_view::npos ||
+      end < begin) {
+    return false;
+  }
+  *head = body.substr(begin, end - begin);
+  return true;
+}
+
+bool ApiEndpoints::SplitCollectionPath(std::string_view path,
+                                       std::string_view* name,
+                                       std::string* bare) {
+  if (!util::StartsWith(path, "/v1/c/")) return false;
+  const std::string_view rest = path.substr(6);
+  const size_t slash = std::min(rest.find('/'), rest.size());
+  *name = rest.substr(0, slash);
+  const std::string_view suffix = rest.substr(slash);
+  bare->clear();
+  if (suffix.size() <= 1) return true;  // the collection's own page
+  if (suffix != "/healthz" && suffix != "/metrics") *bare = "/v1";
+  *bare += suffix;
+  return true;
+}
+
 const std::vector<ApiEndpoints::Route>& ApiEndpoints::Routes() {
   static const std::vector<Route> routes = [] {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -239,31 +288,39 @@ const std::vector<ApiEndpoints::Route>& ApiEndpoints::Routes() {
     obs::BucketHistogram* const reason =
         registry.histogram("http.latency.reason_seconds");
     return std::vector<Route>{
-        {"/v1/men2ent", &ApiEndpoints::Men2Ent, requests("men2ent"), men2ent,
-         false},
-        {"/v1/getConcept", &ApiEndpoints::GetConcept,
+        {"/v1/men2ent", "mention", &ApiEndpoints::Men2Ent,
+         requests("men2ent"), men2ent, false},
+        {"/v1/getConcept", "entity", &ApiEndpoints::GetConcept,
          requests("get_concept"), get_concept, false},
-        {"/v1/getEntity", &ApiEndpoints::GetEntity, requests("get_entity"),
-         get_entity, false},
-        {"/v1/men2ent_batch", &ApiEndpoints::Men2EntBatch,
+        {"/v1/getEntity", "concept", &ApiEndpoints::GetEntity,
+         requests("get_entity"), get_entity, false},
+        {"/v1/men2ent_batch", "mention", &ApiEndpoints::Men2EntBatch,
          requests("men2ent_batch"), men2ent, true},
-        {"/v1/getConcept_batch", &ApiEndpoints::GetConceptBatch,
+        {"/v1/getConcept_batch", "entity", &ApiEndpoints::GetConceptBatch,
          requests("get_concept_batch"), get_concept, true},
-        {"/v1/getEntity_batch", &ApiEndpoints::GetEntityBatch,
+        {"/v1/getEntity_batch", "concept", &ApiEndpoints::GetEntityBatch,
          requests("get_entity_batch"), get_entity, true},
-        {"/v1/isa", &ApiEndpoints::Isa, requests("isa"), reason, false},
-        {"/v1/lca", &ApiEndpoints::Lca, requests("lca"), reason, false},
-        {"/v1/similar", &ApiEndpoints::Similar, requests("similar"), reason,
+        {"/v1/isa", "entity", &ApiEndpoints::Isa, requests("isa"), reason,
          false},
-        {"/v1/expand", &ApiEndpoints::Expand, requests("expand"), reason,
+        {"/v1/lca", "a", &ApiEndpoints::Lca, requests("lca"), reason, false},
+        {"/v1/similar", "entity", &ApiEndpoints::Similar, requests("similar"),
+         reason, false},
+        {"/v1/expand", "concept", &ApiEndpoints::Expand, requests("expand"),
+         reason, false},
+        {"/healthz", "", &ApiEndpoints::Healthz, requests("healthz"), nullptr,
          false},
-        {"/healthz", &ApiEndpoints::Healthz, requests("healthz"), nullptr,
-         false},
-        {"/metrics", &ApiEndpoints::Metrics, requests("metrics"), nullptr,
+        {"/metrics", "", &ApiEndpoints::Metrics, requests("metrics"), nullptr,
          false},
     };
   }();
   return routes;
+}
+
+const ApiEndpoints::Route* ApiEndpoints::FindRoute(std::string_view path) {
+  for (const Route& route : Routes()) {
+    if (route.path == path) return &route;
+  }
+  return nullptr;
 }
 
 template <typename Resolve, typename Envelope>
@@ -354,16 +411,13 @@ HttpResponse ApiEndpoints::ResolveBatchCached(
   }
   const std::string item_open = "{\"" + std::string(item_key) + "\":";
   const std::string list_open = ",\"" + std::string(list_key) + "\":";
-  std::string body = "{\"version\":" + JsonUInt(version) + std::string(head) +
-                     ",\"count\":" + JsonUInt(items.size()) +
-                     ",\"results\":[";
+  std::string results;
   for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) body += ',';
-    body += item_open + JsonString(items[i]) + list_open + fragments[i] + "}";
+    if (i > 0) results += ',';
+    results += item_open + JsonString(items[i]) + list_open + fragments[i] + "}";
   }
-  body += "]}\n";
   HttpResponse response;
-  response.body = std::move(body);
+  response.body = BatchEnvelope(version, head, items.size(), results);
   if (cache_ != nullptr) {
     response.headers.emplace_back("X-Cache-Hits", std::to_string(hits));
   }
@@ -372,24 +426,14 @@ HttpResponse ApiEndpoints::ResolveBatchCached(
 }
 
 HttpResponse ApiEndpoints::Handle(const HttpRequest& request) {
-  const Route* route = nullptr;
-  for (const Route& candidate : routes_) {
-    if (candidate.path == request.path) {
-      route = &candidate;
-      break;
-    }
-  }
-  const bool post_ok = route != nullptr && route->post;
+  const Route* route = FindRoute(request.path);
+  const bool post_ok = route != nullptr && route->batch;
   if (request.method != "GET" && request.method != "HEAD" &&
       !(post_ok && request.method == "POST")) {
     req_other_->Increment();
     resp_4xx_->Increment();
-    HttpResponse response = ErrorResponse(
-        405, util::StatusCode::kInvalidArgument,
-        "method not allowed: " + request.method);
-    response.headers.emplace_back("Allow",
-                                  post_ok ? "GET, HEAD, POST" : "GET, HEAD");
-    return response;
+    return MethodNotAllowed(request.method,
+                            post_ok ? "GET, HEAD, POST" : "GET, HEAD");
   }
   HttpResponse response = [&] {
     if (route == nullptr) {

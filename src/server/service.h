@@ -2,6 +2,7 @@
 #define CNPROBASE_SERVER_SERVICE_H_
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -119,6 +120,11 @@ class ApiEndpoints {
   // HttpStatusForCode, its code name and its message.
   static HttpResponse StatusResponse(const util::Status& status);
 
+  // The 405 every serving tier answers a method it does not take: the JSON
+  // error body naming `method`, and `allow` as the Allow header.
+  static HttpResponse MethodNotAllowed(std::string_view method,
+                                       std::string_view allow);
+
   // Collects a batch request's items: every `param` query value (GET) or
   // one term per POST body line (blank lines skipped). InvalidArgument when
   // there are none or more than kMaxBatchItems. The router calls it too, to
@@ -126,6 +132,37 @@ class ApiEndpoints {
   static util::Status BatchItems(const HttpRequest& request,
                                  std::string_view param,
                                  std::vector<std::string>* items);
+
+  // The one batch envelope, {"version":V<head>,"count":N,"results":[...]}
+  // with `results` the comma-joined items and `head` the batch's options
+  // (,"transitive":... or ,"limit":...). The router merges with it too.
+  static std::string BatchEnvelope(uint64_t version, std::string_view head,
+                                   size_t count, std::string_view results);
+  // The head of a BatchEnvelope body; false when `body` is not one.
+  static bool BatchHead(std::string_view body, std::string_view* head);
+
+  // Splits "/v1/c/<name>[/<suffix>]" into the collection and the bare path
+  // the suffix stands for ("/v1<suffix>", or /healthz and /metrics as they
+  // are; empty for the collection's own page). False for other paths.
+  static bool SplitCollectionPath(std::string_view path,
+                                  std::string_view* name, std::string* bare);
+
+  // One row of the route table Handle() dispatches on. The router tier
+  // reads it too, to pick the shard a query path is routed by.
+  struct Route {
+    std::string_view path;
+    // The query argument whose value owns the request (the router hashes
+    // it to a shard); empty for health and metrics.
+    std::string_view key;
+    HttpResponse (ApiEndpoints::*handler)(const HttpRequest&);
+    obs::Counter* requests;         // http.requests.<endpoint>
+    obs::BucketHistogram* latency;  // sampled; null for health/metrics
+    bool batch;                     // batch form: also takes a POST body
+  };
+  // The table, built once per process.
+  static const std::vector<Route>& Routes();
+  // The row serving `path` exactly, or null.
+  static const Route* FindRoute(std::string_view path);
 
   // The reasoning-side usage counters (for benches / examples).
   const reason::ReasonService& reason_service() const { return reason_; }
@@ -144,18 +181,6 @@ class ApiEndpoints {
   HttpResponse Healthz(const HttpRequest& request);
   HttpResponse Metrics(const HttpRequest& request);
 
-  // One row of the route table Handle() dispatches on.
-  struct Route {
-    std::string_view path;
-    HttpResponse (ApiEndpoints::*handler)(const HttpRequest&);
-    obs::Counter* requests;         // http.requests.<endpoint>
-    obs::BucketHistogram* latency;  // sampled; null for health/metrics
-    bool post;                      // batch forms also take a POST body
-  };
-  // The table, built once per process (its instruments are registered when
-  // the first ApiEndpoints is constructed).
-  static const std::vector<Route>& Routes();
-
   // The single-shot cache path. The cached unit is an ItemFragment
   // (service.cc): the single-shot status plus the JSON the envelope wraps.
   // Lookup at the current version, else `resolve()` and Insert the unit at
@@ -173,8 +198,7 @@ class ApiEndpoints {
   // Insert at the resolved version. If a publish lands between the cache
   // sweep and the resolve (hit and miss versions disagree), the whole
   // batch is re-resolved at the new snapshot so the response keeps its
-  // single-version contract. The response is the one batch envelope,
-  // {"version":V<head>,"count":N,"results":[...]} with one
+  // single-version contract. The response is the BatchEnvelope with one
   // {"<item_key>":item,"<list_key>":fragment} per input item.
   template <typename Resolve>
   HttpResponse ResolveBatchCached(const std::vector<std::string>& items,
@@ -189,6 +213,7 @@ class ApiEndpoints {
   reason::ReasonService reason_;
   std::unique_ptr<ResultCache> cache_;
   const std::chrono::steady_clock::time_point started_;
+  // Registers the route instruments with the first ApiEndpoints.
   const std::vector<Route>& routes_ = Routes();
 
   // Wire-level instruments beyond the per-route ones (the ApiService keeps

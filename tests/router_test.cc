@@ -262,7 +262,8 @@ struct Backend {
   }
 };
 
-std::unique_ptr<Backend> StartBackend() {
+std::unique_ptr<Backend> StartBackend(
+    std::chrono::milliseconds idle_timeout = std::chrono::milliseconds(60000)) {
   auto b = std::make_unique<Backend>();
   b->taxonomy = std::make_unique<Taxonomy>(MakeTaxonomy());
   b->api = std::make_unique<ApiService>(
@@ -272,6 +273,7 @@ std::unique_ptr<Backend> StartBackend() {
   b->endpoints = std::make_unique<ApiEndpoints>(b->api.get());
   HttpServer::Config config;
   config.num_threads = 2;
+  config.idle_timeout = idle_timeout;
   b->http = std::make_unique<HttpServer>(config, b->endpoints->AsHandler());
   EXPECT_TRUE(b->http->Start().ok());
   return b;
@@ -608,16 +610,52 @@ TEST_F(RouterTest, HedgeBeatsAStalledReplica) {
   util::CloseFd(*hole);
 }
 
+TEST_F(RouterTest, StaleKeepAliveConnectionsAreRetriedNotBlamed) {
+  // The backends reclaim keep-alive connections idle for 50 ms, so every
+  // connection the router pooled in the first round has been closed by
+  // its backend when the second round takes it from the pool. Each such
+  // exchange must be retried on a fresh socket: no failover, no failure
+  // counted against a healthy replica.
+  std::vector<std::vector<ShardMap::Endpoint>> topology(2);
+  for (size_t s = 0; s < 2; ++s) {
+    backends_.push_back(StartBackend(std::chrono::milliseconds(50)));
+    topology[s].push_back({"127.0.0.1", backends_.back()->port()});
+  }
+  StartRouter(std::move(topology));
+
+  HttpClient client = Connect();
+  const std::string get = "/v1/getConcept?entity=" + PercentEncode("刘备");
+  const std::string batch = "刘备\n曹操\n君主\nentity0\nentity1\nentity2\n";
+  for (int round = 0; round < 2; ++round) {
+    auto single = client.Get(get);
+    ASSERT_TRUE(single.ok()) << single.status().message();
+    EXPECT_EQ(single->status, 200) << "round " << round;
+    auto merged =
+        client.Post("/v1/getConcept_batch", batch, "text/plain; charset=utf-8");
+    ASSERT_TRUE(merged.ok()) << merged.status().message();
+    EXPECT_EQ(merged->status, 200) << "round " << round;
+    if (round == 0) std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  }
+
+  EXPECT_EQ(router_->stats().failovers, 0u);
+  uint64_t reclaimed = 0;
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(map_->consecutive_failures(s, 0), 0) << "shard " << s;
+    EXPECT_EQ(map_->state(s, 0), ShardMap::State::kHealthy) << "shard " << s;
+    reclaimed += backend(s).http->stats().idle_timeouts;
+  }
+  // The backends did close the pooled connections (the client's own
+  // connection is to the router, not to them).
+  EXPECT_GE(reclaimed, 2u);
+}
+
 TEST_F(RouterTest, MixedGenerationBatchIsRefusedThenRecovers) {
   // Shard 0's backend has been published to generation 2; shard 1's is
   // still at 1. A batch spanning both must be refused, never merged.
   backends_.push_back(StartGenBackend(2));
   backends_.push_back(StartGenBackend(1));
-  Router::Options options;
-  options.coherence_retries = 1;
   StartRouter({{{"127.0.0.1", backends_[0]->port()}},
-               {{"127.0.0.1", backends_[1]->port()}}},
-              options);
+               {{"127.0.0.1", backends_[1]->port()}}});
 
   // Find one key owned by each shard (the items themselves need not exist
   // in the taxonomy — batch answers unknown items with an empty slot).
