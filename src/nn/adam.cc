@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/kernels.h"
+
 namespace cnpb::nn {
 
 Adam::Adam(std::vector<Var> params, const Config& config)
@@ -29,19 +31,19 @@ void Adam::Step() {
     const float norm = static_cast<float>(std::sqrt(norm_sq));
     if (norm > config_.clip) scale = config_.clip / norm;
   }
-  const float bias1 = 1.0f - std::pow(config_.beta1, static_cast<float>(t_));
-  const float bias2 = 1.0f - std::pow(config_.beta2, static_cast<float>(t_));
+  const kernels::AdamStep step{
+      scale,
+      config_.beta1,
+      config_.beta2,
+      config_.lr,
+      config_.eps,
+      1.0f - std::pow(config_.beta1, static_cast<float>(t_)),
+      1.0f - std::pow(config_.beta2, static_cast<float>(t_))};
   for (size_t k = 0; k < params_.size(); ++k) {
     Var& p = params_[k];
     if (!p->grad_ready) continue;
-    for (size_t i = 0; i < p->value.size(); ++i) {
-      const float g = p->grad[i] * scale;
-      m_[k][i] = config_.beta1 * m_[k][i] + (1.0f - config_.beta1) * g;
-      v_[k][i] = config_.beta2 * v_[k][i] + (1.0f - config_.beta2) * g * g;
-      const float m_hat = m_[k][i] / bias1;
-      const float v_hat = v_[k][i] / bias2;
-      p->value[i] -= config_.lr * m_hat / (std::sqrt(v_hat) + config_.eps);
-    }
+    kernels::AdamUpdate(step, p->grad.data(), static_cast<int>(p->value.size()),
+                        m_[k].data(), v_[k].data(), p->value.data());
   }
   ZeroGrad();
 }

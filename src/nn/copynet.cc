@@ -71,6 +71,9 @@ float CopyNet::AccumulateBatch(const std::vector<const Example*>& batch) {
   size_t total_tokens = 0;
   for (const Example* example : batch) {
     if (example->source_ids.empty() || example->target_words.empty()) continue;
+    // Each example records its own graph; Backward clears it, and this
+    // drops the graph of an example that ends with no loss to backpropagate.
+    ClearTape();
     std::vector<Var> states;
     Var enc_final = Encode(example->source_ids, &states);
     const Var h_matrix = StackRows(states);

@@ -2,70 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
+#include "nn/kernels.h"
 #include "util/logging.h"
 
 namespace cnpb::nn {
 
 namespace {
 
-typedef float V4 __attribute__((vector_size(16)));
-
-V4 Load(const float* p) {
-  V4 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-void Store(float* p, V4 v) { std::memcpy(p, &v, sizeof(v)); }
-
 int RoundUp4(int n) { return (n + 3) & ~3; }
-
-// y[o] = sum_j w[j][o] * x[j] for o in [0, stride), stride a multiple of 4.
-// Each lane accumulates from 0.0f in ascending j, the order MatVec sums a
-// row in, so every y[o] is bit-identical to the tape's.
-void MatVecT(const float* w, int in, int stride, const float* x, float* y) {
-  int o = 0;
-  for (; o + 16 <= stride; o += 16) {
-    V4 a0 = {}, a1 = {}, a2 = {}, a3 = {};
-    const float* col = w + o;
-    for (int j = 0; j < in; ++j, col += stride) {
-      const V4 xj = {x[j], x[j], x[j], x[j]};
-      a0 += Load(col) * xj;
-      a1 += Load(col + 4) * xj;
-      a2 += Load(col + 8) * xj;
-      a3 += Load(col + 12) * xj;
-    }
-    Store(y + o, a0);
-    Store(y + o + 4, a1);
-    Store(y + o + 8, a2);
-    Store(y + o + 12, a3);
-  }
-  for (; o < stride; o += 4) {
-    V4 a = {};
-    const float* col = w + o;
-    for (int j = 0; j < in; ++j, col += stride) {
-      const V4 xj = {x[j], x[j], x[j], x[j]};
-      a += Load(col) * xj;
-    }
-    Store(y + o, a);
-  }
-}
-
-float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
-
-// autograd.cc's Softmax, element for element.
-void Softmax(const float* x, int n, float* out) {
-  float max_val = x[0];
-  for (int i = 1; i < n; ++i) max_val = std::max(max_val, x[i]);
-  float total = 0.0f;
-  for (int i = 0; i < n; ++i) {
-    out[i] = std::exp(x[i] - max_val);
-    total += out[i];
-  }
-  for (int i = 0; i < n; ++i) out[i] /= total;
-}
 
 }  // namespace
 
@@ -98,10 +43,8 @@ CopyNetDecoder::Affine CopyNetDecoder::Fuse(
 }
 
 void CopyNetDecoder::Apply(const Affine& affine, const float* x, float* y) {
-  MatVecT(affine.weight.data(), affine.in, affine.stride, x, y);
-  for (int o = 0; o < affine.stride; o += 4) {
-    Store(y + o, Load(y + o) + Load(affine.bias.data() + o));
-  }
+  kernels::MatVecT(affine.weight.data(), affine.in, affine.stride, x, y);
+  kernels::AddTo(affine.bias.data(), affine.stride, y);
 }
 
 CopyNetDecoder::CopyNetDecoder(const CopyNet& model)
@@ -143,8 +86,8 @@ void CopyNetDecoder::GruStep(const Affine& uzr, const Affine& un,
   float* rh = z + n;                 // [n]
   Apply(uzr, h, gh);
   for (int i = 0; i < n; ++i) {
-    z[i] = Sigmoid(gx[i] + gh[i]);
-    rh[i] = Sigmoid(gx[n + i] + gh[n + i]) * h[i];
+    z[i] = kernels::Sigmoid(gx[i] + gh[i]);
+    rh[i] = kernels::Sigmoid(gx[n + i] + gh[n + i]) * h[i];
   }
   Apply(un, rh, un_out);
   for (int i = 0; i < n; ++i) {
@@ -198,11 +141,11 @@ CopyNetDecoder::Step CopyNetDecoder::Forward(
   GruStep(dec_uzr_, dec_un_, dec_gx_.data(),
           states + static_cast<size_t>(t_len) * n, s, work);
   Apply(attn_, s, query);
-  MatVecT(states_t, n, t_stride, query, scores);
+  kernels::MatVecT(states_t, n, t_stride, query, scores);
 
   Step step;
   step.attention.resize(t_len);
-  Softmax(scores, t_len, step.attention.data());
+  kernels::Softmax(scores, t_len, step.attention.data());
   // MatTVec: zero attention weights are skipped, as on the tape.
   for (int t = 0; t < t_len; ++t) {
     const float w = step.attention[t];
@@ -212,10 +155,10 @@ CopyNetDecoder::Step CopyNetDecoder::Forward(
   }
 
   Apply(copy_gate_, feat, gate);
-  step.p_gen = Sigmoid(gate[0]);
+  step.p_gen = kernels::Sigmoid(gate[0]);
   Apply(out_, feat, logits);
   step.p_vocab.resize(vocab);
-  Softmax(logits, vocab, step.p_vocab.data());
+  kernels::Softmax(logits, vocab, step.p_vocab.data());
   return step;
 }
 

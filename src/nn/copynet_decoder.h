@@ -17,8 +17,9 @@ namespace cnpb::nn {
 // DecodeStep): each Linear is re-laid as [in][out] so an affine runs as a
 // 4-lane vector loop across outputs, but every output still sums its terms
 // in the tape's order (from 0.0f, input index ascending, bias last), and the
-// GRU, attention, sigmoid and softmax repeat autograd.cc's per-element
-// formulas. The library is built with -ffp-contract=off so neither side is
+// GRU and attention repeat autograd.cc's per-element formulas. Both sides
+// take MatVecT, the softmax and the sigmoid from one place (nn/kernels.h),
+// and the library is built with -ffp-contract=off so neither side is
 // contracted to FMA.
 //
 // Read-only after construction: Decode may run on concurrent threads.

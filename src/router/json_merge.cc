@@ -48,24 +48,6 @@ size_t FindTopLevelKey(std::string_view json, std::string_view key) {
 
 }  // namespace
 
-bool FindJsonUInt(std::string_view json, std::string_view key,
-                  uint64_t* out) {
-  const size_t pos = FindTopLevelKey(json, key);
-  if (pos == std::string_view::npos) return false;
-  size_t end = pos;
-  while (end < json.size() &&
-         std::isdigit(static_cast<unsigned char>(json[end]))) {
-    ++end;
-  }
-  if (end == pos) return false;
-  uint64_t value = 0;
-  for (size_t i = pos; i < end; ++i) {
-    value = value * 10 + static_cast<uint64_t>(json[i] - '0');
-  }
-  *out = value;
-  return true;
-}
-
 bool FindJsonArray(std::string_view json, std::string_view key,
                    std::string_view* out) {
   const size_t pos = FindTopLevelKey(json, key);

@@ -15,10 +15,6 @@ namespace cnpb::router {
 // still string- and escape-aware so a Chinese mention containing '[' or
 // '{' cannot desync the bracket matching.
 
-// Finds `"key":<digits>` at the top level of `json` and parses the digits.
-// False when the key is absent or the value is not an unsigned integer.
-bool FindJsonUInt(std::string_view json, std::string_view key, uint64_t* out);
-
 // Finds `"key":[...]` and returns the contents between the brackets
 // (exclusive) in *out. Bracket matching skips strings and escapes.
 bool FindJsonArray(std::string_view json, std::string_view key,

@@ -615,13 +615,11 @@ HttpResponse Router::Handle(const HttpRequest& request) {
     return ForwardSingle(key.empty() ? 0 : shard_map_->ShardForKey(key),
                          request);
   }
-  // Every other path a backend serves (the collection list, a
-  // collection's own pages and non-query endpoints) goes to shard 0: the
-  // backend owns the endpoint contract, the router only picks a shard.
-  if (prefixed || request.path == "/v1/collections") {
-    return ForwardSingle(0, request);
-  }
-  return Refuse(util::NotFoundError("no such endpoint: " + request.path));
+  // Every other path (the collection list, a collection's own pages,
+  // non-query endpoints and paths no backend serves) goes to shard 0: the
+  // backend owns the endpoint contract, 404s and 405s included; the router
+  // only picks a shard.
+  return ForwardSingle(0, request);
 }
 
 void Router::ObserveForwardLatency(std::chrono::microseconds elapsed) {

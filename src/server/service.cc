@@ -427,15 +427,14 @@ HttpResponse ApiEndpoints::ResolveBatchCached(
 
 HttpResponse ApiEndpoints::Handle(const HttpRequest& request) {
   const Route* route = FindRoute(request.path);
-  const bool post_ok = route != nullptr && route->batch;
-  if (request.method != "GET" && request.method != "HEAD" &&
-      !(post_ok && request.method == "POST")) {
-    req_other_->Increment();
-    resp_4xx_->Increment();
-    return MethodNotAllowed(request.method,
-                            post_ok ? "GET, HEAD, POST" : "GET, HEAD");
-  }
   HttpResponse response = [&] {
+    const bool post_ok = route != nullptr && route->batch;
+    if (request.method != "GET" && request.method != "HEAD" &&
+        !(post_ok && request.method == "POST")) {
+      req_other_->Increment();
+      return MethodNotAllowed(request.method,
+                              post_ok ? "GET, HEAD, POST" : "GET, HEAD");
+    }
     if (route == nullptr) {
       req_other_->Increment();
       return ErrorResponse(404, util::StatusCode::kNotFound,

@@ -365,6 +365,9 @@ TEST_F(EndpointContractTest, RoutesMethodsAndCounters) {
     } else {
       EXPECT_EQ(post.status, 405) << route.path;
       EXPECT_EQ(Header(post, "Allow"), "GET, HEAD") << route.path;
+      EXPECT_EQ(Header(post, ApiEndpoints::kVersionHeader),
+                std::to_string(api_.version()))
+          << route.path;
       EXPECT_EQ(counter->value(), before) << route.path;
       EXPECT_EQ(other->value(), other_before + 1) << route.path;
     }
@@ -372,6 +375,10 @@ TEST_F(EndpointContractTest, RoutesMethodsAndCounters) {
     EXPECT_EQ(put.status, 405) << route.path;
     EXPECT_EQ(Header(put, "Allow"),
               route.batch ? "GET, HEAD, POST" : "GET, HEAD")
+        << route.path;
+    // A 405 is an answer like any other: it reports the served version.
+    EXPECT_EQ(Header(put, ApiEndpoints::kVersionHeader),
+              std::to_string(api_.version()))
         << route.path;
     EXPECT_EQ(put.body,
               "{\"error\":{\"code\":\"INVALID_ARGUMENT\",\"message\":"
@@ -386,6 +393,13 @@ TEST_F(EndpointContractTest, RoutesMethodsAndCounters) {
             "{\"error\":{\"code\":\"NOT_FOUND\",\"message\":"
             "\"no such endpoint: /v1/men2entx\"}}\n");
   EXPECT_EQ(other->value(), other_before + 1);
+  // An unknown path with a bad method is a 405, stamped like the rest.
+  const HttpResponse unknown_delete =
+      uncached_.Handle(MakeRequest("DELETE", "/v1/ingest"));
+  EXPECT_EQ(unknown_delete.status, 405);
+  EXPECT_EQ(Header(unknown_delete, "Allow"), "GET, HEAD");
+  EXPECT_EQ(Header(unknown_delete, ApiEndpoints::kVersionHeader),
+            std::to_string(api_.version()));
 }
 
 }  // namespace

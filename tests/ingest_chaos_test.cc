@@ -120,6 +120,8 @@ ingest::IngestDaemon::Options Tight(const std::string& wal_dir) {
   return options;
 }
 
+// An emptied WAL directory for `tag`. ctest runs every case in its own
+// process, several at once, so no two cases may share a tag.
 std::string FreshWalDir(int tag) {
   const std::string dir =
       ::testing::TempDir() + "/ingest_chaos_" + std::to_string(tag);
@@ -422,7 +424,7 @@ TEST(IngestDaemonTest, CompactionKeepsOnlyThePagesCheckpoint) {
 }
 
 TEST(IngestDaemonTest, PriorityOrdersApplyWithinABacklog) {
-  const std::string wal_dir = FreshWalDir(901);
+  const std::string wal_dir = FreshWalDir(902);
   const auto& stream = World().stream;
 
   auto updater = MakeUpdater();

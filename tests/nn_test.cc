@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "nn/adam.h"
 #include "nn/autograd.h"
 #include "nn/copynet.h"
 #include "nn/copynet_decoder.h"
+#include "nn/kernels.h"
 #include "nn/layers.h"
 #include "nn/vocab.h"
 #include "util/rng.h"
@@ -166,6 +170,269 @@ TEST(AutogradTest, DiamondGraphAccumulates) {
   Backward(loss);
   for (size_t i = 0; i < a->value.size(); ++i) {
     EXPECT_NEAR(a->grad[i], 2 * a->value[i], 1e-4);
+  }
+}
+
+// Same-bits checks: Backward promises every gradient element exactly its
+// terms, added in the order of its walk from the loss.
+void ExpectSameBits(const std::vector<float>& want,
+                    const std::vector<float>& got, const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(want[i]), std::bit_cast<uint32_t>(got[i]))
+        << what << "[" << i << "]: want " << want[i] << " got " << got[i];
+  }
+}
+
+TEST(AutogradTest, LeafWeightTermsKeepTapeOrderAroundOtherTerms) {
+  // w gets three MatVec terms, which wait for the deferred pass, and one
+  // Row term, which does not. Backward runs the loss's parents last-first,
+  // so w's row must be ((c3 x3 + c2 x2) + row) + c1 x1, term for term.
+  const int n = 7;
+  Var w = RandomParam(1, n, 61);
+  Var x1 = MakeVar(RandomCoef(n, 1, 62));
+  Var x2 = MakeVar(RandomCoef(n, 1, 63));
+  Var x3 = MakeVar(RandomCoef(n, 1, 64));
+  Var c1 = MakeVar(RandomCoef(1, 1, 65));
+  Var c2 = MakeVar(RandomCoef(1, 1, 66));
+  Var c3 = MakeVar(RandomCoef(1, 1, 67));
+  Var row_coef = MakeVar(RandomCoef(n, 1, 68));
+  const Var a = Dot(MatVec(w, x1), c1);
+  const Var b = Dot(Row(w, 0), row_coef);
+  const Var c = Dot(MatVec(w, x2), c2);
+  const Var d = Dot(MatVec(w, x3), c3);
+  Backward(Add(Add(Add(a, b), c), d));
+  std::vector<float> want(n), got(n), row_last(n);
+  for (int j = 0; j < n; ++j) {
+    float acc = 0.0f;
+    acc += c3->value[0] * x3->value[j];
+    acc += c2->value[0] * x2->value[j];
+    acc += row_coef->value[j];
+    acc += c1->value[0] * x1->value[j];
+    want[j] = acc;
+    got[j] = w->grad[j];
+    // The same terms with the Row term last, as a pass that deferred the
+    // MatVec terms past it would add them.
+    float late = 0.0f;
+    late += c3->value[0] * x3->value[j];
+    late += c2->value[0] * x2->value[j];
+    late += c1->value[0] * x1->value[j];
+    row_last[j] = late + row_coef->value[j];
+  }
+  ExpectSameBits(want, got, "w.grad");
+  EXPECT_NE(want, row_last) << "the data no longer tells the orders apart";
+}
+
+TEST(AutogradTest, TapeKeepsItsLeavesAlive) {
+  // The constant is a temporary: only the tape holds it until Backward.
+  Var a = RandomParam(5, 1, 69);
+  const Tensor coef = RandomCoef(5, 1, 70);
+  Var ones = MakeVar([] {
+    Tensor t(5);
+    t.Fill(1.0f);
+    return t;
+  }());
+  const Var loss = Dot(Mul(a, MakeVar(coef)), ones);
+  Backward(loss);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(a->grad[i], coef[i] * 1.0f);
+}
+
+// ---- kernels ---------------------------------------------------------------
+// Each kernel against the scalar loop its header comment gives, bit for bit,
+// at shapes that leave every vector tail non-empty (n % 4 != 0, fewer than 4
+// rows, a single row), with zero and negative-zero gradients.
+
+std::vector<float> RandomFloats(size_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> out(n);
+  for (float& v : out) {
+    v = static_cast<float>(2.0 * rng.UniformDouble() - 1.0);
+  }
+  return out;
+}
+
+// Random values where every third is +0 or -0: the values a gradient row
+// skip must leave alone, and the signed zeros it must keep.
+std::vector<float> FloatsWithZeros(size_t n, uint64_t seed) {
+  std::vector<float> out = RandomFloats(n, seed);
+  for (size_t i = 0; i < n; i += 3) out[i] = (i / 3) % 2 == 0 ? 0.0f : -0.0f;
+  return out;
+}
+
+struct Shape {
+  int m;
+  int n;
+};
+const Shape kShapes[] = {{1, 1}, {1, 6},  {2, 5},   {3, 4},   {4, 3},
+                         {5, 7}, {8, 9},  {9, 17},  {13, 32}, {16, 33},
+                         {64, 96}};
+
+TEST(KernelsTest, MatVecMatchesScalarLoop) {
+  for (const Shape& s : kShapes) {
+    const std::vector<float> w = RandomFloats(s.m * s.n, 71);
+    const std::vector<float> x = FloatsWithZeros(s.n, 72);
+    std::vector<float> want(s.m), got(s.m);
+    for (int i = 0; i < s.m; ++i) {
+      float acc = 0.0f;
+      for (int j = 0; j < s.n; ++j) acc += w[i * s.n + j] * x[j];
+      want[i] = acc;
+    }
+    kernels::MatVec(w.data(), s.m, s.n, x.data(), got.data());
+    ExpectSameBits(want, got, "MatVec");
+  }
+}
+
+TEST(KernelsTest, MatVecTMatchesScalarLoop) {
+  for (const Shape& s : kShapes) {
+    const int stride = (s.m + 3) & ~3;
+    const std::vector<float> w = RandomFloats(s.n * stride, 73);
+    const std::vector<float> x = FloatsWithZeros(s.n, 74);
+    std::vector<float> want(stride), got(stride);
+    for (int o = 0; o < stride; ++o) {
+      float acc = 0.0f;
+      for (int j = 0; j < s.n; ++j) acc += w[j * stride + o] * x[j];
+      want[o] = acc;
+    }
+    kernels::MatVecT(w.data(), s.n, stride, x.data(), got.data());
+    ExpectSameBits(want, got, "MatVecT");
+  }
+}
+
+TEST(KernelsTest, AddMatTVecMatchesScalarLoop) {
+  for (const Shape& s : kShapes) {
+    const std::vector<float> w = RandomFloats(s.m * s.n, 75);
+    const std::vector<float> g = FloatsWithZeros(s.m, 76);
+    // Starting from -0 exposes a zero row that is added instead of skipped.
+    std::vector<float> want(s.n, -0.0f), got(s.n, -0.0f);
+    for (int i = 0; i < s.m; ++i) {
+      if (g[i] == 0.0f) continue;
+      for (int j = 0; j < s.n; ++j) want[j] += g[i] * w[i * s.n + j];
+    }
+    kernels::AddMatTVec(w.data(), s.m, s.n, g.data(), got.data());
+    ExpectSameBits(want, got, "AddMatTVec");
+  }
+}
+
+TEST(KernelsTest, AddOuterProductsMatchesScalarLoop) {
+  for (const Shape& s : kShapes) {
+    for (int pairs : {1, 2, 5}) {
+      std::vector<std::vector<float>> gs, xs;
+      std::vector<const float*> g, x;
+      for (int k = 0; k < pairs; ++k) {
+        gs.push_back(FloatsWithZeros(s.m, 77 + k));
+        xs.push_back(RandomFloats(s.n, 87 + k));
+      }
+      for (int k = 0; k < pairs; ++k) {
+        g.push_back(gs[k].data());
+        x.push_back(xs[k].data());
+      }
+      std::vector<float> want = FloatsWithZeros(s.m * s.n, 97);
+      std::vector<float> got = want;
+      for (int k = 0; k < pairs; ++k) {
+        for (int i = 0; i < s.m; ++i) {
+          if (g[k][i] == 0.0f) continue;
+          for (int j = 0; j < s.n; ++j) {
+            want[i * s.n + j] += g[k][i] * x[k][j];
+          }
+        }
+      }
+      kernels::AddOuterProducts(got.data(), s.m, s.n, g.data(), x.data(),
+                                pairs);
+      ExpectSameBits(want, got, "AddOuterProducts");
+    }
+  }
+}
+
+TEST(KernelsTest, SoftmaxAndItsGradientMatchScalarLoops) {
+  for (int n : {1, 2, 3, 4, 5, 9, 16, 33}) {
+    const std::vector<float> x = RandomFloats(n, 101);
+    std::vector<float> want(n), got(n);
+    float max_val = x[0];
+    for (int i = 1; i < n; ++i) max_val = std::max(max_val, x[i]);
+    float total = 0.0f;
+    for (int i = 0; i < n; ++i) {
+      want[i] = std::exp(x[i] - max_val);
+      total += want[i];
+    }
+    for (int i = 0; i < n; ++i) want[i] /= total;
+    kernels::Softmax(x.data(), n, got.data());
+    ExpectSameBits(want, got, "Softmax");
+
+    const std::vector<float> g = FloatsWithZeros(n, 102);
+    std::vector<float> grad_want = FloatsWithZeros(n, 103);
+    std::vector<float> grad_got = grad_want;
+    float dot = 0.0f;
+    for (int i = 0; i < n; ++i) dot += g[i] * want[i];
+    for (int i = 0; i < n; ++i) grad_want[i] += want[i] * (g[i] - dot);
+    kernels::AddSoftmaxGrad(want.data(), g.data(), n, grad_got.data());
+    ExpectSameBits(grad_want, grad_got, "AddSoftmaxGrad");
+  }
+}
+
+TEST(KernelsTest, ElementwiseMatchScalarLoops) {
+  for (int n : {1, 3, 4, 7, 64}) {
+    const std::vector<float> a = FloatsWithZeros(n, 111);
+    const std::vector<float> b = RandomFloats(n, 112);
+    const std::vector<float> d = FloatsWithZeros(n, 113);
+    const float c = 0.37f;
+    // One case per kernel: the kernel's result, and the scalar loop's.
+    auto check = [&](const char* what, auto kernel, auto scalar) {
+      std::vector<float> got = d, want = d;
+      kernel(got.data());
+      for (int i = 0; i < n; ++i) want[i] = scalar(i, want[i]);
+      ExpectSameBits(want, got, what);
+    };
+    check("Add", [&](float* o) { kernels::Add(a.data(), b.data(), n, o); },
+          [&](int i, float) { return a[i] + b[i]; });
+    check("Sub", [&](float* o) { kernels::Sub(a.data(), b.data(), n, o); },
+          [&](int i, float) { return a[i] - b[i]; });
+    check("Mul", [&](float* o) { kernels::Mul(a.data(), b.data(), n, o); },
+          [&](int i, float) { return a[i] * b[i]; });
+    check("Scale", [&](float* o) { kernels::Scale(a.data(), c, n, o); },
+          [&](int i, float) { return a[i] * c; });
+    check("OneMinus", [&](float* o) { kernels::OneMinus(a.data(), n, o); },
+          [&](int i, float) { return 1.0f - a[i]; });
+    check("AddTo", [&](float* o) { kernels::AddTo(a.data(), n, o); },
+          [&](int i, float o) { return o + a[i]; });
+    check("SubFrom", [&](float* o) { kernels::SubFrom(a.data(), n, o); },
+          [&](int i, float o) { return o - a[i]; });
+    check("AddProduct",
+          [&](float* o) { kernels::AddProduct(a.data(), b.data(), n, o); },
+          [&](int i, float o) { return o + a[i] * b[i]; });
+    check("AddScaled",
+          [&](float* o) { kernels::AddScaled(a.data(), c, n, o); },
+          [&](int i, float o) { return o + a[i] * c; });
+    check("AddTanhGrad",
+          [&](float* o) { kernels::AddTanhGrad(a.data(), b.data(), n, o); },
+          [&](int i, float o) { return o + a[i] * (1.0f - b[i] * b[i]); });
+    check("AddSigmoidGrad",
+          [&](float* o) { kernels::AddSigmoidGrad(a.data(), b.data(), n, o); },
+          [&](int i, float o) { return o + a[i] * b[i] * (1.0f - b[i]); });
+  }
+}
+
+TEST(KernelsTest, AdamUpdateMatchesScalarLoop) {
+  for (int n : {1, 3, 4, 7, 64}) {
+    const kernels::AdamStep step{0.8f, 0.9f, 0.999f, 1e-2f, 1e-8f, 0.19f,
+                                 0.002f};
+    const std::vector<float> grad = FloatsWithZeros(n, 121);
+    std::vector<float> m = RandomFloats(n, 122), v = RandomFloats(n, 123);
+    for (float& vi : v) vi = std::fabs(vi);
+    std::vector<float> value = RandomFloats(n, 124);
+    std::vector<float> m_want = m, v_want = v, value_want = value;
+    for (int i = 0; i < n; ++i) {
+      const float g = grad[i] * step.scale;
+      m_want[i] = step.beta1 * m_want[i] + (1.0f - step.beta1) * g;
+      v_want[i] = step.beta2 * v_want[i] + (1.0f - step.beta2) * g * g;
+      const float m_hat = m_want[i] / step.bias1;
+      const float v_hat = v_want[i] / step.bias2;
+      value_want[i] -= step.lr * m_hat / (std::sqrt(v_hat) + step.eps);
+    }
+    kernels::AdamUpdate(step, grad.data(), n, m.data(), v.data(),
+                        value.data());
+    ExpectSameBits(m_want, m, "m");
+    ExpectSameBits(v_want, v, "v");
+    ExpectSameBits(value_want, value, "value");
   }
 }
 

@@ -187,10 +187,18 @@ class RouterContractTest : public ::testing::Test {
 
   static Reply Send(HttpClient* client, std::string_view method,
                     const std::string& target, const std::string& body) {
-    util::Result<HttpClient::Response> response =
-        method == "GET" ? client->Get(target)
-                        : client->Post(target, body,
-                                       "text/plain; charset=utf-8");
+    util::Result<HttpClient::Response> response = [&] {
+      if (method == "GET") return client->Get(target);
+      if (method == "POST") {
+        return client->Post(target, body, "text/plain; charset=utf-8");
+      }
+      // Any other method goes out as a bodiless raw request.
+      const util::Status sent = client->SendRaw(
+          std::string(method) + " " + target +
+          " HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n");
+      if (!sent.ok()) return util::Result<HttpClient::Response>(sent);
+      return client->ReadResponse();
+    }();
     EXPECT_TRUE(response.ok()) << target << ": "
                                << response.status().message();
     if (!response.ok()) return {};
@@ -355,6 +363,33 @@ TEST_F(RouterContractTest, EveryQueryRouteMatchesALoneBackend) {
     EXPECT_EQ(response->status, 200) << path;
     EXPECT_EQ(shards_[0]->TakeSeen().size(), 1u) << path;
     EXPECT_TRUE(shards_[1]->TakeSeen().empty()) << path;
+  }
+}
+
+// Paths outside the route table are the backend's to answer, method check
+// first: a lone backend answers a bad method with 405 and its Allow list,
+// an unknown GET with 404, and so must the router, through shard 0.
+TEST_F(RouterContractTest, UnroutedPathsMatchALoneBackend) {
+  StartCluster(0);
+  struct Case {
+    std::string method;
+    std::string target;
+    int status;
+  };
+  const std::vector<Case> cases = {
+      {"DELETE", "/v1/ingest", 405},
+      {"GET", "/v1/men2entx?mention=x", 404},
+      {"GET", "/v1/c/default/men2entx", 404},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::vector<HttpRequest>> seen;
+    const Reply reply = Compare(c.method, c.target, "", &seen);
+    const std::string what = c.method + " " + c.target;
+    EXPECT_EQ(reply.status, c.status) << what;
+    EXPECT_FALSE(reply.version.empty()) << what;
+    EXPECT_EQ(reply.allow, c.status == 405 ? "GET, HEAD" : "") << what;
+    EXPECT_EQ(seen[0].size(), 1u) << what;
+    EXPECT_TRUE(seen[1].empty()) << what;
   }
 }
 
