@@ -121,7 +121,8 @@ bool RunIngestPhase(const bench::BenchWorld& world,
                     core::CnProbaseBuilder::Config config) {
   std::printf("\n-- ingest daemon: WAL-backed streaming updates --\n");
   // Streamed pages carry explicit relations and ship no corpus evidence;
-  // the daemon applies without the statistical verifier (as in ingestd).
+  // the daemon applies without the statistical verifier (as
+  // `cnprobase_serve --ingest` does).
   config.enable_verification = false;
 
   const std::string wal_dir = "bench_ingest_wal";

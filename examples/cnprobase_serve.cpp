@@ -93,7 +93,7 @@ struct Flags {
   server::HttpServer::Config http;
   size_t entities = 2000;
   size_t cache_mb = 0;
-  collections::CollectionManager::Quotas quotas;
+  taxonomy::ApiService::ServingLimits quotas;
   ingest::IngestDaemon::Options daemon;
   std::string root;
   std::string metrics_out;

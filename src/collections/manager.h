@@ -1,7 +1,6 @@
 #ifndef CNPROBASE_COLLECTIONS_MANAGER_H_
 #define CNPROBASE_COLLECTIONS_MANAGER_H_
 
-#include <chrono>
 #include <memory>
 #include <shared_mutex>
 #include <string>
@@ -55,26 +54,17 @@ using server::HttpServer;
 // codebase's "collection label", since the Prometheus exporter flattens
 // every name into [a-z0-9_] and real labels cannot survive it.
 //
-// Persistence: with a root_dir, the manager keeps a registry file
-// (root_dir/collections.reg, checksummed TSV) and one snapshot per
-// snapshot-backed collection (root_dir/<name>/snapshot.bin, written via
-// taxonomy::WriteSnapshot). Open() restores every snapshot-backed entry
-// with mmap-backed views. Ingest-backed collections need their updater
-// wired by the caller (an IncrementalUpdater cannot be reconstructed from
-// the registry alone); their registry rows survive Open()/persist cycles
-// untouched until AddIngestCollection re-attaches them.
+// Persistence: the manager writes nothing for read-only collections; the
+// caller hands it a view it built or loaded (ServingView::Load) on every
+// start. An ingest collection's durable state is its WAL (by default
+// root_dir/<name>/wal), which the daemon replays when the collection is
+// added, so a restart with the same collections recovers every
+// acknowledged page.
 class CollectionManager {
  public:
-  // Per-collection overload policy, applied to the collection's ApiService
-  // as taxonomy::ApiService::ServingLimits. Zero means unlimited.
-  struct Quotas {
-    size_t max_in_flight = 0;
-    std::chrono::microseconds deadline{0};
-  };
-
   struct Options {
-    // Registry + per-collection state live under root_dir/<name>/. Empty
-    // disables persistence (in-memory collections only).
+    // Ingest collections without a wal_dir keep their WAL under
+    // root_dir/<name>/wal. Empty: every ingest collection needs a wal_dir.
     std::string root_dir;
     // The collection bare (un-prefixed) paths route to.
     std::string default_collection = "default";
@@ -89,21 +79,13 @@ class CollectionManager {
   CollectionManager(const CollectionManager&) = delete;
   CollectionManager& operator=(const CollectionManager&) = delete;
 
-  // Restores snapshot-backed collections registered in root_dir (no-op
-  // without a root_dir or registry file). Ingest-backed registry rows are
-  // remembered for re-attachment but not restored here.
-  util::Status Open();
-
-  // Registers a read-only collection served from `view`. With a root_dir
-  // the view is persisted to root_dir/<name>/snapshot.bin so Open() can
-  // restore it mmap-backed. Fails on duplicate or invalid names
-  // ([A-Za-z0-9_.-], max 64 chars).
-  util::Status AddCollection(const std::string& name,
-                             std::shared_ptr<const taxonomy::ServingView> view,
-                             Quotas quotas);
+  // Registers a read-only collection served from `view`, with `limits` as
+  // its overload policy (zero: unlimited). Fails on duplicate or invalid
+  // names ([A-Za-z0-9_.-], max 64 chars).
   util::Status AddCollection(
       const std::string& name,
-      std::shared_ptr<const taxonomy::ServingView> view);
+      std::shared_ptr<const taxonomy::ServingView> view,
+      taxonomy::ApiService::ServingLimits limits = {});
 
   // Registers an ingest-enabled collection: a fresh ApiService over the
   // updater's current state, an IngestDaemon (owned by the manager;
@@ -111,18 +93,10 @@ class CollectionManager {
   // so WAL recovery runs before the first request — and ingest endpoints
   // layered in front of the query endpoints. `updater` is not owned and
   // must outlive the manager.
-  util::Status AddIngestCollection(const std::string& name,
-                                   core::IncrementalUpdater* updater,
-                                   ingest::IngestDaemon::Options daemon_options,
-                                   Quotas quotas);
   util::Status AddIngestCollection(
       const std::string& name, core::IncrementalUpdater* updater,
-      ingest::IngestDaemon::Options daemon_options);
-
-  // Drains (for ingest collections) and deregisters. The default
-  // collection cannot be dropped. On-disk snapshots are left in place;
-  // only the registry row is removed.
-  util::Status DropCollection(const std::string& name);
+      ingest::IngestDaemon::Options daemon_options,
+      taxonomy::ApiService::ServingLimits limits = {});
 
   // Drains every ingest daemon. Collections stay queryable afterwards.
   util::Status StopAll();
@@ -131,19 +105,16 @@ class CollectionManager {
   HttpResponse Handle(const HttpRequest& request);
   HttpServer::Handler AsHandler();
 
-  // Introspection (for tests / examples). The returned pointers stay valid
-  // until the collection is dropped or the manager destroyed.
-  std::vector<std::string> names() const;
+  // Introspection (for tests / examples). The returned pointers live as
+  // long as the manager.
   taxonomy::ApiService* service(std::string_view name) const;
   ingest::IngestDaemon* daemon(std::string_view name) const;
   size_t size() const;
-  const Options& options() const { return options_; }
 
  private:
   struct Collection {
     std::string name;
     bool ingest = false;
-    Quotas quotas;
     std::unique_ptr<taxonomy::ApiService> service;
     std::unique_ptr<server::ApiEndpoints> endpoints;
     std::unique_ptr<ingest::IngestDaemon> daemon;
@@ -154,16 +125,15 @@ class CollectionManager {
     HttpResponse Handle(const HttpRequest& request);
   };
 
-  util::Status ValidateName(const std::string& name) const;
+  // Refuses invalid names and names already registered.
+  util::Status CheckNewName(const std::string& name) const;
   std::shared_ptr<Collection> Find(std::string_view name) const;
-  // Builds a collection's serving stack in one place: `service` with the
-  // quotas as its serving limits, its ApiEndpoints (cached per
-  // Options::cache_bytes) and its per-collection instruments.
+  // Builds a collection's serving stack in one place: `service` with
+  // `limits`, its ApiEndpoints (cached per Options::cache_bytes) and its
+  // per-collection instruments.
   std::shared_ptr<Collection> MakeCollection(
-      const std::string& name, Quotas quotas,
+      const std::string& name, taxonomy::ApiService::ServingLimits limits,
       std::unique_ptr<taxonomy::ApiService> service);
-  // Serialises + atomically rewrites the registry. Caller holds mu_.
-  util::Status PersistRegistryLocked();
   HttpResponse ListCollections();
   HttpResponse CollectionInfo(const Collection& collection);
 
@@ -172,10 +142,6 @@ class CollectionManager {
   mutable std::shared_mutex mu_;
   // Insertion order preserved for deterministic /v1/collections listings.
   std::vector<std::shared_ptr<Collection>> collections_;
-  // Registry rows for ingest collections seen by Open() but not yet
-  // re-attached: preserved verbatim by PersistRegistryLocked so a restart
-  // that never re-attaches them does not silently drop their registration.
-  std::vector<std::string> detached_rows_;
 };
 
 }  // namespace cnpb::collections

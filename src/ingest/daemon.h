@@ -35,8 +35,8 @@ namespace cnpb::ingest {
 //            as soon as >= publish_min_pages are applied-but-unpublished,
 //            or the oldest unpublished page is >= publish_max_delay old.
 //            Readers keep serving pinned versions throughout.
-//   compact  Periodically the applied state is checkpointed (pages TSV +
-//            binary taxonomy snapshot) and the commit cursor advanced, so
+//   compact  Periodically the applied pages are checkpointed (a pages TSV
+//            in the WAL directory) and the commit cursor advanced, so
 //            recovery replays only the WAL suffix past the cursor and old
 //            segments can be pruned.
 //

@@ -92,7 +92,8 @@ HistogramSnapshot BucketHistogram::Snapshot() const {
     snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum = sum_.load(std::memory_order_relaxed);
+  snap.sum = static_cast<double>(sum_units_.load(std::memory_order_relaxed)) /
+             kSumUnitsPerValue;
   return snap;
 }
 

@@ -110,14 +110,23 @@ struct HistogramSnapshot {
 class BucketHistogram {
  public:
   static constexpr size_t kNumBuckets = HistogramSnapshot::kNumBuckets;
+  // The sum is kept as an integer count of 1/kSumUnitsPerValue of the
+  // observed unit — picoseconds for the *_seconds histograms — so
+  // concurrent adds commute and a snapshot's sum does not depend on the
+  // order writers ran in. Each value rounds to the nearest unit, which
+  // keeps the mean of microsecond latencies exact to ~1e-9 relative.
+  // The sum wraps after 2^64 units, ~213 days of summed seconds.
+  static constexpr double kSumUnitsPerValue = 1e12;
+  // Values above this (2^20, ~12 days in seconds) add as much as it does,
+  // so the conversion to an integer is always defined and one stray value
+  // cannot wrap the sum.
+  static constexpr double kMaxSummedValue = 1048576.0;
 
   void Observe(double value) {
     if (!MetricsEnabled()) return;
     buckets_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
-    // fetch_add on atomic<double> (C++20) compiles to a CAS loop; contention
-    // on the hot path is bounded by the relaxed ordering and short retries.
-    sum_.fetch_add(value, std::memory_order_relaxed);
+    sum_units_.fetch_add(SumUnits(value), std::memory_order_relaxed);
   }
 
   HistogramSnapshot Snapshot() const;
@@ -127,9 +136,18 @@ class BucketHistogram {
   static size_t BucketIndex(double value);
 
  private:
+  // What `value` adds to the sum: non-positive and NaN values add 0 (they
+  // count in bucket 0 like any other observation), the rest add
+  // round(min(value, kMaxSummedValue) * kSumUnitsPerValue).
+  static uint64_t SumUnits(double value) {
+    if (!(value > 0.0)) return 0;
+    if (value > kMaxSummedValue) value = kMaxSummedValue;
+    return static_cast<uint64_t>(value * kSumUnitsPerValue + 0.5);
+  }
+
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};
   std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  std::atomic<uint64_t> sum_units_{0};
 };
 
 // Observes wall time into a BucketHistogram (in seconds) on destruction.

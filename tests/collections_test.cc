@@ -1,18 +1,17 @@
-// Multi-collection tenancy (ISSUE 10 tentpole): the CollectionManager's
-// routing table (/v1/collections, /v1/c/<name>/..., bare fallback), its
+// Multi-collection tenancy: the CollectionManager's routing table
+// (/v1/collections, /v1/c/<name>/..., bare fallback), its
 // byte-compatibility promise (a one-collection manager answers exactly
-// like a standalone ApiEndpoints stack), per-collection quota plumbing,
-// registry persistence across reopen (mmap-backed restore), and the
-// serve-while-update isolation contract: a publish into collection A never
-// perturbs collection B's version stamps — including while an ingest
-// daemon is feeding A.
+// like a standalone ApiEndpoints stack), per-collection serving limits,
+// the on-disk footprint (only ingest WALs), and the serve-while-update
+// isolation contract: a publish into collection A never perturbs
+// collection B's version stamps — including while an ingest daemon is
+// feeding A.
 #include "collections/manager.h"
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,7 +23,6 @@
 #include "taxonomy/api_service.h"
 #include "taxonomy/taxonomy.h"
 #include "taxonomy/view.h"
-#include "util/atomic_file.h"
 
 namespace cnpb::collections {
 namespace {
@@ -90,6 +88,26 @@ bool Contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
 }
 
+// An updater over five "anchor" pages; one epoch of training on them is
+// quick. `lexicon` must outlive it.
+std::unique_ptr<core::IncrementalUpdater> TinyUpdater(
+    const text::Lexicon* lexicon) {
+  kb::EncyclopediaDump base;
+  for (int i = 0; i < 5; ++i) {
+    kb::EncyclopediaPage page;
+    page.name = "base" + std::to_string(i);
+    page.mention = page.name;
+    page.tags = {"anchor"};
+    base.AddPage(std::move(page));
+  }
+  core::CnProbaseBuilder::Config config;
+  config.neural.epochs = 1;
+  config.verification.use_syntax = false;
+  config.verification.use_incompatible = false;
+  return std::make_unique<core::IncrementalUpdater>(
+      base, lexicon, std::vector<std::vector<std::string>>{}, config);
+}
+
 // ------------------------------------------------------- routing contract
 
 TEST(CollectionManagerTest, BareAndPrefixedDefaultMatchStandaloneEndpoints) {
@@ -151,7 +169,7 @@ TEST(CollectionManagerTest, UnknownCollectionAndMissingDefault) {
 
 TEST(CollectionManagerTest, ListAndInfoEndpoints) {
   CollectionManager manager({});
-  CollectionManager::Quotas quotas;
+  taxonomy::ApiService::ServingLimits quotas;
   quotas.max_in_flight = 3;
   quotas.deadline = std::chrono::microseconds(1500);
   ASSERT_TRUE(manager.AddCollection("default", ViewA()).ok());
@@ -171,10 +189,10 @@ TEST(CollectionManagerTest, ListAndInfoEndpoints) {
 
   const HttpResponse info = manager.Handle(MakeGet("/v1/c/b"));
   EXPECT_EQ(info.status, 200);
-  EXPECT_TRUE(Contains(info.body, "\"collection\":\"b\""));
-  EXPECT_TRUE(Contains(info.body, "\"max_in_flight\":3"));
-  EXPECT_TRUE(Contains(info.body, "\"deadline_us\":1500"));
-  EXPECT_FALSE(Header(info, server::ApiEndpoints::kVersionHeader).empty());
+  EXPECT_EQ(info.body,
+            "{\"collection\":\"b\",\"version\":1,\"ingest\":false,"
+            "\"quotas\":{\"max_in_flight\":3,\"deadline_us\":1500}}\n");
+  EXPECT_EQ(Header(info, server::ApiEndpoints::kVersionHeader), "1");
 
   // Quotas land on the collection's own ApiService as serving limits.
   ASSERT_NE(manager.service("b"), nullptr);
@@ -192,61 +210,6 @@ TEST(CollectionManagerTest, RegistrationValidation) {
   EXPECT_FALSE(manager.AddCollection("", ViewB()).ok());
   EXPECT_FALSE(manager.AddCollection("noview", nullptr).ok());
   EXPECT_EQ(manager.size(), 1u);
-
-  // The default collection cannot be dropped; others can.
-  ASSERT_TRUE(manager.AddCollection("extra", ViewB()).ok());
-  EXPECT_FALSE(manager.DropCollection("default").ok());
-  EXPECT_FALSE(manager.DropCollection("ghost").ok());
-  EXPECT_TRUE(manager.DropCollection("extra").ok());
-  EXPECT_EQ(manager.size(), 1u);
-  EXPECT_EQ(manager.Handle(MakeGet("/v1/c/extra")).status, 404);
-}
-
-// ------------------------------------------------------------ persistence
-
-TEST(CollectionManagerTest, RegistryAndSnapshotsSurviveReopen) {
-  CollectionManager::Options options;
-  options.root_dir = FreshDir("reopen");
-
-  CollectionManager::Quotas quotas;
-  quotas.max_in_flight = 5;
-  quotas.deadline = std::chrono::microseconds(2000);
-
-  const HttpRequest men2ent = MakeGet("/v1/men2ent", {{"mention", "主公"}});
-  const HttpRequest concept_b =
-      MakeGet("/v1/c/b/getConcept", {{"entity", "b_ent"}, {"transitive", "1"}});
-  std::string want_men2ent;
-  std::string want_concept_b;
-  {
-    CollectionManager manager(options);
-    ASSERT_TRUE(manager.AddCollection("default", ViewA(), quotas).ok());
-    ASSERT_TRUE(manager.AddCollection("b", ViewB()).ok());
-    const HttpResponse a = manager.Handle(men2ent);
-    ASSERT_EQ(a.status, 200);
-    want_men2ent = a.body;
-    const HttpResponse b = manager.Handle(concept_b);
-    ASSERT_EQ(b.status, 200);
-    want_concept_b = b.body;
-  }
-
-  CollectionManager reopened(options);
-  ASSERT_TRUE(reopened.Open().ok());
-  EXPECT_EQ(reopened.names(),
-            std::vector<std::string>({"default", "b"}));
-
-  // Restored collections serve byte-identical answers, now mmap-backed.
-  const HttpResponse a = reopened.Handle(men2ent);
-  EXPECT_EQ(a.status, 200);
-  EXPECT_EQ(a.body, want_men2ent);
-  const HttpResponse b = reopened.Handle(concept_b);
-  EXPECT_EQ(b.status, 200);
-  EXPECT_EQ(b.body, want_concept_b);
-
-  // Quotas came back from the registry, not from defaults.
-  ASSERT_NE(reopened.service("default"), nullptr);
-  EXPECT_EQ(reopened.service("default")->serving_limits().max_in_flight, 5u);
-  EXPECT_EQ(reopened.service("default")->serving_limits().deadline,
-            std::chrono::microseconds(2000));
 }
 
 // ---------------------------------------------------- isolation contracts
@@ -307,29 +270,18 @@ TEST(CollectionManagerTest, PublishIntoANeverPerturbsB) {
 TEST(CollectionManagerTest, IngestCollectionAppliesWithoutTouchingOthers) {
   CollectionManager::Options options;
   options.root_dir = FreshDir("ingest");
+  // Declared before the manager, whose daemon borrows it until destroyed.
+  text::Lexicon lexicon;
+  const std::unique_ptr<core::IncrementalUpdater> updater =
+      TinyUpdater(&lexicon);
   CollectionManager manager(options);
   ASSERT_TRUE(manager.AddCollection("default", ViewA()).ok());
-
-  kb::EncyclopediaDump base;
-  for (int i = 0; i < 5; ++i) {
-    kb::EncyclopediaPage page;
-    page.name = "base" + std::to_string(i);
-    page.mention = page.name;
-    page.tags = {"anchor"};
-    base.AddPage(std::move(page));
-  }
-  text::Lexicon lexicon;
-  core::CnProbaseBuilder::Config config;
-  config.neural.epochs = 1;
-  config.verification.use_syntax = false;
-  config.verification.use_incompatible = false;
-  core::IncrementalUpdater updater(base, &lexicon, {}, config);
 
   ingest::IngestDaemon::Options daemon_options;
   daemon_options.publish_min_pages = 1;
   daemon_options.publish_max_delay = std::chrono::milliseconds(20);
   ASSERT_TRUE(
-      manager.AddIngestCollection("ing", &updater, daemon_options).ok());
+      manager.AddIngestCollection("ing", updater.get(), daemon_options).ok());
   ASSERT_NE(manager.daemon("ing"), nullptr);
 
   const HttpResponse before = manager.Handle(
@@ -366,21 +318,41 @@ TEST(CollectionManagerTest, IngestCollectionAppliesWithoutTouchingOthers) {
   EXPECT_EQ(status.status, 200);
 
   EXPECT_TRUE(manager.StopAll().ok());
+}
 
-  // Reopen: the snapshot-backed collection is restored; the ingest row is
-  // preserved in the registry (for a future re-attach) without being
-  // served, since its updater cannot be reconstructed from disk alone.
-  CollectionManager reopened(options);
-  ASSERT_TRUE(reopened.Open().ok());
-  EXPECT_EQ(reopened.names(), std::vector<std::string>({"default"}));
-  ASSERT_TRUE(reopened.AddCollection("later", ViewB()).ok());
-  auto raw = util::ReadFileToString(options.root_dir + "/collections.reg");
-  ASSERT_TRUE(raw.ok());
-  auto payload = util::StripVerifyChecksumFooter(
-      std::move(*raw), options.root_dir + "/collections.reg");
-  ASSERT_TRUE(payload.ok());
-  EXPECT_TRUE(Contains(*payload, "ing\t"));
-  EXPECT_TRUE(Contains(*payload, "later\t"));
+// ------------------------------------------------------------ persistence
+
+// A collection comes from the process's start-up, not from the root: the
+// only state the manager leaves under root_dir is each ingest collection's
+// WAL directory.
+TEST(CollectionManagerTest, RootHoldsOnlyIngestWals) {
+  CollectionManager::Options options;
+  options.root_dir = FreshDir("footprint");
+  text::Lexicon lexicon;
+  const std::unique_ptr<core::IncrementalUpdater> updater =
+      TinyUpdater(&lexicon);
+  {
+    CollectionManager manager(options);
+    ASSERT_TRUE(manager.AddCollection("ro", ViewA()).ok());
+    ASSERT_TRUE(manager.AddIngestCollection("ing", updater.get(), {}).ok());
+    HttpRequest submit = MakeGet("/v1/c/ing/ingest");
+    submit.method = "POST";
+    submit.body = "u\tzz_new\tzz_new\t\t\t\tanchor\n";
+    ASSERT_EQ(manager.Handle(submit).status, 200);
+    ASSERT_TRUE(manager.StopAll().ok());
+  }
+
+  const std::filesystem::path root(options.root_dir);
+  EXPECT_TRUE(std::filesystem::is_directory(root / "ing" / "wal"));
+  std::vector<std::string> strays;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    const std::string rel = entry.path().lexically_relative(root).string();
+    if (rel != "ing" && rel != "ing/wal" && rel.rfind("ing/wal/", 0) != 0) {
+      strays.push_back(rel);
+    }
+  }
+  EXPECT_EQ(strays, std::vector<std::string>{});
 }
 
 }  // namespace

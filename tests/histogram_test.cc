@@ -149,6 +149,24 @@ TEST(BucketHistogramTest, EmptySnapshotIsExplicitlyUndefined) {
   EXPECT_TRUE(std::isnan(snap.Percentile(50)));
 }
 
+TEST(BucketHistogramTest, OutOfRangeValuesAddDefinedSums) {
+  obs::BucketHistogram h;
+  h.Observe(-1.0);
+  h.Observe(0.0);
+  h.Observe(std::numeric_limits<double>::quiet_NaN());
+  obs::HistogramSnapshot snap = h.Snapshot();
+  EXPECT_EQ(snap.count, 3u);
+  EXPECT_EQ(snap.buckets[0], 3u);
+  EXPECT_EQ(snap.sum, 0.0);
+
+  h.Observe(std::numeric_limits<double>::infinity());
+  h.Observe(1e300);
+  snap = h.Snapshot();
+  EXPECT_EQ(snap.count, 5u);
+  EXPECT_EQ(snap.buckets[obs::BucketHistogram::kNumBuckets - 1], 2u);
+  EXPECT_EQ(snap.sum, 2 * obs::BucketHistogram::kMaxSummedValue);
+}
+
 TEST(BucketHistogramTest, DisabledMetricsSkipObservation) {
   obs::BucketHistogram h;
   obs::SetMetricsEnabled(false);

@@ -93,7 +93,7 @@ const SharedWorld& World() {
 
 // Streamed pages carry explicit relations; live traffic ships no corpus
 // evidence, so the daemon applies without the statistical verifier — same
-// trade the ingestd example makes.
+// trade `cnprobase_serve --ingest` makes.
 core::CnProbaseBuilder::Config Config() {
   core::CnProbaseBuilder::Config config;
   config.neural.epochs = 1;

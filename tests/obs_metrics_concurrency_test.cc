@@ -41,7 +41,12 @@ TEST(BucketHistogramConcurrencyTest, WritersAndSnapshotReaders) {
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&histogram, w]() {
+    writers.emplace_back([&histogram, &snapshots_taken, w]() {
+      // Start once the readers are snapshotting, so the writes overlap
+      // them even when the scheduler runs the writers first.
+      while (snapshots_taken.load(std::memory_order_relaxed) < kReaders) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kObservationsPerWriter; ++i) {
         // Deterministic per-writer value pattern spanning many buckets.
         const double value = 1e-6 * (1 + ((w * 31 + i) % 1000));
