@@ -125,8 +125,21 @@ class CollectionManager {
     HttpResponse Handle(const HttpRequest& request);
   };
 
-  // Refuses invalid names and names already registered.
-  util::Status CheckNewName(const std::string& name) const;
+  // Refuses invalid names and names registered or being added; otherwise
+  // holds `name` for the caller until it calls Register, so that two
+  // concurrent adds of one name cannot both build (and start a daemon on
+  // one WAL directory).
+  util::Status ReserveName(const std::string& name);
+  // Releases `name`'s reservation, registering `collection` under it when
+  // it is not null.
+  void Register(const std::string& name,
+                std::shared_ptr<Collection> collection);
+  // AddIngestCollection's work once the name is reserved.
+  util::Status MakeIngestCollection(
+      const std::string& name, core::IncrementalUpdater* updater,
+      ingest::IngestDaemon::Options daemon_options,
+      taxonomy::ApiService::ServingLimits limits,
+      std::shared_ptr<Collection>* out);
   std::shared_ptr<Collection> Find(std::string_view name) const;
   // Builds a collection's serving stack in one place: `service` with
   // `limits`, its ApiEndpoints (cached per Options::cache_bytes) and its
@@ -142,6 +155,7 @@ class CollectionManager {
   mutable std::shared_mutex mu_;
   // Insertion order preserved for deterministic /v1/collections listings.
   std::vector<std::shared_ptr<Collection>> collections_;
+  std::vector<std::string> reserved_;  // being added, not yet registered
 };
 
 }  // namespace cnpb::collections

@@ -1,6 +1,8 @@
 #ifndef CNPROBASE_NN_AUTOGRAD_H_
 #define CNPROBASE_NN_AUTOGRAD_H_
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -12,26 +14,29 @@ namespace cnpb::nn {
 // Reverse-mode autodiff over a graph recorded per training example.
 //
 // Leaves (parameters and constants) are heap Nodes owned by their Vars.
-// Every op result lives on its thread's tape: the op record goes in a
-// vector, with its parents' nodes, and its value and gradient in a bump
-// arena. Backward runs the recorded graph and then clears the tape; the
-// arena and the record vectors keep their capacity, so a training run
-// allocates nothing per example once the largest example has been seen.
-// The tape holds a reference to every leaf an op reads, so a leaf lives at
-// least until the tape is cleared.
+// Every op result lives on a tape: the op record goes in a vector, with its
+// parents' nodes, and its value and gradient in a bump arena. Ops record
+// into the tape bound to the calling thread (BackwardBatch binds one per
+// example), else into the thread's own tape.
 //
-// An op Var is a plain pointer into the tape, valid on the thread that
-// made it until that thread's next Backward or ClearTape.
+// Backward runs the recorded graph in two phases. The first adds each op's
+// terms into the gradients of the ops it read, which live on the same tape,
+// and logs every term meant for a leaf. The second replays the logs: each
+// leaf's terms are added in the order they were logged. Then the tape is
+// cleared; the arena and the record vectors keep their capacity, so a
+// training run allocates nothing per example once the largest example has
+// been seen. The tape holds a reference to every leaf an op reads, so a
+// leaf lives at least until the tape is cleared.
+//
+// An op Var is a plain pointer into the tape, valid until that tape's next
+// Backward or clear.
 struct Node {
   Tensor value;
   Tensor grad;              // same shape as value once grad_ready
   bool requires_grad = false;
   bool grad_ready = false;  // grad allocated & zeroed
-  // Tape bookkeeping: the index of the op that made this node, -1 for a
-  // leaf; and, for a leaf weight inside Backward, its slot among the
-  // deferred weight gradients, -1 otherwise.
+  // The index of the op that made this node on its tape; -1 for a leaf.
   int op = -1;
-  int deferred = -1;
 
   void EnsureGrad() {
     if (grad_ready) return;
@@ -74,8 +79,15 @@ Var MakeVar(Tensor value, bool requires_grad = false);
 // and the golden training runs pin).
 void Backward(const Var& loss);
 
-// Discards every op recorded on this thread; their Vars become invalid.
-void ClearTape();
+// Backward over a batch: runs example(i) for every i in [0, n), several at
+// once over util::ThreadPool::Global(), each with a tape of its own bound to
+// the thread that runs it, and backpropagates from the loss it returns (a
+// null Var: nothing to backpropagate). Every leaf gets exactly the terms,
+// in exactly the order, that Backward(example(i)) for i = 0, 1, ... would
+// add, so the gradients are bit-identical at any thread count. `example`
+// must read only its own inputs and the leaves' values, and write only to
+// state of its own index. Nested inside a pool worker, it runs serially.
+void BackwardBatch(size_t n, const std::function<Var(size_t)>& example);
 
 // ---- ops -----------------------------------------------------------------
 // All ops propagate requires_grad and record themselves on the tape.

@@ -52,7 +52,9 @@ class CopyNet {
           const Config& config);
 
   // Accumulates gradients over the batch and returns the mean per-token
-  // loss. The caller owns the optimizer step.
+  // loss. The caller owns the optimizer step. The examples run in parallel
+  // (nn::BackwardBatch); the gradients and the loss are bit-identical at
+  // any thread count.
   float AccumulateBatch(const std::vector<const Example*>& batch);
 
   std::vector<Var> Params() const;
@@ -77,6 +79,12 @@ class CopyNet {
 
  private:
   friend class CopyNetDecoder;  // copies the trained weights
+
+  // Records one example's teacher-forced graph on the bound tape and
+  // returns its summed loss, or a null Var when no step has one to
+  // backpropagate. Appends each target token's loss to `token_losses`.
+  Var ExampleLoss(const Example& example,
+                  std::vector<double>* token_losses) const;
 
   const Vocab* input_vocab_;
   const Vocab* output_vocab_;

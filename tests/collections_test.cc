@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -216,6 +217,46 @@ TEST(CollectionManagerTest, RegistrationValidation) {
 
 // Satellite 3: publishes into collection A while readers hammer B — B's
 // version stamp must never move, and every B answer stays identical.
+// Two adds of one name at once: the name is reserved before the collection
+// is built, so exactly one wins, and only one ingest daemon ever starts on
+// the name's WAL directory.
+TEST(CollectionManagerTest, ConcurrentAddsOfOneNameRegisterOnce) {
+  constexpr int kThreads = 8;
+  const auto race = [](const std::function<util::Status()>& add) {
+    std::atomic<int> ok{0};
+    std::atomic<int> exists{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&]() {
+        const util::Status status = add();
+        if (status.ok()) ++ok;
+        if (Contains(status.ToString(), "already exists")) ++exists;
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(ok.load(), 1);
+    EXPECT_EQ(exists.load(), kThreads - 1);
+  };
+
+  CollectionManager manager({});
+  const auto view = ViewA();
+  race([&]() { return manager.AddCollection("same", view); });
+  EXPECT_EQ(manager.size(), 1u);
+
+  CollectionManager::Options options;
+  options.root_dir = FreshDir("race");
+  text::Lexicon lexicon;
+  const std::unique_ptr<core::IncrementalUpdater> updater =
+      TinyUpdater(&lexicon);
+  CollectionManager ingest_manager(options);
+  race([&]() {
+    return ingest_manager.AddIngestCollection("ing", updater.get(), {});
+  });
+  EXPECT_EQ(ingest_manager.size(), 1u);
+  ASSERT_NE(ingest_manager.daemon("ing"), nullptr);
+  EXPECT_TRUE(ingest_manager.StopAll().ok());
+}
+
 TEST(CollectionManagerTest, PublishIntoANeverPerturbsB) {
   CollectionManager manager({});
   ASSERT_TRUE(manager.AddCollection("default", ViewA()).ok());

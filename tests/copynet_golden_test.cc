@@ -26,6 +26,7 @@
 #include "text/segmenter.h"
 #include "util/atomic_file.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cnpb {
 namespace {
@@ -48,6 +49,11 @@ class CopyNetGoldenTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+// Training runs a batch's examples on every lane and replays their gradient
+// terms in batch order, so each run must save the same bytes at any lane
+// count.
+constexpr int kThreadCounts[] = {1, 2, 3, 8};
 
 // perfbench's set-up, up to the training: a 4000-entity world, the first 70%
 // of its pages as the base, the bracket prior over them, and CopyNet with
@@ -76,19 +82,27 @@ TEST_F(CopyNetGoldenTest, PerfbenchShapedTrainingSavesGoldenParams) {
   const generation::CandidateList prior =
       generation::BracketExtractor(&segmenter, &ngrams).Extract(base);
 
-  generation::NeuralGeneration::Config config;
-  config.epochs = 1;
-  config.max_train_samples = 1000;
-  generation::NeuralGeneration neural(config);
-  neural.BuildDataset(base, prior, segmenter);
-  const auto stats = neural.Train();
-  EXPECT_EQ(stats.num_samples, 900u);
-  EXPECT_EQ(stats.input_vocab_size, 803u);
-  EXPECT_EQ(stats.output_vocab_size, 5u);
+  std::vector<float> first_epoch_loss;
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    util::ScopedThreadsOverride lanes(threads);
+    generation::NeuralGeneration::Config config;
+    config.epochs = 1;
+    config.max_train_samples = 1000;
+    generation::NeuralGeneration neural(config);
+    neural.BuildDataset(base, prior, segmenter);
+    const auto stats = neural.Train();
+    EXPECT_EQ(stats.num_samples, 900u);
+    EXPECT_EQ(stats.input_vocab_size, 803u);
+    EXPECT_EQ(stats.output_vocab_size, 5u);
+    if (first_epoch_loss.empty()) first_epoch_loss = stats.epoch_loss;
+    EXPECT_EQ(stats.epoch_loss, first_epoch_loss);
 
-  const std::string prefix = (dir_ / "perfbench").string();
-  ASSERT_TRUE(neural.Save(prefix).ok());
-  EXPECT_EQ(FileCrc(prefix + ".params"), 0xe47eff30u);
+    const std::string prefix =
+        (dir_ / ("perfbench" + std::to_string(threads))).string();
+    ASSERT_TRUE(neural.Save(prefix).ok());
+    EXPECT_EQ(FileCrc(prefix + ".params"), 0xe47eff30u);
+  }
 }
 
 // nn_test's CopyNetTest task (the target is the token after 是, a third of
@@ -142,15 +156,23 @@ void TrainCopyNetTestTask(bool use_copy, const std::string& path) {
 }
 
 TEST_F(CopyNetGoldenTest, CopyNetTestTaskSavesGoldenParams) {
-  const std::string path = (dir_ / "copy.params").string();
-  TrainCopyNetTestTask(/*use_copy=*/true, path);
-  EXPECT_EQ(FileCrc(path), 0xaa50fc88u);
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    util::ScopedThreadsOverride lanes(threads);
+    const std::string path = (dir_ / "copy.params").string();
+    TrainCopyNetTestTask(/*use_copy=*/true, path);
+    EXPECT_EQ(FileCrc(path), 0xaa50fc88u);
+  }
 }
 
 TEST_F(CopyNetGoldenTest, CopyNetTestTaskWithoutCopySavesGoldenParams) {
-  const std::string path = (dir_ / "nocopy.params").string();
-  TrainCopyNetTestTask(/*use_copy=*/false, path);
-  EXPECT_EQ(FileCrc(path), 0x76a2f360u);
+  for (const int threads : kThreadCounts) {
+    SCOPED_TRACE(threads);
+    util::ScopedThreadsOverride lanes(threads);
+    const std::string path = (dir_ / "nocopy.params").string();
+    TrainCopyNetTestTask(/*use_copy=*/false, path);
+    EXPECT_EQ(FileCrc(path), 0x76a2f360u);
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "nn/layers.h"
 #include "nn/vocab.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cnpb::nn {
 namespace {
@@ -609,6 +610,28 @@ TEST_F(CopyNetTest, AblationWithoutCopyFailsOnOov) {
   // Without copying the OOV targets are unreachable.
   EXPECT_EQ(Accuracy(model, Subset::kOovOnly), 0.0);
   EXPECT_GT(Accuracy(model, Subset::kAll), 0.55);
+}
+
+TEST_F(CopyNetTest, BatchTrainsToTheSameBitsAtAnyLaneCount) {
+  // Every example starts with 他 or 她 and shares 是/著名/的, so the
+  // examples of a batch add into the same embedding rows and every bias:
+  // only replaying their terms in batch order gives the serial bits.
+  BuildData(/*oov_targets=*/true);
+  CopyNet::Config config;
+  config.embed_dim = 12;
+  config.hidden_dim = 20;
+  const auto train = [&](int lanes) {
+    util::ScopedThreadsOverride threads(lanes);
+    CopyNet model(&input_vocab_, &output_vocab_, config);
+    TrainModel(&model, /*epochs=*/2);
+    std::vector<float> values;
+    for (const Var& p : model.Params()) {
+      values.insert(values.end(), p->value.data(),
+                    p->value.data() + p->value.size());
+    }
+    return values;
+  };
+  ExpectSameBits(train(1), train(4), "params");
 }
 
 TEST(CopyNetEdgeTest, EmptySourceGeneratesNothing) {
