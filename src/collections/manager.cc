@@ -1,6 +1,5 @@
 #include "collections/manager.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "ingest/wal.h"
@@ -38,7 +37,7 @@ CollectionManager::CollectionManager(Options options)
 
 CollectionManager::~CollectionManager() { (void)StopAll(); }
 
-util::Status CollectionManager::ReserveName(const std::string& name) {
+util::Status CollectionManager::CheckNewName(const std::string& name) const {
   if (name.empty() || name.size() > kMaxNameLength) {
     return util::InvalidArgumentError(
         "collection name must be 1..64 characters: '" + name + "'");
@@ -49,23 +48,10 @@ util::Status CollectionManager::ReserveName(const std::string& name) {
           "collection name may only contain [A-Za-z0-9_.-]: '" + name + "'");
     }
   }
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  const bool taken =
-      std::find(reserved_.begin(), reserved_.end(), name) != reserved_.end() ||
-      std::any_of(collections_.begin(), collections_.end(),
-                  [&name](const auto& c) { return c->name == name; });
-  if (taken) {
+  if (Find(name) != nullptr) {
     return util::InvalidArgumentError("collection already exists: " + name);
   }
-  reserved_.push_back(name);
   return util::Status::Ok();
-}
-
-void CollectionManager::Register(const std::string& name,
-                                 std::shared_ptr<Collection> collection) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  reserved_.erase(std::find(reserved_.begin(), reserved_.end(), name));
-  if (collection != nullptr) collections_.push_back(std::move(collection));
 }
 
 std::shared_ptr<CollectionManager::Collection> CollectionManager::Find(
@@ -101,15 +87,16 @@ CollectionManager::MakeCollection(
 util::Status CollectionManager::AddCollection(
     const std::string& name, std::shared_ptr<const taxonomy::ServingView> view,
     taxonomy::ApiService::ServingLimits limits) {
-  CNPB_RETURN_IF_ERROR(ReserveName(name));
+  std::lock_guard<std::mutex> add_lock(add_mu_);
+  CNPB_RETURN_IF_ERROR(CheckNewName(name));
   if (view == nullptr) {
-    Register(name, nullptr);
     return util::InvalidArgumentError("collection '" + name +
                                          "' needs a serving view");
   }
-  Register(name, MakeCollection(name, limits,
-                                std::make_unique<taxonomy::ApiService>(
-                                    std::move(view))));
+  std::shared_ptr<Collection> collection = MakeCollection(
+      name, limits, std::make_unique<taxonomy::ApiService>(std::move(view)));
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  collections_.push_back(std::move(collection));
   return util::Status::Ok();
 }
 
@@ -117,19 +104,8 @@ util::Status CollectionManager::AddIngestCollection(
     const std::string& name, core::IncrementalUpdater* updater,
     ingest::IngestDaemon::Options daemon_options,
     taxonomy::ApiService::ServingLimits limits) {
-  CNPB_RETURN_IF_ERROR(ReserveName(name));
-  std::shared_ptr<Collection> collection;
-  const util::Status status = MakeIngestCollection(
-      name, updater, std::move(daemon_options), limits, &collection);
-  Register(name, status.ok() ? std::move(collection) : nullptr);
-  return status;
-}
-
-util::Status CollectionManager::MakeIngestCollection(
-    const std::string& name, core::IncrementalUpdater* updater,
-    ingest::IngestDaemon::Options daemon_options,
-    taxonomy::ApiService::ServingLimits limits,
-    std::shared_ptr<Collection>* out) {
+  std::lock_guard<std::mutex> add_lock(add_mu_);
+  CNPB_RETURN_IF_ERROR(CheckNewName(name));
   if (updater == nullptr) {
     return util::InvalidArgumentError("collection '" + name +
                                          "' needs an updater");
@@ -158,7 +134,8 @@ util::Status CollectionManager::MakeIngestCollection(
   CNPB_RETURN_IF_ERROR(collection->daemon->Start());
   collection->ingest_endpoints = std::make_unique<server::IngestEndpoints>(
       collection->daemon.get(), collection->endpoints->AsHandler());
-  *out = std::move(collection);
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  collections_.push_back(std::move(collection));
   return util::Status::Ok();
 }
 

@@ -2,6 +2,7 @@
 #define CNPROBASE_COLLECTIONS_MANAGER_H_
 
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -125,21 +126,8 @@ class CollectionManager {
     HttpResponse Handle(const HttpRequest& request);
   };
 
-  // Refuses invalid names and names registered or being added; otherwise
-  // holds `name` for the caller until it calls Register, so that two
-  // concurrent adds of one name cannot both build (and start a daemon on
-  // one WAL directory).
-  util::Status ReserveName(const std::string& name);
-  // Releases `name`'s reservation, registering `collection` under it when
-  // it is not null.
-  void Register(const std::string& name,
-                std::shared_ptr<Collection> collection);
-  // AddIngestCollection's work once the name is reserved.
-  util::Status MakeIngestCollection(
-      const std::string& name, core::IncrementalUpdater* updater,
-      ingest::IngestDaemon::Options daemon_options,
-      taxonomy::ApiService::ServingLimits limits,
-      std::shared_ptr<Collection>* out);
+  // Refuses invalid names and names already registered.
+  util::Status CheckNewName(const std::string& name) const;
   std::shared_ptr<Collection> Find(std::string_view name) const;
   // Builds a collection's serving stack in one place: `service` with
   // `limits`, its ApiEndpoints (cached per Options::cache_bytes) and its
@@ -152,10 +140,13 @@ class CollectionManager {
 
   const Options options_;
 
+  // Held for the whole of each Add, so a name's check and its
+  // registration are one step: two adds of one name cannot both build (or
+  // start two daemons on one WAL directory). Find and serving take only mu_.
+  std::mutex add_mu_;
   mutable std::shared_mutex mu_;
   // Insertion order preserved for deterministic /v1/collections listings.
   std::vector<std::shared_ptr<Collection>> collections_;
-  std::vector<std::string> reserved_;  // being added, not yet registered
 };
 
 }  // namespace cnpb::collections

@@ -118,6 +118,7 @@ NeuralGeneration::TrainStats NeuralGeneration::Train() {
     stats.epoch_loss.push_back(
         batches == 0 ? 0.0f : static_cast<float>(epoch_loss / batches));
   }
+  nn::ReleaseBatchTapes();
   decoder_ = std::make_unique<nn::CopyNetDecoder>(*model_);
   return stats;
 }

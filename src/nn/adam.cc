@@ -1,10 +1,8 @@
 #include "nn/adam.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "nn/kernels.h"
-#include "util/parallel.h"
 
 namespace cnpb::nn {
 
@@ -15,12 +13,6 @@ Adam::Adam(std::vector<Var> params, const Config& config)
   for (const Var& p : params_) {
     m_.push_back(Tensor::Zeros(p->value.rows(), p->value.cols()));
     v_.push_back(Tensor::Zeros(p->value.rows(), p->value.cols()));
-  }
-  for (size_t k = 0; k < params_.size(); ++k) {
-    const size_t size = params_[k]->value.size();
-    for (size_t begin = 0; begin < size; begin += kChunkFloats) {
-      chunks_.push_back({k, begin, std::min(size, begin + kChunkFloats)});
-    }
   }
 }
 
@@ -47,18 +39,13 @@ void Adam::Step() {
       config_.eps,
       1.0f - std::pow(config_.beta1, static_cast<float>(t_)),
       1.0f - std::pow(config_.beta2, static_cast<float>(t_))};
-  // The update is elementwise, so the parameters' chunks run at once.
-  util::ParallelFor(chunks_.size(), [&](size_t c) {
-    const Chunk& chunk = chunks_[c];
-    Node& p = *params_[chunk.param].get();
-    if (!p.grad_ready) return;
-    const int n = static_cast<int>(chunk.end - chunk.begin);
-    float* grad = p.grad.data() + chunk.begin;
-    kernels::AdamUpdate(step, grad, n, m_[chunk.param].data() + chunk.begin,
-                        v_[chunk.param].data() + chunk.begin,
-                        p.value.data() + chunk.begin);
-    std::fill_n(grad, n, 0.0f);
-  });
+  for (size_t k = 0; k < params_.size(); ++k) {
+    Var& p = params_[k];
+    if (!p->grad_ready) continue;
+    kernels::AdamUpdate(step, p->grad.data(), static_cast<int>(p->value.size()),
+                        m_[k].data(), v_[k].data(), p->value.data());
+  }
+  ZeroGrad();
 }
 
 void Adam::ZeroGrad() {

@@ -27,16 +27,7 @@ class Adam {
   size_t NumParams() const;  // total scalar parameter count
 
  private:
-  // A run of one parameter's elements, updated as one task.
-  struct Chunk {
-    size_t param;
-    size_t begin;
-    size_t end;
-  };
-  static constexpr size_t kChunkFloats = 4096;
-
   std::vector<Var> params_;
-  std::vector<Chunk> chunks_;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;
   Config config_;

@@ -584,6 +584,13 @@ class BatchRun {
   size_t done_ = 0;        // finished
 };
 
+// The calling thread's BackwardBatch tapes: one per example in flight, at
+// most one per lane, kept across batches for their capacity.
+std::vector<Tape>& BatchTapes() {
+  thread_local std::vector<Tape> tapes;
+  return tapes;
+}
+
 }  // namespace
 
 void Tape::RunBackward(const OpRecord& op) {
@@ -777,18 +784,19 @@ void Backward(const Var& loss) {
 }
 
 void BackwardBatch(size_t n, const std::function<Var(size_t)>& example) {
-  // One tape per example in flight, at most one per lane, kept across
-  // batches for its capacity. Nested in a pool worker, the batch runs on
-  // the calling thread alone, as the pool would run it.
+  // Nested in a pool worker, the batch runs on the calling thread alone, as
+  // the pool would run it.
   size_t lanes = static_cast<size_t>(util::DefaultThreads());
   if (lanes > 1 && util::ThreadPool::Global().OnWorkerThread()) lanes = 1;
   lanes = std::min(lanes, n);
-  thread_local std::vector<Tape> tapes;
+  std::vector<Tape>& tapes = BatchTapes();
   thread_local Replay replay;
   if (tapes.size() < lanes) tapes.resize(lanes);
   BatchRun run(n, lanes, tapes.data(), &replay, example);
   util::ParallelFor(lanes, [&run](size_t) { run.Lane(); });
 }
+
+void ReleaseBatchTapes() { std::vector<Tape>().swap(BatchTapes()); }
 
 namespace {
 

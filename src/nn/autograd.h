@@ -87,7 +87,14 @@ void Backward(const Var& loss);
 // add, so the gradients are bit-identical at any thread count. `example`
 // must read only its own inputs and the leaves' values, and write only to
 // state of its own index. Nested inside a pool worker, it runs serially.
+// The tapes stay with the calling thread, so that the next batch reuses
+// their capacity, until ReleaseBatchTapes.
 void BackwardBatch(size_t n, const std::function<Var(size_t)>& example);
+
+// Frees the calling thread's BackwardBatch tapes. A training run calls it
+// once it is done: a tape per lane otherwise holds its largest example's
+// memory for the life of the thread.
+void ReleaseBatchTapes();
 
 // ---- ops -----------------------------------------------------------------
 // All ops propagate requires_grad and record themselves on the tape.

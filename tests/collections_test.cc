@@ -215,11 +215,9 @@ TEST(CollectionManagerTest, RegistrationValidation) {
 
 // ---------------------------------------------------- isolation contracts
 
-// Satellite 3: publishes into collection A while readers hammer B — B's
-// version stamp must never move, and every B answer stays identical.
-// Two adds of one name at once: the name is reserved before the collection
-// is built, so exactly one wins, and only one ingest daemon ever starts on
-// the name's WAL directory.
+// Two adds of one name at once: adds are serialised from the name check to
+// the registration, so exactly one wins, and only one ingest daemon ever
+// starts on the name's WAL directory.
 TEST(CollectionManagerTest, ConcurrentAddsOfOneNameRegisterOnce) {
   constexpr int kThreads = 8;
   const auto race = [](const std::function<util::Status()>& add) {
@@ -257,6 +255,8 @@ TEST(CollectionManagerTest, ConcurrentAddsOfOneNameRegisterOnce) {
   EXPECT_TRUE(ingest_manager.StopAll().ok());
 }
 
+// Satellite 3: publishes into collection A while readers hammer B — B's
+// version stamp must never move, and every B answer stays identical.
 TEST(CollectionManagerTest, PublishIntoANeverPerturbsB) {
   CollectionManager manager({});
   ASSERT_TRUE(manager.AddCollection("default", ViewA()).ok());
